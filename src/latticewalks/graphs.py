@@ -88,6 +88,26 @@ class FiniteGraph:
         self.truncated = truncated
 
     @classmethod
+    def _trusted(cls, vertices: list[Coords], index: dict[Coords, int],
+                 adjacency: list[list[int]], root: int | None, name: str, *,
+                 ball_radius=None, depths=None, truncated=False) -> "FiniteGraph":
+        """Wrap a structure that is valid by construction, skipping the
+        re-checks of ``__init__``: distinct equal-length coordinate tuples
+        with their position index, sorted duplicate-free loop-free symmetric
+        index rows, and an index root.
+        """
+        g = cls.__new__(cls)
+        g.vertices = vertices
+        g._index = index
+        g.adjacency = adjacency
+        g.root = root
+        g.name = name
+        g.ball_radius = ball_radius
+        g.depths = depths
+        g.truncated = truncated
+        return g
+
+    @classmethod
     def from_edges(cls, vertices, edges, root=None, name="") -> "FiniteGraph":
         verts = [_as_coords(v) for v in vertices]
         index = {v: i for i, v in enumerate(verts)}
@@ -150,6 +170,9 @@ class FiniteGraph:
 class ImplicitGraph:
     """Locally finite graph given by a neighbor function on coordinate tuples.
 
+    ``neighbor_fn`` must describe a simple graph: ``w`` is a neighbor of
+    ``v`` exactly when ``v`` is a neighbor of ``w``, and never ``v`` itself.
+    :func:`ball` trusts this and does not re-check the adjacency it builds.
     ``contains_fn`` is optional; when present it lets callers validate
     roots before expanding balls.
     """
@@ -173,6 +196,20 @@ class ImplicitGraph:
 
 
 Graph = Union[FiniteGraph, ImplicitGraph]
+
+
+def _neighbor_fn(g: Graph) -> Callable[[Coords], Iterable[Coords]]:
+    """Unvalidated neighbor function of g for internal use.
+
+    It takes a coordinate tuple already known to be well formed and may
+    return the neighbors in any order, with repeats; callers that need the
+    neighbor *set* deduplicate.  The public ``neighbors`` methods validate
+    and sort.
+    """
+    if isinstance(g, FiniteGraph):
+        verts, adj, index = g.vertices, g.adjacency, g._index
+        return lambda v: [verts[j] for j in adj[index[v]]]
+    return g.neighbor_fn
 
 
 def _membership(g: Graph) -> Callable[[Coords], bool] | None:
@@ -318,27 +355,28 @@ def restrict_lattice(domain: LatticeDomain) -> ImplicitGraph:
 def _finite_product(g1: FiniteGraph, g2: FiniteGraph, mode: str,
                     name: str) -> FiniteGraph:
     d1 = g1.dimension
+    n1, n2 = _neighbor_fn(g1), _neighbor_fn(g2)
     verts = sorted(a + b for a in g1.vertices for b in g2.vertices)
     index = {v: i for i, v in enumerate(verts)}
     adj = []
     for v in verts:
         a, b = v[:d1], v[d1:]
         if mode == "kron":
-            nbrs = [na + nb for na in g1.neighbors(a) for nb in g2.neighbors(b)]
+            nbrs = [na + nb for na in n1(a) for nb in n2(b)]
         else:
-            nbrs = [na + b for na in g1.neighbors(a)]
-            nbrs += [a + nb for nb in g2.neighbors(b)]
-        adj.append(sorted(index[w] for w in nbrs))
+            nbrs = [na + b for na in n1(a)]
+            nbrs += [a + nb for nb in n2(b)]
+        adj.append(sorted([index[w] for w in nbrs]))
     root = None
     if g1.root is not None and g2.root is not None:
         root = index[g1.root_coords + g2.root_coords]
-    return FiniteGraph(verts, adj, root=root, name=name)
+    return FiniteGraph._trusted(verts, index, adj, root, name)
 
 
 def _implicit_product(g1: Graph, g2: Graph, mode: str,
                       name: str) -> ImplicitGraph:
     d1, d2 = g1.dimension, g2.dimension
-    n1, n2 = g1.neighbors, g2.neighbors
+    n1, n2 = _neighbor_fn(g1), _neighbor_fn(g2)
 
     if mode == "kron":
         def nbrs(v: Coords) -> list[Coords]:
@@ -402,54 +440,63 @@ def ball(g: Graph, root, radius: int,
     if member is not None and not member(r):
         raise ValueError(f"root {r} is not a vertex of {g.name or 'graph'}")
 
+    # Each vertex's neighbor set is computed once.  A vertex at depth d has
+    # neighbors only at depths d-1, d, d+1, so a layer's coordinate rows
+    # become index rows as soon as the next layer is indexed.
+    nbrs = _neighbor_fn(g)
+    index = {r: 0}
     order = [r]
-    depth = {r: 0}
+    depths = [0]
+    adj: list[list[int]] = []
     frontier = [r]
-    for d in range(1, radius + 1):
-        fresh = sorted({w for v in frontier for w in g.neighbors(v)} - depth.keys())
+    for d in range(radius):
+        rows = [set(nbrs(v)) for v in frontier]
+        fresh = sorted({w for row in rows for w in row if w not in index})
         if len(order) + len(fresh) > budget:
             raise ResourceLimitError(
-                f"ball of radius {radius} around {r} exceeds vertex budget {budget}")
-        for w in fresh:
-            depth[w] = d
+                f"ball of radius {radius} around {r} exceeds vertex budget {budget}: "
+                f"layer {d + 1} would add {len(fresh)} vertices to the "
+                f"{len(order)} kept through layer {d}")
+        index.update(zip(fresh, range(len(order), len(order) + len(fresh))))
         order.extend(fresh)
+        depths.extend([d + 1] * len(fresh))
+        adj.extend(sorted([index[w] for w in row]) for row in rows)
         frontier = fresh
         if not frontier:
             break
 
-    index = {v: i for i, v in enumerate(order)}
-    adj = []
+    # outermost layer: neighbors beyond the radius are cut off
     truncated = False
-    for v in order:
-        row = []
-        for w in g.neighbors(v):
-            j = index.get(w)
-            if j is None:
-                truncated = True
-            else:
-                row.append(j)
-        adj.append(sorted(row))
-    return FiniteGraph(order, adj, root=0, name=f"ball({g.name or 'graph'},r={radius})",
-                       ball_radius=radius, depths=[depth[v] for v in order],
-                       truncated=truncated)
+    get = index.get
+    for v in frontier:
+        row = [get(w) for w in set(nbrs(v))]
+        if None in row:
+            truncated = True
+            row = [j for j in row if j is not None]
+        row.sort()
+        adj.append(row)
+    return FiniteGraph._trusted(
+        order, index, adj, 0, f"ball({g.name or 'graph'},r={radius})",
+        ball_radius=radius, depths=depths, truncated=truncated)
 
 
 def induced_subgraph(g: FiniteGraph, keep: Iterable[Sequence[int]],
                      name: str = "") -> FiniteGraph:
     """Induced subgraph on a subset of vertices, sorted by coordinates."""
     verts = sorted({_as_coords(v) for v in keep})
+    if not verts:
+        raise ValueError("graph needs at least one vertex")
     missing = [v for v in verts if v not in g]
     if missing:
         raise ValueError(f"vertices not in graph: {missing[:3]}")
     index = {v: i for i, v in enumerate(verts)}
-    adj: list[list[int]] = [[] for _ in verts]
-    for v in verts:
-        adj[index[v]] = sorted(index[w] for w in g.neighbors(v) if w in index)
+    nbrs = _neighbor_fn(g)
+    adj = [sorted([index[w] for w in nbrs(v) if w in index]) for v in verts]
     root = None
     rc = g.root_coords
     if rc is not None and rc in index:
         root = index[rc]
-    return FiniteGraph(verts, adj, root=root, name=name or f"sub({g.name})")
+    return FiniteGraph._trusted(verts, index, adj, root, name or f"sub({g.name})")
 
 
 def connected_components(g: FiniteGraph) -> list[FiniteGraph]:

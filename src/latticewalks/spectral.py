@@ -102,6 +102,8 @@ class Discrete(SpectralDistribution):
 
     def moment(self, m: int) -> float:
         _check_order(m)
+        if m % 2:
+            return 0.0  # the +-lambda pairs cancel exactly
         return sum(w * a ** m for a, w in self.atoms)
 
 
@@ -200,6 +202,8 @@ class PathSpectrum:
 
     def moment(self, m: int) -> float:
         _check_order(m)
+        if m % 2:
+            return 0.0  # the spectrum 2cos(k pi/(n+1)) is symmetric about 0
         return sum(w * lam ** m for lam, w in zip(self.eigenvalues, self.weights))
 
     def to_discrete(self) -> Discrete:

@@ -2,10 +2,18 @@
 
 The number of length-m closed walks at a root o equals the (o,o) entry of
 the m-th adjacency power.  Every count here is an arbitrary-precision int,
-computed by iterating the adjacency action on an integer vector over a
-ball of radius floor(m/2): a closed m-walk never leaves that ball, so the
-truncation is lossless.  Identities are asserted with big-integer
-equality, never floating point.
+computed on a ball of radius R = floor(m/2) around o.  The adjacency A is
+symmetric, so with u_h = A^h e_o the counts come by half steps:
+
+    count[2h] = <u_h, u_h>,    count[2h+1] = <u_h, u_{h+1}>,
+
+which needs ceil(m/2) integer matrix-vector products instead of m.  u_h
+lives on the vertices of depth <= h, a prefix of the ball's layer order,
+so each product starts from that prefix only.  The ball loses nothing:
+a walk of length h <= R never leaves it, and the entries of u_{R+1} that
+the last odd count reads lie at depth <= R, where a walk of length R+1
+ends only if it never left the ball.  Identities are asserted with
+big-integer equality, never floating point.
 
 Closed forms use half-step indexing internally: a walk of even length
 m = 2h on a bipartite lattice decomposes into h up/down or in/out pairs,
@@ -14,8 +22,10 @@ which is where central binomials and Catalan numbers enter.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Callable
 
 from . import graphs
@@ -66,19 +76,29 @@ def path_closed_walks(n: int, m: int) -> int:
 
 
 def _diagonal_counts(b: FiniteGraph, steps: int) -> list[int]:
-    # (A^k)_{oo} for k = 0..steps via big-int vector iteration
+    # (A^k)_{oo} for k = 0..steps on a ball b of radius >= steps // 2 around
+    # o, by the half-step identity of the module docstring; u and nxt are
+    # u_h and u_{h+1}, and each product scatters from the depth <= h prefix.
+    adj, depths = b.adjacency, b.depths
     n = len(b)
     u = [0] * n
     u[b.root] = 1
     out = [1]
-    for _ in range(steps):
+    h = 0
+    while len(out) <= steps:
+        end = bisect_right(depths, h)
         nxt = [0] * n
-        for i, ui in enumerate(u):
+        for i in range(end):
+            ui = u[i]
             if ui:
-                for j in b.adjacency[i]:
+                for j in adj[i]:
                     nxt[j] += ui
+        out.append(sum(map(mul, u[:end], nxt)))
+        h += 1
+        if len(out) <= steps:
+            end = bisect_right(depths, h)
+            out.append(sum(map(mul, nxt[:end], nxt[:end])))
         u = nxt
-        out.append(u[b.root])
     return out
 
 

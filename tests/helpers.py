@@ -3,11 +3,14 @@
 `dp_closed_walks` counts closed walks by memoized recursion on the raw
 neighbor function; it never builds a ball or an adjacency index, so it
 cross-checks the production pipeline rather than re-running it.
+`naive_ball` is a textbook queue BFS over the public ``neighbors`` method,
+and `vector_walk_counts` iterates the full adjacency one step at a time.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from latticewalks.graphs import FiniteGraph
 
@@ -26,6 +29,45 @@ def dp_closed_walks(g, root, m: int) -> int:
         return cache[key]
 
     return walks_to_root(root, m)
+
+
+def naive_ball(g, root, radius: int):
+    """(vertices, depths, adjacency, truncated) of the radius-r ball at root.
+
+    Distances come from a queue BFS; vertices are then ordered by
+    (distance, coordinates), and each adjacency row lists the sorted
+    indices of the neighbors inside the ball.
+    """
+    root = tuple(root)
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        if dist[v] == radius:
+            continue
+        for w in g.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    vertices = sorted(dist, key=lambda v: (dist[v], v))
+    index = {v: i for i, v in enumerate(vertices)}
+    adjacency, truncated = [], False
+    for v in vertices:
+        nbrs = g.neighbors(v)
+        truncated = truncated or any(w not in index for w in nbrs)
+        adjacency.append(sorted(index[w] for w in nbrs if w in index))
+    return vertices, [dist[v] for v in vertices], adjacency, truncated
+
+
+def vector_walk_counts(adj: list[list[int]], i: int, m_max: int) -> list[int]:
+    """(A^m)_{ii} for m = 0..m_max by m_max plain steps u <- A u."""
+    u = [0] * len(adj)
+    u[i] = 1
+    out = [1]
+    for _ in range(m_max):
+        u = [sum(u[j] for j in row) for row in adj]
+        out.append(u[i])
+    return out
 
 
 def int_matrix_power_diag(adj: list[list[int]], i: int, m: int) -> int:

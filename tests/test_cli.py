@@ -96,6 +96,16 @@ class TestMomentsCommand:
         assert out.splitlines()[1:] == ["m,moment", "0,1", "1,0", "2,1", "3,0",
                                         "4,4", "5,0", "6,25", "7,0", "8,196"]
 
+    @pytest.mark.filterwarnings("ignore:path spectrum for n=24:UserWarning")
+    def test_odd_path_moments_print_zero(self, capsys):
+        code, out, _ = run(capsys, "moments", "--kind", "path", "--n", "24",
+                           "--mmax", "40")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert len(rows) == 41
+        assert all(v == "0" for m, v in rows if int(m) % 2)
+        assert ["39", "0"] in rows
+
     def test_path_requires_n(self, capsys):
         code, _, err = run(capsys, "moments", "--kind", "path", "--mmax", "4")
         assert code == 1

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from latticewalks import graphs
+from helpers import naive_ball, random_graph
+from latticewalks import graphs, walks
 from latticewalks.errors import ResourceLimitError
 from latticewalks.graphs import (
     FiniteGraph,
@@ -204,8 +205,14 @@ class TestBall:
         assert (0, 1) not in b
 
     def test_ball_budget_exhaustion(self):
-        with pytest.raises(ResourceLimitError):
+        # layers of the plane hold 1, 4, 8, ... vertices: the budget of 5
+        # admits layers 0 and 1 and is exceeded by layer 2
+        with pytest.raises(ResourceLimitError) as info:
             ball(restrict_lattice(full_plane()), (0, 0), 10, budget=5)
+        msg = str(info.value)
+        assert "vertex budget 5" in msg
+        assert "layer 2 would add 8 vertices" in msg
+        assert "the 5 kept through layer 1" in msg
 
     def test_ball_root_is_first(self):
         b = ball(half_line(), (0,), 4)
@@ -215,6 +222,55 @@ class TestBall:
     def test_ball_root_must_lie_in_graph(self):
         with pytest.raises(ValueError):
             ball(half_line(), (-2,), 3)
+
+
+_KIND_PARAMS = {"strip": [{"n": 2}, {"n": 5}],
+                "diamond": [{"k": 2, "l": 3}, {"k": 4, "l": 6}]}
+_NAMED = [(kind, p) for kind in walks.lattice_walk_kinds()
+          for p in _KIND_PARAMS.get(kind, [{}])]
+
+
+def _assert_ball_matches_oracle(g, root, radius):
+    b = ball(g, root, radius)
+    vertices, depths, adjacency, truncated = naive_ball(g, root, radius)
+    assert b.vertices == vertices
+    assert b.depths == depths
+    assert b.adjacency == adjacency
+    assert b.truncated == truncated
+    assert b.root == 0 and b.ball_radius == radius
+    # the trusted construction must pass the full validation as well
+    checked = FiniteGraph(b.vertices, b.adjacency, root=0)
+    assert checked.adjacency == b.adjacency
+
+
+class TestBallOracle:
+    @pytest.mark.parametrize("kind,params", _NAMED,
+                             ids=[k + "".join(f"-{a}{v}" for a, v in p.items())
+                                  for k, p in _NAMED])
+    def test_named_kinds(self, kind, params):
+        g, o = walks.build_lattice(kind, **params)
+        for radius in range(7):
+            _assert_ball_matches_oracle(g, o, radius)
+
+    @pytest.mark.parametrize("product", [kronecker, cartesian])
+    def test_random_finite_products(self, product):
+        rng = random.Random(20160722)
+        for _ in range(25):
+            g = product(random_graph(rng, 1, 6), random_graph(rng, 1, 6))
+            start = rng.choice(g.vertices)
+            for radius in range(5):
+                _assert_ball_matches_oracle(g, g.root_coords, radius)
+                _assert_ball_matches_oracle(g, start, radius)
+
+    def test_random_mixed_products(self):
+        rng = random.Random(1607)
+        for _ in range(10):
+            f = random_graph(rng, 1, 5)
+            for g in (kronecker(integer_line(), f), cartesian(f, half_line()),
+                      kronecker(kronecker(f, half_line()), f)):
+                root = (0,) * g.dimension
+                for radius in range(5):
+                    _assert_ball_matches_oracle(g, root, radius)
 
 
 class TestComponentsAndSubgraphs:

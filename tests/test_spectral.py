@@ -48,7 +48,7 @@ class TestDiscrete:
     def test_symmetric_two_atoms(self):
         d = Discrete([(1.0, 0.5), (-1.0, 0.5)])
         assert d.moment(0) == pytest.approx(1.0)
-        assert d.moment(1) == pytest.approx(0.0)
+        assert d.moment(1) == 0
         assert d.moment(2) == pytest.approx(1.0)
 
     def test_atom_at_zero_may_be_unpaired(self):
@@ -224,6 +224,16 @@ class TestLatticeCorrespondence:
         for n in (4, 7, 10):
             d = path_spectrum(n).to_discrete()
             assert all(abs(d.moment(m)) < 1e-10 for m in range(1, 2 * n, 2))
+
+    @pytest.mark.filterwarnings("ignore:path spectrum for n=:UserWarning")
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_odd_path_moments_are_exactly_zero(self, n):
+        # both laws are symmetric, so odd moments vanish exactly instead of
+        # leaving the cancellation noise of the float sum
+        ps = path_spectrum(n)
+        d = ps.to_discrete()
+        for m in range(1, 4 * n + 2, 2):
+            assert ps.moment(m) == 0 and d.moment(m) == 0
 
 
 class TestComparisons:

@@ -2,6 +2,8 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     dp_closed_walks,
@@ -9,6 +11,7 @@ from helpers import (
     path_adjacency,
     random_connected_graph,
     random_graph,
+    vector_walk_counts,
 )
 from latticewalks import graphs, walks
 from latticewalks.errors import ResourceLimitError
@@ -189,6 +192,69 @@ class TestWalkCountProperties:
         g, o = build_lattice("z3cartesian")
         t = walk_table(g, o, 8)
         assert all(isinstance(c, int) and c >= 0 for c in t.counts)
+
+
+@st.composite
+def simple_graphs(draw, max_n: int = 6) -> graphs.FiniteGraph:
+    """Any simple graph on (0,), ..., (n-1,): triangles, isolated vertices
+    and disconnected pieces included."""
+    n = draw(st.integers(1, max_n))
+    pairs = [((i,), (j,)) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return graphs.FiniteGraph.from_edges([(i,) for i in range(n)], edges)
+
+
+def _graph(n: int, edges) -> graphs.FiniteGraph:
+    return graphs.FiniteGraph.from_edges(
+        [(i,) for i in range(n)], [((i,), (j,)) for i, j in edges])
+
+
+def _as_implicit(g: graphs.FiniteGraph) -> graphs.ImplicitGraph:
+    return graphs.ImplicitGraph(g.dimension, g.neighbors, "implicit", g.__contains__)
+
+
+_TRIANGLE = _graph(3, [(0, 1), (1, 2), (0, 2)])
+_K4 = _graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+_ISOLATED_ROOT = _graph(3, [(1, 2)])
+_HYPOTHESIS = settings(max_examples=120, deadline=None, database=None,
+                       derandomize=True)
+
+
+class TestHalfStepIdentity:
+    """walk_table counts by half steps on a radius-m//2 ball; compare with
+    m plain steps of u <- A u on the whole graph."""
+
+    @_HYPOTHESIS
+    @given(g=simple_graphs(), pick=st.integers(0, 63), m_max=st.integers(0, 15))
+    @example(g=_TRIANGLE, pick=0, m_max=15)
+    @example(g=_TRIANGLE, pick=1, m_max=14)
+    @example(g=_K4, pick=3, m_max=15)
+    @example(g=_ISOLATED_ROOT, pick=0, m_max=15)
+    @example(g=_ISOLATED_ROOT, pick=0, m_max=0)
+    def test_finite_graphs(self, g, pick, m_max):
+        i = pick % len(g)
+        expected = vector_walk_counts(g.adjacency, i, m_max)
+        root = g.vertices[i]
+        assert list(walk_table(g, root, m_max).counts) == expected
+        assert list(walk_table(_as_implicit(g), root, m_max).counts) == expected
+        assert walk_count(g, root, m_max) == expected[m_max]
+
+    @_HYPOTHESIS
+    @given(g1=simple_graphs(5), g2=simple_graphs(5), kron=st.booleans(),
+           pick=st.integers(0, 63), m_max=st.integers(0, 15))
+    @example(g1=_TRIANGLE, g2=_TRIANGLE, kron=True, pick=0, m_max=15)
+    @example(g1=_TRIANGLE, g2=_K4, kron=False, pick=5, m_max=15)
+    @example(g1=_ISOLATED_ROOT, g2=_TRIANGLE, kron=False, pick=0, m_max=13)
+    @example(g1=_ISOLATED_ROOT, g2=_TRIANGLE, kron=True, pick=0, m_max=15)
+    def test_products(self, g1, g2, kron, pick, m_max):
+        product = graphs.kronecker if kron else graphs.cartesian
+        g = product(g1, g2)
+        i = pick % len(g)
+        expected = vector_walk_counts(g.adjacency, i, m_max)
+        root = g.vertices[i]
+        assert list(walk_table(g, root, m_max).counts) == expected
+        lazy = product(_as_implicit(g1), _as_implicit(g2))
+        assert list(walk_table(lazy, root, m_max).counts) == expected
 
 
 class TestLatticeRegistry:
