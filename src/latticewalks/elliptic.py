@@ -10,8 +10,13 @@ xi(x) = sqrt(1 - x^2/16); note that xi's complementary modulus is exactly
 
 A small adaptive Gauss-Kronrod integrator (7/15 pair, bisection, global
 error heap) backs the numerical Mellin convolution and the moment checks.
-Panels never evaluate integrands at their endpoints, which is what makes
-the inverse-square-root edges of these kernels harmless.
+Panels never evaluate integrands at their endpoints.  The Mellin
+convolution integrates in log coordinates under a cosine map, whose
+sin t Jacobian cancels the inverse-square-root edges of the arcsine
+factors, so the integrand it hands the integrator is smooth.  Near the
+support edge x = 4, where rounding of the kernel arguments would swamp
+the requested tolerance at a singular factor edge, it raises
+NumericalError instead of returning an inaccurate value.
 """
 
 from __future__ import annotations
@@ -223,6 +228,10 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
 # ---------------------------------------------------------------------------
 # Mellin convolution and moments of the product densities
 
+# smallest (2 - x/2) * tol at which a kernel with an infinite edge still
+# convolves accurately near x = 4 (see mellin_density_convolve)
+_EDGE_RESOLUTION = 1e-14
+
 
 def mellin_density_convolve(f: Callable[[float], float],
                             g: Callable[[float], float],
@@ -232,20 +241,42 @@ def mellin_density_convolve(f: Callable[[float], float],
     Both kernels must be supported in [-2, 2]; the result, evaluated at
     x > 0, is 2 * integral of f(x/y) g(y) dy/y over y in [x/2, 2].
     Beyond the product support (x >= 4) the value is 0.
+
+    The integral is taken in s = log y, where dy/y = ds, under the cosine
+    map s = c - r cos t, t in [0, pi], with c and r the center and
+    half-width of [log(x/2), log 2].  The integrand becomes
+    f(x/y) g(y) r sin t; sin t vanishes like the square root of the
+    distance to either end, which cancels inverse-square-root edges of
+    the kernels and leaves a smooth integrand.
+
+    The kernels see y rounded to a fixed absolute precision.  When a
+    kernel is infinite at its edge 2 and [x/2, 2] is too narrow for that
+    rounding to stay below tol ((2 - x/2) * tol < 1e-14), NumericalError
+    is raised instead of returning an inaccurate value.
     """
     if x <= 0.0:
         raise ValueError("convolution point must be positive; use symmetry for x < 0")
     if x >= 4.0:
         return 0.0
+    if ((2.0 - 0.5 * x) * tol < _EDGE_RESOLUTION
+            and (math.isinf(f(2.0)) or math.isinf(g(2.0)))):
+        raise NumericalError(
+            f"Mellin convolution at x={x!r} is too close to the support edge 4 "
+            f"to reach tol={tol!r}: [x/2, 2] is narrower than rounding at a "
+            f"singular kernel edge allows; use a larger tol or a smaller x")
+    hi = math.log(2.0)
+    lo = math.log(x) - hi
+    c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
-    def integrand(y: float) -> float:
-        v = f(x / y) * g(y) / y
-        # deep bisection can round a node onto a factor's edge singularity
-        # (x/y landing exactly on 2.0); the true contribution of that
-        # measure-zero point is finite, so drop it rather than poison the sum
+    def integrand(t: float) -> float:
+        y = math.exp(c - r * math.cos(t))
+        v = f(x / y) * g(y) * r * math.sin(t)
+        # y can round onto a factor's edge singularity (x/y or y landing
+        # exactly on 2.0); the true contribution of that measure-zero point
+        # is finite, so drop it rather than poison the sum
         return v if math.isfinite(v) else 0.0
 
-    val = adaptive_quadrature(integrand, x / 2.0, 2.0,
+    val = adaptive_quadrature(integrand, 0.0, math.pi,
                               abs_tol=0.5 * tol, rel_tol=0.5 * tol)
     return 2.0 * val
 

@@ -16,13 +16,9 @@ comparison.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from math import comb, cos, pi
+from math import comb, cos, pi, sin
 
-import numpy as np
-
-from .errors import NumericalError
 from .walks import catalan
 
 Number = int | float
@@ -191,9 +187,9 @@ def named_density(kind: str) -> NamedDensity:
 class PathSpectrum:
     """Spectral distribution of the n-vertex path at an end vertex.
 
-    Eigenvalues are 2 cos(k pi / (n+1)); the weights are recovered from
-    the first n closed-walk counts by a Vandermonde solve in double
-    precision (partial pivoting), with the residual checked afterwards.
+    Eigenvalues are 2 cos(k pi / (n+1)), k = 1..n; the weight of each is
+    the squared end-vertex entry of its normalized eigenvector,
+    2/(n+1) sin^2(k pi / (n+1)).
     """
 
     n: int
@@ -210,48 +206,14 @@ class PathSpectrum:
         return Discrete(zip(self.eigenvalues, self.weights))
 
 
-#: above this size the Vandermonde system grows too ill-conditioned for
-#: reliable double-precision weights
-PATH_SPECTRUM_EXACT_LIMIT = 12
-PATH_SPECTRUM_HARD_LIMIT = 24
-
-
 def path_spectrum(n: int) -> PathSpectrum:
-    """Eigenvalues and end-vertex weights of the n-vertex path.
-
-    n is capped at 24; above n = 12 a conditioning warning is emitted
-    because the Vandermonde solve loses digits.  The residual of the solve
-    must stay below 1e-9 relative to the data, else NumericalError.
-    """
+    """Eigenvalues and end-vertex weights of the n-vertex path, in closed form."""
     if n < 2:
         raise ValueError("path spectrum needs n >= 2")
-    if n > PATH_SPECTRUM_HARD_LIMIT:
-        raise ValueError(f"path spectrum is limited to n <= {PATH_SPECTRUM_HARD_LIMIT}")
-    if n > PATH_SPECTRUM_EXACT_LIMIT:
-        warnings.warn(
-            f"path spectrum for n={n} solves an ill-conditioned Vandermonde "
-            f"system; weights may lose digits beyond n={PATH_SPECTRUM_EXACT_LIMIT}",
-            stacklevel=2)
-
-    lams = [2.0 * cos(k * pi / (n + 1)) for k in range(1, n + 1)]
-    # walk counts at the end vertex: Catalan numbers at even lengths
-    b = np.array([float(catalan(m // 2)) if m % 2 == 0 else 0.0
-                  for m in range(n)])
-    van = np.vander(np.array(lams), n, increasing=True).T  # van[m, k] = lam_k^m
-    a = np.linalg.solve(van, b)
-    residual = float(np.max(np.abs(van @ a - b)))
-    scale = max(1.0, float(np.max(np.abs(b))))
-    if residual > 1e-9 * scale:
-        cond = float(np.linalg.cond(van))
-        raise NumericalError(
-            f"path spectrum solve residual {residual:.3e} exceeds tolerance "
-            f"(condition estimate {cond:.3e})")
-    weights = [float(w) for w in a]
-    if abs(sum(weights) - 1.0) > 1e-10:
-        raise NumericalError("path spectrum weights do not sum to 1")
-    if any(w < -1e-10 for w in weights):
-        raise NumericalError("path spectrum produced a negative weight")
-    return PathSpectrum(n, tuple(lams), tuple(weights))
+    angles = [k * pi / (n + 1) for k in range(1, n + 1)]
+    lams = tuple(2.0 * cos(a) for a in angles)
+    weights = tuple(2.0 / (n + 1) * sin(a) ** 2 for a in angles)
+    return PathSpectrum(n, lams, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -49,26 +49,24 @@ def catalan(m: int) -> int:
 def path_closed_walks(n: int, m: int) -> int:
     """Closed m-walks at the first vertex of the n-vertex path, exactly.
 
-    Plain integer iteration of the tridiagonal adjacency action; this is
-    deliberately independent of the ball machinery so it can serve as the
-    1-D factor in product closed forms.
+    By the reflection principle for walks confined between two absorbing
+    barriers n+1 apart, the count for m = 2h is
+
+        sum_j [binom(m, h + j(n+1)) - binom(m, h + j(n+1) - 1)],
+
+    O(m/(n+1)) binomials.  This is deliberately independent of the ball
+    machinery so it can serve as the 1-D factor in product closed forms.
     """
     if n < 1:
         raise ValueError("path needs at least one vertex")
     if m < 0:
         raise ValueError("walk length must be nonnegative")
-    u = [0] * n
-    u[0] = 1
-    for _ in range(m):
-        nxt = [0] * n
-        for i, ui in enumerate(u):
-            if ui:
-                if i > 0:
-                    nxt[i - 1] += ui
-                if i + 1 < n:
-                    nxt[i + 1] += ui
-        u = nxt
-    return u[0]
+    if m % 2:
+        return 0
+    h, p = m // 2, n + 1
+    # binom(m, k) with k congruent to h, minus those with k congruent to h-1
+    return (sum(comb(m, k) for k in range(h % p, m + 1, p))
+            - sum(comb(m, k) for k in range((h - 1) % p, m + 1, p)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@
 neighbor function; it never builds a ball or an adjacency index, so it
 cross-checks the production pipeline rather than re-running it.
 `naive_ball` is a textbook queue BFS over the public ``neighbors`` method,
-and `vector_walk_counts` iterates the full adjacency one step at a time.
+and `vector_walk_counts` iterates the full adjacency one step at a time;
+`path_walk_counts` does the same for the tridiagonal path adjacency.
 """
 
 from __future__ import annotations
@@ -82,6 +83,25 @@ def int_matrix_power_diag(adj: list[list[int]], i: int, m: int) -> int:
         acc = [[sum(row[t] * mat[t][c] for t in range(n)) for c in range(n)]
                for row in acc]
     return acc[i][i]
+
+
+def path_walk_counts(n: int, m_max: int) -> list[int]:
+    """Closed m-walks at the first vertex of the n-vertex path for
+    m = 0..m_max, by plain integer iteration of the tridiagonal adjacency."""
+    u = [0] * n
+    u[0] = 1
+    out = [1]
+    for _ in range(m_max):
+        nxt = [0] * n
+        for i, ui in enumerate(u):
+            if ui:
+                if i > 0:
+                    nxt[i - 1] += ui
+                if i + 1 < n:
+                    nxt[i + 1] += ui
+        u = nxt
+        out.append(u[0])
+    return out
 
 
 def path_adjacency(n: int) -> list[list[int]]:

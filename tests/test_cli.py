@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,7 +100,6 @@ class TestMomentsCommand:
         assert out.splitlines()[1:] == ["m,moment", "0,1", "1,0", "2,1", "3,0",
                                         "4,4", "5,0", "6,25", "7,0", "8,196"]
 
-    @pytest.mark.filterwarnings("ignore:path spectrum for n=24:UserWarning")
     def test_odd_path_moments_print_zero(self, capsys):
         code, out, _ = run(capsys, "moments", "--kind", "path", "--n", "24",
                            "--mmax", "40")
@@ -230,3 +233,16 @@ class TestParserContract:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert "4,6,6,true" in target.read_text().splitlines()
+
+
+def test_import_does_not_load_numpy():
+    # numpy is not a runtime dependency: neither the package nor the CLI
+    # may import it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, latticewalks, latticewalks.cli; "
+            "print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert result.stdout.strip() == "False"

@@ -190,6 +190,13 @@ class TestAdaptiveQuadrature:
                                 abs_tol=1e-14, rel_tol=1e-14, panel_budget=8)
 
 
+KERNEL_PAIRS = [
+    ("aa", arcsine_density, arcsine_density),
+    ("wa", semicircle_density, arcsine_density),
+    ("ww", semicircle_density, semicircle_density),
+]
+
+
 class TestMellinDensityConvolution:
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -201,15 +208,53 @@ class TestMellinDensityConvolution:
         assert mellin_density_convolve(arcsine_density, arcsine_density, 4.0) == 0.0
         assert mellin_density_convolve(arcsine_density, arcsine_density, 9.0) == 0.0
 
-    @pytest.mark.parametrize("kind,f,g", [
-        ("aa", arcsine_density, arcsine_density),
-        ("wa", semicircle_density, arcsine_density),
-        ("ww", semicircle_density, semicircle_density),
-    ])
+    @pytest.mark.parametrize("kind,f,g", KERNEL_PAIRS)
     def test_matches_closed_form_kernels(self, kind, f, g):
         for x in (0.4, 1.0, 2.2, 3.6):
             got = mellin_density_convolve(f, g, x, tol=1e-9)
             assert got == pytest.approx(density(kind, x), abs=1e-7)
+
+    @pytest.mark.parametrize("kind,f,g", KERNEL_PAIRS[:2])
+    def test_former_stall_points(self, kind, f, g):
+        # these midpoints stalled on a zero-width panel when the integral
+        # was bisected in y
+        for i in range(20):
+            x = 0.05 + 3.9 * (i + 0.5) / 20
+            got = mellin_density_convolve(f, g, x, tol=1e-10)
+            assert abs(got - density(kind, x)) <= 1e-9
+
+    @pytest.mark.parametrize("kind,f,g", KERNEL_PAIRS)
+    @pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+    def test_accurate_or_raise(self, kind, f, g, tol):
+        xs = ([4.0 - 10.0 ** -k for k in range(1, 14)]
+              + [10.0 ** -k for k in (1, 2, 3, 6, 9, 12, 50, 300)])
+        for x in xs:
+            try:
+                got = mellin_density_convolve(f, g, x, tol=tol)
+            except NumericalError:
+                # only a singular factor edge very close to x = 4 may refuse
+                assert kind != "ww" and x > 3.9, x
+                continue
+            ref = density(kind, x)
+            assert abs(got - ref) <= tol * max(1.0, ref), (x, got, ref)
+
+    def test_singular_edge_guard(self):
+        x = 4.0 - 1e-9
+        with pytest.raises(NumericalError) as info:
+            mellin_density_convolve(arcsine_density, arcsine_density, x, tol=1e-8)
+        assert repr(x) in str(info.value) and "tol=1e-08" in str(info.value)
+        got = mellin_density_convolve(semicircle_density, semicircle_density,
+                                      x, tol=1e-8)
+        assert abs(got - density("ww", x)) <= 1e-8
+
+    def test_uniform_factors(self):
+        # two uniform laws on [-2, 2]: 2 * int (1/16) dy/y over [x/2, 2]
+        def uniform(t):
+            return 0.25 if abs(t) <= 2.0 else 0.0
+
+        for x in (1e-6, 0.5, 1.0, 2.0, 3.0, 3.99):
+            got = mellin_density_convolve(uniform, uniform, x, tol=1e-11)
+            assert got == pytest.approx(math.log(4.0 / x) / 8.0, rel=1e-11, abs=1e-11)
 
 
 class TestDensityMoments:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from math import comb
 
 import pytest
@@ -18,6 +19,7 @@ from latticewalks.spectral import (
     path_spectrum,
     weak_equality_by_moments,
 )
+from latticewalks.walks import path_closed_walks
 
 
 def cat(m: int) -> int:
@@ -144,13 +146,16 @@ class TestPathSpectrum:
         with pytest.raises(ValueError):
             path_spectrum(1)
 
-    def test_hard_limit(self):
-        with pytest.raises(ValueError):
-            path_spectrum(25)
-
-    def test_conditioning_warning_past_exact_limit(self):
-        with pytest.warns(UserWarning, match="ill-conditioned"):
-            path_spectrum(13)
+    def test_closed_form_matches_walk_counts_without_warning(self):
+        # the weights 2/(n+1) sin^2(k pi/(n+1)) need no solve, so no size
+        # limit and no conditioning warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(2, 81):
+                ps = path_spectrum(n)
+                for m in range(0, 4 * n + 1, 2):
+                    exact = path_closed_walks(n, m)
+                    assert abs(ps.moment(m) - exact) <= 1e-12 * exact
 
 
 class TestConvolutionAlgebra:
@@ -225,7 +230,6 @@ class TestLatticeCorrespondence:
             d = path_spectrum(n).to_discrete()
             assert all(abs(d.moment(m)) < 1e-10 for m in range(1, 2 * n, 2))
 
-    @pytest.mark.filterwarnings("ignore:path spectrum for n=:UserWarning")
     @pytest.mark.parametrize("n", range(2, 25))
     def test_odd_path_moments_are_exactly_zero(self, n):
         # both laws are symmetric, so odd moments vanish exactly instead of

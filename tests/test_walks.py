@@ -9,6 +9,7 @@ from helpers import (
     dp_closed_walks,
     int_matrix_power_diag,
     path_adjacency,
+    path_walk_counts,
     random_connected_graph,
     random_graph,
     vector_walk_counts,
@@ -58,6 +59,11 @@ class TestPathClosedWalks:
             adj = path_adjacency(n)
             for m in range(13):
                 assert path_closed_walks(n, m) == int_matrix_power_diag(adj, 0, m)
+
+    def test_reflection_formula_matches_iteration(self):
+        for n in range(1, 31):
+            assert [path_closed_walks(n, m) for m in range(201)] == \
+                path_walk_counts(n, 200)
 
     def test_four_vertex_path_is_odd_fibonacci(self):
         # endpoint return counts on the 4-path: 1, 1, 2, 5, 13, 34, 89
