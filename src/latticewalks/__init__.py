@@ -17,13 +17,11 @@ The package splits into four layers:
 """
 
 from .elliptic import (
-    DensityKernel,
     EllipticPair,
     adaptive_quadrature,
     arcsine_density,
     density,
     density_moment,
-    density_samples_csv,
     elliptic_KE,
     mellin_density_convolve,
     semicircle_density,
@@ -67,13 +65,9 @@ from .spectral import (
     Discrete,
     MellinConv,
     MomentSequence,
+    NamedDensity,
     PathSpectrum,
     Semicircle,
-    classical_convolve,
-    mellin_convolve,
-    moment,
-    moments_csv,
-    named_density,
     path_spectrum,
     weak_equality_by_moments,
 )
@@ -102,7 +96,6 @@ __all__ = [
     "ArcSine",
     "ClassicalConv",
     "CoincidenceReport",
-    "DensityKernel",
     "Discrete",
     "EllipticPair",
     "FiniteGraph",
@@ -113,6 +106,7 @@ __all__ = [
     "LatticeKind",
     "MellinConv",
     "MomentSequence",
+    "NamedDensity",
     "NumericalError",
     "PathSpectrum",
     "ResourceLimitError",
@@ -127,13 +121,11 @@ __all__ = [
     "catalan",
     "central_binomial",
     "chamber3",
-    "classical_convolve",
     "closed_form_walks",
     "connected_components",
     "degree_histogram",
     "density",
     "density_moment",
-    "density_samples_csv",
     "diamond",
     "diamond_to_kron_map",
     "domain_from_predicate",
@@ -148,12 +140,8 @@ __all__ = [
     "kronecker_walk_product",
     "lattice_kind",
     "lattice_walk_kinds",
-    "mellin_convolve",
     "mellin_density_convolve",
-    "moment",
     "moment_coincidence_report",
-    "moments_csv",
-    "named_density",
     "path_closed_walks",
     "path_graph",
     "path_spectrum",

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from math import comb
 
 from . import elliptic, graphs, spectral, walks
 from .errors import NumericalError, ResourceLimitError
@@ -117,11 +116,11 @@ def _moment_distribution(kind: str, n):
     if kind == "semicircle":
         return spectral.Semicircle()
     if kind in ("aa", "wa", "ww"):
-        return spectral.named_density(kind)
+        return spectral.NamedDensity(kind)
     if kind == "classical-aa":
-        return spectral.classical_convolve(spectral.ArcSine(), spectral.ArcSine())
+        return spectral.ClassicalConv(spectral.ArcSine(), spectral.ArcSine())
     if kind == "classical-ww":
-        return spectral.classical_convolve(spectral.Semicircle(), spectral.Semicircle())
+        return spectral.ClassicalConv(spectral.Semicircle(), spectral.Semicircle())
     if kind == "path":
         if n is None:
             raise ValueError("moment kind 'path' requires --n")
@@ -137,14 +136,12 @@ def _run_moments(args) -> tuple[str, int]:
     dist = _moment_distribution(args.kind, args.n)
     params = {"command": "moments", "kind": args.kind, "mmax": args.mmax,
               "n": args.n, "format": args.format}
+    # every moment kind has exact integer moments
     values = [dist.moment(m) for m in range(args.mmax + 1)]
     if args.format == "json":
-        body = {"rows": [{"m": m, "moment": v if isinstance(v, int) else float(f"{v:.15g}")}
-                         for m, v in enumerate(values)]}
+        body = {"rows": [{"m": m, "moment": v} for m, v in enumerate(values)]}
         return _json_doc(params, body), 0
-    lines = [f"{m},{v}" if isinstance(v, int) else f"{m},{v:.15g}"
-             for m, v in enumerate(values)]
-    return _csv(params, "m,moment", lines), 0
+    return _csv(params, "m,moment", [f"{m},{v}" for m, v in enumerate(values)]), 0
 
 
 def _run_density(args) -> tuple[str, int]:
@@ -187,32 +184,32 @@ def _run_components(args) -> tuple[str, int]:
     return _csv(params, "component,size,smallest_vertex", lines), 0
 
 
-_ISO_RADII = {"plane": 8, "strip": 6, "halfplane": 6, "wedge": 6, "diamond": 6}
+# iso kind -> (map constructor, the parameters it takes, checked radius)
+_ISO_KINDS = {
+    "plane": (graphs.plane_to_kron_map, (), 8),
+    "strip": (graphs.strip_to_kron_map, ("n",), 6),
+    "halfplane": (graphs.halfplane_to_kron_map, (), 6),
+    "wedge": (graphs.wedge_to_kron_map, (), 6),
+    "diamond": (graphs.diamond_to_kron_map, ("k", "l"), 6),
+}
 
 
-def _iso_map(kind: str, n, k, l):
-    if kind == "plane":
-        return graphs.plane_to_kron_map()
-    if kind == "strip":
-        if n is None:
-            raise ValueError("iso kind 'strip' requires --n")
-        return graphs.strip_to_kron_map(n)
-    if kind == "halfplane":
-        return graphs.halfplane_to_kron_map()
-    if kind == "wedge":
-        return graphs.wedge_to_kron_map()
-    if kind == "diamond":
-        if k is None or l is None:
-            raise ValueError("iso kind 'diamond' requires --k and --l")
-        return graphs.diamond_to_kron_map(k, l)
-    raise ValueError(
-        f"unknown iso kind {kind!r}; known: {', '.join(_ISO_RADII)}")
+def _iso_map(kind: str, n=None, k=None, l=None):
+    """(isomorphism, radius) of a built-in iso kind."""
+    if kind not in _ISO_KINDS:
+        raise ValueError(
+            f"unknown iso kind {kind!r}; known: {', '.join(_ISO_KINDS)}")
+    make, needs, radius = _ISO_KINDS[kind]
+    given = {"n": n, "k": k, "l": l}
+    if any(given[p] is None for p in needs):
+        raise ValueError(f"iso kind {kind!r} requires "
+                         + " and ".join(f"--{p}" for p in needs))
+    return make(*(given[p] for p in needs)), radius
 
 
 def _run_iso(args) -> tuple[str, int]:
     budget = _resolve_budget(args)
-    iso = _iso_map(args.kind, args.n, args.k, args.l)
-    radius = _ISO_RADII[args.kind]
+    iso, radius = _iso_map(args.kind, args.n, args.k, args.l)
     report = graphs.verify_isomorphism(iso, radius, budget)
     params = {"command": "iso", "kind": args.kind, "n": args.n, "k": args.k,
               "l": args.l, "radius_budget": budget, "format": args.format}
@@ -239,34 +236,31 @@ def _check(name, expected, actual, tol, ok) -> dict:
             "tol": tol, "pass": bool(ok)}
 
 
-def _suite_identity() -> list[dict]:
+# Every suite takes (vertex budget, Mellin sweep tolerance) and uses what
+# it needs of them.
+
+
+def _suite_identity(budget: int, sweep_tol: float) -> list[dict]:
     checks = []
     for m in range(31):
-        lhs = sum(comb(2 * m, 2 * k) * comb(2 * k, k) * comb(2 * m - 2 * k, m - k)
-                  for k in range(m + 1))
-        rhs = comb(2 * m, m) ** 2
+        lhs, rhs = walks._binomial_identity_sides(m)
         checks.append(_check(f"binomial-identity m={m}", rhs, lhs, 0, lhs == rhs))
     return checks
 
 
-def _suite_iso(budget: int) -> list[dict]:
-    cases = [
-        (graphs.plane_to_kron_map(), 8),
-        (graphs.strip_to_kron_map(3), 6),
-        (graphs.strip_to_kron_map(4), 6),
-        (graphs.halfplane_to_kron_map(), 6),
-        (graphs.wedge_to_kron_map(), 6),
-        (graphs.diamond_to_kron_map(4, 4), 6),
-    ]
+def _suite_iso(budget: int, sweep_tol: float) -> list[dict]:
+    cases = [("plane", {}), ("strip", {"n": 3}), ("strip", {"n": 4}),
+             ("halfplane", {}), ("wedge", {}), ("diamond", {"k": 4, "l": 4})]
     checks = []
-    for iso, radius in cases:
+    for kind, params in cases:
+        iso, radius = _iso_map(kind, **params)
         rep = graphs.verify_isomorphism(iso, radius, budget)
         actual = "ok" if rep.ok else f"fail: {rep.detail}"
         checks.append(_check(f"{iso.name} r={radius}", "ok", actual, 0, rep.ok))
     return checks
 
 
-def _suite_coincidence(budget: int) -> list[dict]:
+def _suite_coincidence(budget: int, sweep_tol: float) -> list[dict]:
     checks = []
     g_a, o_a = walks.build_lattice("kkc3")
     g_b, o_b = walks.build_lattice("chamber3")
@@ -296,14 +290,14 @@ def _suite_coincidence(budget: int) -> list[dict]:
     return checks
 
 
-def _suite_density(sweep_tol: float) -> list[dict]:
+def _suite_density(budget: int, sweep_tol: float) -> list[dict]:
     checks = []
     for kind in ("aa", "wa", "ww"):
         val = elliptic.density_moment(kind, 0)
         checks.append(_check(f"normalization {kind}", 1.0, val, 1e-8,
                              abs(val - 1.0) <= 1e-8))
     for kind in ("aa", "wa", "ww"):
-        dist = spectral.named_density(kind)
+        dist = spectral.NamedDensity(kind)
         for m in (2, 4, 6, 8, 10):
             expected = dist.moment(m)
             actual = elliptic.density_moment(kind, m)
@@ -342,14 +336,15 @@ def _golden_path4(m: int) -> float:
             + (5.0 + s5) / 10.0 * ((3.0 - s5) / 2.0) ** m)
 
 
-def _suite_path_spectrum() -> list[dict]:
+def _suite_path_spectrum(budget: int, sweep_tol: float) -> list[dict]:
     checks = []
     for n in range(2, 13):
-        ps = spectral.path_spectrum(n)
+        # the eigenvalue/weight sum, checked against the exact counts
+        eigen = spectral.path_spectrum(n).to_discrete()
         dev = 0.0
         for m in range(2 * n + 1):
             exact = walks.path_closed_walks(n, m)
-            dev = max(dev, abs(ps.moment(m) - exact) / max(1.0, exact))
+            dev = max(dev, abs(eigen.moment(m) - exact) / max(1.0, exact))
         checks.append(_check(f"path-spectrum n={n} rel dev (m<=2n)", 0.0, dev,
                              1e-8, dev <= 1e-8))
     dev4 = max(abs(_golden_path4(m) - walks.path_closed_walks(4, 2 * m))
@@ -359,25 +354,22 @@ def _suite_path_spectrum() -> list[dict]:
     return checks
 
 
-_SUITES = ("identity", "iso", "coincidence", "density", "path-spectrum", "all")
+_SUITES = {
+    "identity": _suite_identity,
+    "iso": _suite_iso,
+    "coincidence": _suite_coincidence,
+    "density": _suite_density,
+    "path-spectrum": _suite_path_spectrum,
+}
 
 
 def _run_verify(args) -> tuple[str, int]:
     budget = _resolve_budget(args)
     sweep_tol = args.tol if args.tol is not None else 1e-6
-    if args.suite not in _SUITES:
-        raise ValueError(f"unknown suite {args.suite!r}; known: {', '.join(_SUITES)}")
-    runners = {
-        "identity": lambda: _suite_identity(),
-        "iso": lambda: _suite_iso(budget),
-        "coincidence": lambda: _suite_coincidence(budget),
-        "density": lambda: _suite_density(sweep_tol),
-        "path-spectrum": lambda: _suite_path_spectrum(),
-    }
-    names = list(runners) if args.suite == "all" else [args.suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        checks.extend(runners[name]())
+        checks.extend(_SUITES[name](budget, sweep_tol))
     all_pass = all(c["pass"] for c in checks)
     params = {"command": "verify", "suite": args.suite, "tol": sweep_tol,
               "radius_budget": budget, "format": args.format}
@@ -414,7 +406,7 @@ def _add_common(sub, *, fmt_default="csv", kind=None, mmax=False, n=False,
         sub.add_argument("--grid", type=int, required=True,
                          help="number of sample points on [-4, 4]")
     if suite:
-        sub.add_argument("--suite", required=True, choices=_SUITES)
+        sub.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
     if tol:
         sub.add_argument("--tol", type=float, default=None,
                          help="override the convolution sweep tolerance")

@@ -89,19 +89,25 @@ WW = "ww"
 _KERNEL_KINDS = (AA, WA, WW)
 
 
-@dataclass(frozen=True)
-class DensityKernel:
-    """A named product density; callable, supported on [-4, 4]."""
+# (1 + x^2/16) K - 2E cancels towards x = 4, where xi^2 = 1 - x^2/16 -> 0,
+# so where xi^2 <= 1/16 the ww kernel is summed as a series of positive
+# terms instead
+_WW_SERIES_KP = math.sqrt(15.0) / 4.0
 
-    kind: str
-    support: tuple[float, float] = (-4.0, 4.0)
 
-    def __post_init__(self):
-        if self.kind not in _KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}; known: aa, wa, ww")
-
-    def __call__(self, x: float) -> float:
-        return density(self.kind, x)
+def _ww_edge_series(k2: float) -> float:
+    # (2 - k^2) K - 2E = (pi/2) sum_{n>=2} a_{n-1} (n-1)/n k^{2n} with
+    # a_n = ((1/2)_n / n!)^2; for k^2 <= 1/16 each term is below a
+    # sixteenth of the one before, so ~14 terms reach double precision
+    a, power, total, n = 0.25, k2 * k2, 0.0, 2
+    while True:
+        term = a * (n - 1) / n * power
+        if total + term == total:
+            return 0.5 * math.pi * total
+        total += term
+        a *= ((2 * n - 1) / (2 * n)) ** 2
+        power *= k2
+        n += 1
 
 
 def density(kind: str, x: float) -> float:
@@ -111,7 +117,7 @@ def density(kind: str, x: float) -> float:
     log(16/|x|)); the exact center returns +inf as an explicit marker.
     Outside [-4, 4] the value is 0.
     """
-    kind = kind.lower() if isinstance(kind, str) else kind.kind
+    kind = kind.lower()
     if kind not in _KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; known: aa, wa, ww")
     ax = abs(float(x))
@@ -120,7 +126,15 @@ def density(kind: str, x: float) -> float:
     if ax == 0.0:
         return math.inf
     # complementary modulus of xi(x) is exactly |x|/4
-    big_k, big_e, _ = _ke_from_complement(ax / 4.0)
+    kp = ax / 4.0
+    if kp == 0.0:
+        # |x|/4 underflows for the smallest subnormal x, where the head
+        # asymptotics c (log(16/|x|) + d) are exact to rounding
+        c, d = _HEAD_CONSTANTS[kind]
+        return c * (math.log(16.0) - math.log(ax) + d)
+    if kind == WW and kp >= _WW_SERIES_KP:
+        return 2.0 * _ww_edge_series((1.0 - kp) * (1.0 + kp)) / _PI2
+    big_k, big_e, _ = _ke_from_complement(kp)
     if kind == AA:
         return big_k / (2.0 * _PI2)
     if kind == WA:
@@ -297,7 +311,7 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     on [0, 1e-6] from the leading asymptotics; the rest is adaptive
     quadrature.  Absolute error is below tol * max(1, result).
     """
-    kind = kind.lower() if isinstance(kind, str) else kind.kind
+    kind = kind.lower()
     if kind not in _KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; known: aa, wa, ww")
     if m < 0 or m % 2:
@@ -312,18 +326,3 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     tail = adaptive_quadrature(integrand, eps, 4.0,
                                abs_tol=0.25 * tol, rel_tol=0.25 * tol)
     return 2.0 * (head + tail)
-
-
-def density_samples_csv(kind: str, grid: int) -> str:
-    """Density values on a uniform grid over [-4, 4] as CSV text.
-
-    The singular center (and any other infinite value) is emitted as the
-    literal token ``inf``.
-    """
-    if grid < 2:
-        raise ValueError("grid needs at least 2 points")
-    lines = ["x,density"]
-    for i in range(grid):
-        x = -4.0 + 8.0 * i / (grid - 1)
-        lines.append(f"{x:.15g},{density(kind, x):.15g}")
-    return "\n".join(lines) + "\n"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, cos, pi, sin
 
-from .walks import catalan
+from .walks import catalan, path_closed_walks
 
 Number = int | float
 
@@ -73,8 +73,9 @@ class Discrete(SpectralDistribution):
     """Finitely supported symmetric distribution given by (atom, weight) pairs.
 
     Validated on construction: weights sum to 1 within 1e-12, no weight
-    below -1e-10 (tiny negatives absorb linear-solver noise), and atoms
-    come in +-lambda pairs of equal weight (atoms at 0 may be unpaired).
+    below -1e-10 (tiny negatives absorb rounding in computed weights), and
+    atoms come in +-lambda pairs of equal weight (atoms at 0 may be
+    unpaired).
     """
 
     name = "discrete"
@@ -87,7 +88,7 @@ class Discrete(SpectralDistribution):
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
         if any(w < -1e-10 for _, w in pairs):
-            raise ValueError("atom weights must be nonnegative (up to solver noise)")
+            raise ValueError("atom weights must be nonnegative (up to rounding)")
         for a, w in pairs:
             if abs(a) <= 1e-9:
                 continue
@@ -161,24 +162,6 @@ class NamedDensity(SpectralDistribution):
         return self._inner.moment(m)
 
 
-def moment(d, m: int) -> Number:
-    """Moment of order m of any distribution-like object."""
-    _check_order(m)
-    return d.moment(m)
-
-
-def classical_convolve(a, b) -> ClassicalConv:
-    return ClassicalConv(a, b)
-
-
-def mellin_convolve(a, b) -> MellinConv:
-    return MellinConv(a, b)
-
-
-def named_density(kind: str) -> NamedDensity:
-    return NamedDensity(kind)
-
-
 # ---------------------------------------------------------------------------
 # finite path spectra
 
@@ -189,18 +172,18 @@ class PathSpectrum:
 
     Eigenvalues are 2 cos(k pi / (n+1)), k = 1..n; the weight of each is
     the squared end-vertex entry of its normalized eigenvector,
-    2/(n+1) sin^2(k pi / (n+1)).
+    2/(n+1) sin^2(k pi / (n+1)).  Moments are the exact closed-walk
+    counts at the end vertex; the eigen data reproduce them in floating
+    point (see :meth:`to_discrete`).
     """
 
     n: int
     eigenvalues: tuple[float, ...]
     weights: tuple[float, ...]
 
-    def moment(self, m: int) -> float:
+    def moment(self, m: int) -> int:
         _check_order(m)
-        if m % 2:
-            return 0.0  # the spectrum 2cos(k pi/(n+1)) is symmetric about 0
-        return sum(w * lam ** m for lam, w in zip(self.eigenvalues, self.weights))
+        return path_closed_walks(self.n, m)
 
     def to_discrete(self) -> Discrete:
         return Discrete(zip(self.eigenvalues, self.weights))
@@ -217,7 +200,7 @@ def path_spectrum(n: int) -> PathSpectrum:
 
 
 # ---------------------------------------------------------------------------
-# comparisons and export
+# comparisons
 
 
 def weak_equality_by_moments(a, b, m_max: int = 30, tol: float = 1e-9) -> bool:
@@ -259,15 +242,3 @@ class MomentSequence:
             if a * c - b * b < -tol * max(1.0, abs(a * c)):
                 return False
         return True
-
-
-def moments_csv(d, m_max: int) -> str:
-    """Moment table as CSV text: header m,moment; 15 significant digits
-    for floats, full precision for exact integers."""
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
-    lines = ["m,moment"]
-    for m in range(m_max + 1):
-        v = d.moment(m)
-        lines.append(f"{m},{v}" if isinstance(v, int) else f"{m},{v:.15g}")
-    return "\n".join(lines) + "\n"

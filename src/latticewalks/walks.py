@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 from operator import mul
 from typing import Callable
@@ -130,11 +131,6 @@ class WalkTable:
             raise ValueError(f"walk length {m} outside table range 0..{self.m_max}")
         return self.counts[m]
 
-    def to_csv(self) -> str:
-        lines = ["m,count"]
-        lines += [f"{m},{c}" for m, c in enumerate(self.counts)]
-        return "\n".join(lines) + "\n"
-
 
 def walk_table(g: Graph, o, m_max: int,
                budget: int = DEFAULT_VERTEX_BUDGET) -> WalkTable:
@@ -198,165 +194,85 @@ def _params(kind: "LatticeKind", n, k, l) -> dict:
     return out
 
 
-def _cf_z(h: int) -> int:
-    return comb(2 * h, h)
-
-
-def _cf_zplus(h: int) -> int:
-    return catalan(h)
-
-
-def _cf_zplus_at_1(h: int) -> int:
-    return catalan(h + 1)
-
-
-def _cf_z2(h: int) -> int:
-    return comb(2 * h, h) ** 2
-
-
-def _cf_halfplane(h: int) -> int:
-    return catalan(h) * comb(2 * h, h)
-
-
-def _cf_wedge(h: int) -> int:
-    return catalan(h) ** 2
-
-
-def _cf_quarterplane(h: int) -> int:
+def _quarterplane(h: int) -> int:
     return sum(comb(2 * h, 2 * k) * catalan(k) * catalan(h - k)
                for k in range(h + 1))
 
 
-def _cf_corner_product(h: int) -> int:
-    # product form of the quarter-plane count: C_h * C_{h+1}
-    return catalan(h) * catalan(h + 1)
-
-
-def _cf_strip(h: int, n: int) -> int:
-    return comb(2 * h, h) * path_closed_walks(n, 2 * h)
-
-
-def _cf_diamond(h: int, k: int, l: int) -> int:
-    return path_closed_walks(k, 2 * h) * path_closed_walks(l, 2 * h)
-
-
-def _cf_bcc3(h: int) -> int:
-    return comb(2 * h, h) ** 3
-
-
-def _cf_z3_cartesian(h: int) -> int:
+def _z3cartesian(h: int) -> int:
     # sum_k binom(2h,2k) binom(2k,k)^2 binom(2h-2k,h-k)
     # (equivalently (2h)!(2k)! / ((h-k)!^2 k!^4) per term)
     return sum(comb(2 * h, 2 * k) * comb(2 * k, k) ** 2 * comb(2 * h - 2 * k, h - k)
                for k in range(h + 1))
 
 
-def _cf_chamber3(h: int) -> int:
+def _chamber3(h: int) -> int:
     return sum(comb(2 * h, 2 * k) * catalan(k) ** 2 * catalan(h - k)
                for k in range(h + 1))
 
 
-def _build_z():
-    return graphs.integer_line(), (0,)
-
-
-def _build_zplus():
-    return graphs.half_line(), (0,)
-
-
-def _build_zplus_at_1():
-    return graphs.half_line(), (1,)
-
-
-def _build_z2():
-    return graphs.restrict_lattice(graphs.full_plane()), (0, 0)
-
-
-def _build_halfplane():
-    return graphs.restrict_lattice(graphs.half_plane()), (0, 0)
-
-
-def _build_wedge():
-    return graphs.restrict_lattice(graphs.wedge()), (0, 0)
-
-
-def _build_quarterplane():
-    return graphs.restrict_lattice(graphs.quarter_plane()), (0, 0)
-
-
-def _build_corner_product():
-    # quarter plane built as a Cartesian product of two half-lines
-    return graphs.cartesian(graphs.half_line(), graphs.half_line()), (0, 0)
-
-
-def _build_strip(n: int):
-    return graphs.restrict_lattice(graphs.strip(n)), (0, 0)
-
-
-def _build_diamond(k: int, l: int):
-    return graphs.restrict_lattice(graphs.diamond(k, l)), (0, 0)
-
-
-def _build_bcc3():
-    z = graphs.integer_line()
-    return graphs.kronecker(graphs.kronecker(z, z), z), (0, 0, 0)
-
-
-def _build_z3_cartesian():
-    z = graphs.integer_line()
-    return graphs.cartesian(graphs.cartesian(z, z), z), (0, 0, 0)
-
-
-def _build_chamber3():
-    return graphs.restrict_lattice(graphs.chamber3()), (0, 0, 0)
-
-
-def _build_kkc3():
-    zp = graphs.half_line()
-    return graphs.cartesian(graphs.kronecker(zp, zp), zp), (0, 0, 0)
-
-
-_KINDS: dict[str, LatticeKind] = {}
-
-
-def _register(key, dimension, requires, summary, build_fn, closed_fn):
-    _KINDS[key] = LatticeKind(key, dimension, requires, summary, build_fn, closed_fn)
-
-
-_register("z", 1, (), "integer line at 0; binom(2h,h)",
-          _build_z, lambda h: _cf_z(h))
-_register("zplus", 1, (), "half line at 0; Catalan C_h",
-          _build_zplus, lambda h: _cf_zplus(h))
-_register("zplus-at-1", 1, (), "half line at 1; C_{h+1}",
-          _build_zplus_at_1, lambda h: _cf_zplus_at_1(h))
-_register("z2", 2, (), "square lattice at the origin; binom(2h,h)^2",
-          _build_z2, lambda h: _cf_z2(h))
-_register("halfplane", 2, (), "half plane x>=y at the origin; C_h*binom(2h,h)",
-          _build_halfplane, lambda h: _cf_halfplane(h))
-_register("wedge", 2, (), "wedge x>=y>=-x at the origin; C_h^2",
-          _build_wedge, lambda h: _cf_wedge(h))
-_register("quarterplane", 2, (),
-          "quarter plane at the corner; sum_k binom(2h,2k) C_k C_{h-k}",
-          _build_quarterplane, lambda h: _cf_quarterplane(h))
-_register("zxzplus", 2, (),
-          "corner-rooted product of two half-lines (the quarter plane); "
-          "product form C_h*C_{h+1}",
-          _build_corner_product, lambda h: _cf_corner_product(h))
-_register("strip", 2, ("n",), "diagonal strip of width n; binom(2h,h)*walks(P_n)",
-          _build_strip, lambda h, n: _cf_strip(h, n))
-_register("diamond", 2, ("k", "l"), "finite diamond; walks(P_k)*walks(P_l)",
-          _build_diamond, lambda h, k, l: _cf_diamond(h, k, l))
-_register("bcc3", 3, (), "Kronecker cube of the line at the origin; binom(2h,h)^3",
-          _build_bcc3, lambda h: _cf_bcc3(h))
-_register("z3cartesian", 3, (), "cubic lattice at the origin; "
-          "sum_k binom(2h,2k) binom(2k,k)^2 binom(2h-2k,h-k)",
-          _build_z3_cartesian, lambda h: _cf_z3_cartesian(h))
-_register("chamber3", 3, (), "chamber x>=y>=z at the origin; "
-          "sum_k binom(2h,2k) C_k^2 C_{h-k}",
-          _build_chamber3, lambda h: _cf_chamber3(h))
-_register("kkc3", 3, (), "Cartesian product of a Kronecker square of "
-          "half-lines with a half-line, at the origin; same sum as chamber3",
-          _build_kkc3, lambda h: _cf_chamber3(h))
+# Builders look graphs' constructors up at call time, so a wrapped
+# graphs.kronecker or graphs.cartesian sees every product they build.
+_KINDS: dict[str, LatticeKind] = {lk.key: lk for lk in (
+    LatticeKind("z", 1, (), "integer line at 0; binom(2h,h)",
+                lambda: (graphs.integer_line(), (0,)),
+                central_binomial),
+    LatticeKind("zplus", 1, (), "half line at 0; Catalan C_h",
+                lambda: (graphs.half_line(), (0,)),
+                catalan),
+    LatticeKind("zplus-at-1", 1, (), "half line at 1; C_{h+1}",
+                lambda: (graphs.half_line(), (1,)),
+                lambda h: catalan(h + 1)),
+    LatticeKind("z2", 2, (), "square lattice at the origin; binom(2h,h)^2",
+                lambda: (graphs.restrict_lattice(graphs.full_plane()), (0, 0)),
+                lambda h: comb(2 * h, h) ** 2),
+    LatticeKind("halfplane", 2, (),
+                "half plane x>=y at the origin; C_h*binom(2h,h)",
+                lambda: (graphs.restrict_lattice(graphs.half_plane()), (0, 0)),
+                lambda h: catalan(h) * comb(2 * h, h)),
+    LatticeKind("wedge", 2, (), "wedge x>=y>=-x at the origin; C_h^2",
+                lambda: (graphs.restrict_lattice(graphs.wedge()), (0, 0)),
+                lambda h: catalan(h) ** 2),
+    LatticeKind("quarterplane", 2, (),
+                "quarter plane at the corner; sum_k binom(2h,2k) C_k C_{h-k}",
+                lambda: (graphs.restrict_lattice(graphs.quarter_plane()), (0, 0)),
+                _quarterplane),
+    # the quarter plane again, built as a Cartesian product of two
+    # half-lines; its closed form is the product form of the same count
+    LatticeKind("zxzplus", 2, (),
+                "corner-rooted product of two half-lines (the quarter plane); "
+                "product form C_h*C_{h+1}",
+                lambda: (graphs.cartesian(graphs.half_line(), graphs.half_line()),
+                         (0, 0)),
+                lambda h: catalan(h) * catalan(h + 1)),
+    LatticeKind("strip", 2, ("n",),
+                "diagonal strip of width n; binom(2h,h)*walks(P_n)",
+                lambda n: (graphs.restrict_lattice(graphs.strip(n)), (0, 0)),
+                lambda h, n: comb(2 * h, h) * path_closed_walks(n, 2 * h)),
+    LatticeKind("diamond", 2, ("k", "l"), "finite diamond; walks(P_k)*walks(P_l)",
+                lambda k, l: (graphs.restrict_lattice(graphs.diamond(k, l)), (0, 0)),
+                lambda h, k, l: path_closed_walks(k, 2 * h) * path_closed_walks(l, 2 * h)),
+    LatticeKind("bcc3", 3, (),
+                "Kronecker cube of the line at the origin; binom(2h,h)^3",
+                lambda: (reduce(graphs.kronecker, [graphs.integer_line()] * 3),
+                         (0, 0, 0)),
+                lambda h: comb(2 * h, h) ** 3),
+    LatticeKind("z3cartesian", 3, (), "cubic lattice at the origin; "
+                "sum_k binom(2h,2k) binom(2k,k)^2 binom(2h-2k,h-k)",
+                lambda: (reduce(graphs.cartesian, [graphs.integer_line()] * 3),
+                         (0, 0, 0)),
+                _z3cartesian),
+    LatticeKind("chamber3", 3, (), "chamber x>=y>=z at the origin; "
+                "sum_k binom(2h,2k) C_k^2 C_{h-k}",
+                lambda: (graphs.restrict_lattice(graphs.chamber3()), (0, 0, 0)),
+                _chamber3),
+    LatticeKind("kkc3", 3, (), "Cartesian product of a Kronecker square of "
+                "half-lines with a half-line, at the origin; same sum as chamber3",
+                lambda: (graphs.cartesian(graphs.kronecker(graphs.half_line(),
+                                                           graphs.half_line()),
+                                          graphs.half_line()), (0, 0, 0)),
+                _chamber3),
+)}
 
 
 def lattice_walk_kinds() -> tuple[str, ...]:
@@ -405,9 +321,15 @@ def verify_binomial_identity(m: int) -> bool:
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
+    lhs, rhs = _binomial_identity_sides(m)
+    return lhs == rhs
+
+
+def _binomial_identity_sides(m: int) -> tuple[int, int]:
+    # both sides of verify_binomial_identity, for reports that print them
     lhs = sum(comb(2 * m, 2 * k) * comb(2 * k, k) * comb(2 * m - 2 * k, m - k)
               for k in range(m + 1))
-    return lhs == comb(2 * m, m) ** 2
+    return lhs, comb(2 * m, m) ** 2
 
 
 @dataclass(frozen=True)

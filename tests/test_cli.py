@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -109,6 +110,19 @@ class TestMomentsCommand:
         assert all(v == "0" for m, v in rows if int(m) % 2)
         assert ["39", "0"] in rows
 
+    def test_path_moments_are_exact(self, capsys):
+        code, out, _ = run(capsys, "moments", "--kind", "path", "--n", "2",
+                           "--mmax", "40")
+        assert code == 0
+        assert out.splitlines()[-1] == "40,1"
+        code, out, _ = run(capsys, "moments", "--kind", "path", "--n", "24",
+                           "--mmax", "40", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert all(type(r["moment"]) is int for r in rows)
+        assert rows[39]["moment"] == 0 and '"moment": 0\n' in out
+        assert rows[40]["moment"] == 6564120420
+
     def test_path_requires_n(self, capsys):
         code, _, err = run(capsys, "moments", "--kind", "path", "--mmax", "4")
         assert code == 1
@@ -167,7 +181,7 @@ class TestIsoCommand:
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "iso", "--kind", "diamond", "--k", "4")
         assert code == 1
-        assert "--l" in err
+        assert err == "error: iso kind 'diamond' requires --k and --l\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "iso", "--kind", "wedge", "--format", "csv")
@@ -201,7 +215,13 @@ class TestVerifyCommand:
     def test_path_spectrum_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "path-spectrum")
         assert code == 0
-        assert json.loads(out)["pass"] is True
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        # the suite checks the float eigenvalue/weight sums, which carry
+        # rounding, not the exact moments, which would deviate by 0
+        devs = [c["actual"] for c in doc["checks"]
+                if c["name"].startswith("path-spectrum n=")]
+        assert len(devs) == 11 and any(d > 0 for d in devs)
 
     def test_density_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "density")
@@ -233,6 +253,144 @@ class TestParserContract:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert "4,6,6,true" in target.read_text().splitlines()
+
+
+# SHA-256 of commands whose output holds only integers and fixed text (no
+# libm floats), so the digests are portable: these bytes are a contract.
+BYTE_DIGESTS = [
+    ("walks --kind z --mmax 20 --format csv",
+     "61f02319296b58dc90d75208f0ae9a976ff617af1d67d4a8ac7125e56a74e080"),
+    ("walks --kind z --mmax 20 --format json",
+     "6a8ff1313f661c52aea59e1c2d55ce2a0c26b47bcc29e52e6f9bd5ac8ab79228"),
+    ("walks --kind zplus --mmax 20 --format csv",
+     "f15a063c3f569c13ff975f103936d982c8b9edf57092698913a75cdf3f141f83"),
+    ("walks --kind zplus --mmax 20 --format json",
+     "73eb79c44253747b1254890e928d7404cb4b97f76091d911a17e6d0d81e779ef"),
+    ("walks --kind zplus-at-1 --mmax 20 --format csv",
+     "c46fc5e86f6de245aba63c1916a838c7dfd660e19a7cb3266afb547a3f135a32"),
+    ("walks --kind zplus-at-1 --mmax 20 --format json",
+     "1a1b630f3122fcf701a883cd32152c22ecdc7d3b0fda35d9525a9f60eba45143"),
+    ("walks --kind z2 --mmax 20 --format csv",
+     "eba5e05cf0b69e28af8a979e32904ac63524e50b5937560beb97d9c98b4e90da"),
+    ("walks --kind z2 --mmax 20 --format json",
+     "a0e0b69344240ed3fbcb9bb6ffc5629cdb04c73eaad9d6863ba691cbe36745d9"),
+    ("walks --kind halfplane --mmax 20 --format csv",
+     "ce5324ebfa68cc4e553a1956ef7c33a33fa7215e54edd18b57713743fa19a7e4"),
+    ("walks --kind halfplane --mmax 20 --format json",
+     "914b23ebcaa2ab67f093cf2c21f2fe6315821c6ad45207f7fa4f21faef3936ce"),
+    ("walks --kind wedge --mmax 20 --format csv",
+     "8365888e08d80152888de6e4cbac9db04f70ca4a49cef994b64c4545cf2016a5"),
+    ("walks --kind wedge --mmax 20 --format json",
+     "a2f019c15575470c843a6cacfb5e24e8241613a31ba1d6261b62c2f34f4ed5f8"),
+    ("walks --kind quarterplane --mmax 20 --format csv",
+     "f0f4a68c3e2cc6e7f3cac62b88824b68fddecc0cffeb897161e6263ace1ecf03"),
+    ("walks --kind quarterplane --mmax 20 --format json",
+     "49c937f569ca496550c8d113948bef031a906b99bd602af2fc44f04f4e711a5a"),
+    ("walks --kind zxzplus --mmax 20 --format csv",
+     "32fc2bd4fe810218063f6b45a51e9c421eb83c95b63d27e3348453617f65bc4e"),
+    ("walks --kind zxzplus --mmax 20 --format json",
+     "bc9e8b82c972d22f28c2d5f166be45dfc2d6607107692bc0da6274cc715026e7"),
+    ("walks --kind strip --mmax 20 --n 3 --format csv",
+     "2ead0485ae4207727f6f1b46c8c7a925b1ea696dc66dc62dd0f75473ceec2334"),
+    ("walks --kind strip --mmax 20 --n 3 --format json",
+     "6327bac3ab81e07bc758d2fb5bd481e25bd6691cecce6b03981b027129b4c930"),
+    ("walks --kind diamond --mmax 20 --k 3 --l 4 --format csv",
+     "7a72ac7c03b2e38020e6b2e393e9236819a2b0949ede305eed4c33773e3f8f41"),
+    ("walks --kind diamond --mmax 20 --k 3 --l 4 --format json",
+     "4202ab9b2046fdddb564c3cc609e08756e51a70a2dc9754589b43f0f055ad29c"),
+    ("walks --kind bcc3 --mmax 20 --format csv",
+     "d215d8b6f47dac1e85cc6e08186e3f6a5861d20a49336a3ac93d43b15132a466"),
+    ("walks --kind bcc3 --mmax 20 --format json",
+     "c31c1ef96bf0b4c91197dd5fbd32cae50864c42db0abb3a60297df0be9233c83"),
+    ("walks --kind z3cartesian --mmax 20 --format csv",
+     "2ced221f29bb7c047cee60566be69baf5afbbc7992e80f5796811da09868060a"),
+    ("walks --kind z3cartesian --mmax 20 --format json",
+     "d7221e521e815e888bb33aa5734f1ea4c75817d507569855d11202c4d5e33d95"),
+    ("walks --kind chamber3 --mmax 20 --format csv",
+     "715d3d88fc6b33204ac9379f8716da195375cb738258f0c25809d97615f42ca9"),
+    ("walks --kind chamber3 --mmax 20 --format json",
+     "ded784e298f70e38c2f0270d8bd8401dd9d2efe25fb9fe4fd58da7e40b51d1b6"),
+    ("walks --kind kkc3 --mmax 20 --format csv",
+     "b47d3f3d42944daed42304990dc4f403ff6aaff4bbaf690278c57d9147663cd1"),
+    ("walks --kind kkc3 --mmax 20 --format json",
+     "40fcb2a5d4495e890a6e136b0ee0fe42ccad0eaa8708748e90e23e5c0ce1d50f"),
+    ("moments --kind arcsine --mmax 40 --format csv",
+     "39e61b8052c3a045423f41bfd76b032980a92c7507c7ec1bcbe2221310834858"),
+    ("moments --kind arcsine --mmax 40 --format json",
+     "421f90111c394fab1b98016b67822b6ac548a1679b71e0a3c9ed4ea28170699c"),
+    ("moments --kind semicircle --mmax 40 --format csv",
+     "9bd01559bc8292d0a581e4c3fde0979ef0596258abab1c70829e16a6f224abf0"),
+    ("moments --kind semicircle --mmax 40 --format json",
+     "66c955b45fda938c940418082044a6a2cf654168c276b0daa934489a76151aa9"),
+    ("moments --kind aa --mmax 40 --format csv",
+     "a3d4e8ad5325e9928f5e7d74cc26628158a774b48a876b7bc3f1b0413476d018"),
+    ("moments --kind aa --mmax 40 --format json",
+     "490d9bbabd36c9ee4f1c0b2a0d457eae430b11de3fae53791321aee1f9d1b819"),
+    ("moments --kind wa --mmax 40 --format csv",
+     "ee4851f298a45bac56e25bf9c5c0849045d813904b2c6f76ab60d1855202312e"),
+    ("moments --kind wa --mmax 40 --format json",
+     "5005895f9bcce378aedb93b149430f25a12b7ebfc1a22253970381cc081e8082"),
+    ("moments --kind ww --mmax 40 --format csv",
+     "23718730859bebb5a9d020bef0600b0183993468b5512cbfc9f0f4264079fa5b"),
+    ("moments --kind ww --mmax 40 --format json",
+     "2510d19d843c064ed33582f0986463cac8113d570d5c7d1d090a0f8d079d1589"),
+    ("moments --kind classical-aa --mmax 40 --format csv",
+     "2aaef77a62216545269498a01fc31549f622e5145e453f27a31e47d318d427f8"),
+    ("moments --kind classical-aa --mmax 40 --format json",
+     "b04df21088293d87bbb52995d7f58eaed6ccdda3487c2bed508bc08ead68f3a9"),
+    ("moments --kind classical-ww --mmax 40 --format csv",
+     "9ce60a006f4fc2ccd4b380d0ea8909a838aff4fdbc373cc49e46673ea5252057"),
+    ("moments --kind classical-ww --mmax 40 --format json",
+     "eb25881fa759ee6e9f131e2c175651de046ea838b4322882e02e6935bc3d7ef7"),
+    ("components --kind kron --n 4 --k 5 --format csv",
+     "a5f382636e3bf30c8a994568d7c2cddb2a8e22225d41fdb2a563eb9e55917dbe"),
+    ("components --kind kron --n 4 --k 5 --format json",
+     "d7b1fcc2b60ffbdc9a7c92dec83358d9a27fad2f6c924f477de47ab26ffe9c25"),
+    ("components --kind cartesian --n 4 --k 5 --format csv",
+     "c0a26d0f386b8299f5439d248c18ba965ffa2af1ed9c81d7066922b690c62d6a"),
+    ("components --kind cartesian --n 4 --k 5 --format json",
+     "1d661cea8532a7b5ac31081b32b70ff39515af090df547349a07551af11bc8bb"),
+    ("iso --kind plane --format csv",
+     "6d67b25bce47464085535a3b1529084096a8c25842b2bb8c8ac09e9daa817c5e"),
+    ("iso --kind plane --format json",
+     "7df500ec1af0a1a6417a53e57ad2656c8faf84733c30b8c375e38288bf203d33"),
+    ("iso --kind strip --n 3 --format csv",
+     "290f3b8e4058aeb2f785e233ea747539de0462049665ea2d5221972debe227ce"),
+    ("iso --kind strip --n 3 --format json",
+     "459123c5c8b8fad4cda1b94c5675d5de37bdb18c207900046dda68be45bcac48"),
+    ("iso --kind halfplane --format csv",
+     "e610dc1acc67041522d768db209afb6c797bdda7cfd1a6634019a6fcfd34112a"),
+    ("iso --kind halfplane --format json",
+     "ae652b15421962ab5f603ac458e8f55c8ca7ecdda0fd918e495a4dea09c60370"),
+    ("iso --kind wedge --format csv",
+     "4c03124e247145c1cdca50cd15d0d97548816104839742c85aa376dcdfdbfe98"),
+    ("iso --kind wedge --format json",
+     "8e319402a1ae0fe5c7e314acee8eb2d354331892050d065a6fc2f644fce5a614"),
+    ("iso --kind diamond --k 3 --l 4 --format csv",
+     "9fb7ff13d805c2ec345adb479e00be6e444ece3eec29471b306d416140ccef5c"),
+    ("iso --kind diamond --k 3 --l 4 --format json",
+     "031a986be71f1abba23deea42fcc11e9fe7288c85a8f142b0b91a0fd09fe2adc"),
+    ("verify --suite identity --format csv",
+     "528a3dd78f90e9f9d2fa5cf4ab6d0eb5b583e4b1a1d6cf0b3b1c243a899fb8e6"),
+    ("verify --suite identity --format json",
+     "79d0620f99d4632a90770dc8788e25b40021f1e179e2a02dbe543a0655846ba7"),
+    ("verify --suite iso --format csv",
+     "b41858fcd1b879b42dd66609bc522c7d7203bc8be838bc57d3a8df1dd5fc6875"),
+    ("verify --suite iso --format json",
+     "3a00d25076dfd765ef1c61e3370521c2a0d894892e3cced790d0525236d7ccf7"),
+    ("verify --suite coincidence --format csv",
+     "eb704ee4e03edb154fecacbe94f17b7683329ea51128aa8ecbe47f93741dc2f2"),
+    ("verify --suite coincidence --format json",
+     "f1c4b5c2538dd0185739e6475e0237e40d1f29de02235ec3ff3ac8a678786386"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", BYTE_DIGESTS,
+                         ids=[argv for argv, _ in BYTE_DIGESTS])
+def test_integer_outputs_are_byte_identical(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_import_does_not_load_numpy():

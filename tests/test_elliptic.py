@@ -5,12 +5,10 @@ import pytest
 from scipy.special import ellipe, ellipk
 
 from latticewalks.elliptic import (
-    DensityKernel,
     adaptive_quadrature,
     arcsine_density,
     density,
     density_moment,
-    density_samples_csv,
     elliptic_KE,
     mellin_density_convolve,
     semicircle_density,
@@ -132,12 +130,28 @@ class TestDensityKernels:
             assert density("ww", x) == pytest.approx(
                 2 * ((1 + x * x / 16) * big_k - 2 * big_e) / pi2, rel=1e-12)
 
-    def test_kernel_object(self):
-        kern = DensityKernel("wa")
-        assert kern.support == (-4.0, 4.0)
-        assert kern(1.0) == density("wa", 1.0)
-        with pytest.raises(ValueError):
-            DensityKernel("bogus")
+    def test_smallest_subnormal_x(self):
+        # x/4 underflows to 0 there; the value is the head asymptotics
+        x = 5e-324
+        for kind, c, d in (("aa", 1 / (2 * math.pi ** 2), 0.0),
+                           ("wa", 1 / math.pi ** 2, -1.0),
+                           ("ww", 2 / math.pi ** 2, -2.0)):
+            v = density(kind, x)
+            assert math.isfinite(v) and v > 0
+            assert v == pytest.approx(c * (math.log(16.0) - math.log(x) + d),
+                                      rel=1e-15)
+
+    @pytest.mark.parametrize("x,expected", [
+        (3.9, 1.0073702982094677e-04),
+        (4 - 1e-2, 9.959639335444588e-07),
+        (4 - 1e-4, 9.947308285221865e-11),
+        (4 - 1e-6, 9.94718518942246e-15),
+        (4 - 1e-9, 9.947185590554305e-21),
+    ])
+    def test_ww_near_the_edge(self, x, expected):
+        # (1 + x^2/16) K - 2E cancels towards x = 4; references are 50-digit
+        # evaluations of the closed form
+        assert density("ww", x) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -277,14 +291,3 @@ class TestDensityMoments:
             density_moment("aa", 3)
         with pytest.raises(ValueError):
             density_moment("aa", -2)
-
-
-def test_density_samples_csv():
-    text = density_samples_csv("aa", 5)
-    lines = text.splitlines()
-    assert lines[0] == "x,density"
-    assert lines[1].startswith("-4,")
-    assert lines[3] == "0,inf"
-    assert len(lines) == 6
-    with pytest.raises(ValueError):
-        density_samples_csv("aa", 1)

@@ -118,12 +118,6 @@ class TestWalkTable:
         with pytest.raises(ValueError):
             t[7]
 
-    def test_csv_layout(self):
-        g, o = build_lattice("zplus")
-        text = walk_table(g, o, 4).to_csv()
-        assert text.splitlines()[0] == "m,count"
-        assert text.splitlines()[1:] == ["0,1", "1,0", "2,1", "3,0", "4,2"]
-
 
 class TestProductTheorems:
     def test_kronecker_multiplication_on_random_pairs(self):
