@@ -39,37 +39,29 @@ from .graphs import (
     connected_components,
     degree_histogram,
     diamond,
-    diamond_to_kron_map,
-    domain_from_predicate,
+    fold_map,
     full_plane,
     half_line,
     half_plane,
-    halfplane_to_kron_map,
     induced_subgraph,
     integer_line,
     kronecker,
     path_graph,
-    plane_to_kron_map,
     quarter_plane,
     restrict_lattice,
     strip,
-    strip_to_kron_map,
-    to_edge_list,
     verify_isomorphism,
     wedge,
-    wedge_to_kron_map,
 )
 from .spectral import (
     ArcSine,
     ClassicalConv,
     Discrete,
     MellinConv,
-    MomentSequence,
     NamedDensity,
     PathSpectrum,
     Semicircle,
     path_spectrum,
-    weak_equality_by_moments,
 )
 from .walks import (
     CoincidenceReport,
@@ -105,7 +97,6 @@ __all__ = [
     "LatticeDomain",
     "LatticeKind",
     "MellinConv",
-    "MomentSequence",
     "NamedDensity",
     "NumericalError",
     "PathSpectrum",
@@ -127,13 +118,11 @@ __all__ = [
     "density",
     "density_moment",
     "diamond",
-    "diamond_to_kron_map",
-    "domain_from_predicate",
     "elliptic_KE",
+    "fold_map",
     "full_plane",
     "half_line",
     "half_plane",
-    "halfplane_to_kron_map",
     "induced_subgraph",
     "integer_line",
     "kronecker",
@@ -145,17 +134,13 @@ __all__ = [
     "path_closed_walks",
     "path_graph",
     "path_spectrum",
-    "plane_to_kron_map",
     "quarter_plane",
     "restrict_lattice",
     "semicircle_density",
     "strip",
-    "strip_to_kron_map",
-    "to_edge_list",
     "verify_binomial_identity",
     "verify_isomorphism",
     "walk_count",
     "walk_table",
     "wedge",
-    "wedge_to_kron_map",
 ]

@@ -184,27 +184,17 @@ def _run_components(args) -> tuple[str, int]:
     return _csv(params, "component,size,smallest_vertex", lines), 0
 
 
-# iso kind -> (map constructor, the parameters it takes, checked radius)
-_ISO_KINDS = {
-    "plane": (graphs.plane_to_kron_map, (), 8),
-    "strip": (graphs.strip_to_kron_map, ("n",), 6),
-    "halfplane": (graphs.halfplane_to_kron_map, (), 6),
-    "wedge": (graphs.wedge_to_kron_map, (), 6),
-    "diamond": (graphs.diamond_to_kron_map, ("k", "l"), 6),
-}
-
-
 def _iso_map(kind: str, n=None, k=None, l=None):
     """(isomorphism, radius) of a built-in iso kind."""
-    if kind not in _ISO_KINDS:
+    if kind not in graphs.FOLD_KINDS:
         raise ValueError(
-            f"unknown iso kind {kind!r}; known: {', '.join(_ISO_KINDS)}")
-    make, needs, radius = _ISO_KINDS[kind]
+            f"unknown iso kind {kind!r}; known: {', '.join(graphs.FOLD_KINDS)}")
+    needs, radius, _ = graphs.FOLD_KINDS[kind]
     given = {"n": n, "k": k, "l": l}
     if any(given[p] is None for p in needs):
         raise ValueError(f"iso kind {kind!r} requires "
                          + " and ".join(f"--{p}" for p in needs))
-    return make(*(given[p] for p in needs)), radius
+    return graphs.fold_map(kind, *(given[p] for p in needs)), radius
 
 
 def _run_iso(args) -> tuple[str, int]:
@@ -388,11 +378,11 @@ def _run_verify(args) -> tuple[str, int]:
 # parser
 
 
-def _add_common(sub, *, fmt_default="csv", kind=None, mmax=False, n=False,
+def _add_common(sub, *, fmt_default="csv", kind=False, mmax=False, n=False,
                 kk=False, ll=False, grid=False, suite=False, tol=False,
                 budget=False):
-    if kind is not None:
-        sub.add_argument("--kind", required=kind == "required", help="named kind")
+    if kind:
+        sub.add_argument("--kind", required=True, help="named kind")
     if mmax:
         sub.add_argument("--mmax", type=int, required=True,
                          help="largest walk length / moment order")
@@ -429,23 +419,24 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("walks", help="walk table with closed-form comparison")
-    _add_common(sub, kind="required", mmax=True, n=True, kk=True, ll=True,
+    _add_common(sub, kind=True, mmax=True, n=True, kk=True, ll=True,
                 budget=True)
 
     sub = subs.add_parser("moments", help="moment table of a distribution")
-    _add_common(sub, kind="required", mmax=True, n=True)
+    _add_common(sub, kind=True, mmax=True, n=True)
 
     sub = subs.add_parser("density", help="sample a product density on a grid")
-    _add_common(sub, kind="required", grid=True)
+    _add_common(sub, kind=True, grid=True)
 
     sub = subs.add_parser("verify", help="run a verification suite")
     _add_common(sub, fmt_default="json", suite=True, tol=True, budget=True)
 
     sub = subs.add_parser("components", help="components of a product of paths")
-    _add_common(sub, kind="optional", n=True, kk=True, budget=True)
+    sub.add_argument("--kind", default="kron", help="named kind")
+    _add_common(sub, n=True, kk=True, budget=True)
 
     sub = subs.add_parser("iso", help="check a built-in lattice isomorphism")
-    _add_common(sub, fmt_default="json", kind="required", n=True, kk=True,
+    _add_common(sub, fmt_default="json", kind=True, n=True, kk=True,
                 ll=True, budget=True)
 
     return parser
@@ -464,8 +455,6 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "components" and args.kind is None:
-        args.kind = "kron"
     try:
         text, code = _RUNNERS[args.command](args)
     except (ValueError, ResourceLimitError, NumericalError) as exc:

@@ -43,26 +43,32 @@ class EllipticPair:
     iterations: int
 
 
-def _ke_from_complement(kp: float) -> tuple[float, float, int]:
-    """K and E computed from the complementary modulus kp = sqrt(1-k^2).
+def _agm(kp: float) -> tuple[float, float, float, int]:
+    """(K, head, tail, iterations) from the complementary modulus
+    kp = sqrt(1-k^2), with E = K (1 - head - tail) (Abramowitz & Stegun
+    17.6): head = k^2/2 and tail = sum_{n>=1} 2^(n-1) c_n^2.
 
-    Relative accuracy is ~1e-15 for kp in (0, 1]; kp = 0 diverges.
+    Both parts are sums of positive terms, so K - E = K (head + tail) and
+    (2 - k^2) K - 2E = 2 K tail need no subtraction.  Relative accuracy is
+    ~1e-15 for kp in (0, 1]; kp = 0 diverges.
     """
     if kp <= 0.0:
         raise ValueError("complete elliptic integrals diverge at modulus 1")
+    head = 0.5 * (1.0 - kp) * (1.0 + kp)
     a, b = 1.0, kp
-    csum = 0.5 * (1.0 - kp * kp)  # 2^{-1} c_0^2 with c_0^2 = k^2
+    tail = 0.0
     power = 0.5
     it = 0
-    while abs(a - b) > _EPS * a and it < _MAX_AGM_ITER:
+    # at least one step: c_1 = (1 - kp)/2 is exact, and for kp within a
+    # few ulps of 1 it is all of the tail
+    while True:
         c = 0.5 * (a - b)
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         it += 1
         power *= 2.0
-        csum += power * c * c
-    big_k = math.pi / (2.0 * a)
-    big_e = big_k * (1.0 - csum)
-    return big_k, big_e, it
+        tail += power * c * c
+        if abs(a - b) <= _EPS * a or it >= _MAX_AGM_ITER:
+            return math.pi / (2.0 * a), head, tail, it
 
 
 def elliptic_KE(k: float) -> EllipticPair:
@@ -74,8 +80,8 @@ def elliptic_KE(k: float) -> EllipticPair:
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
     kp = math.sqrt((1.0 - k) * (1.0 + k))
-    big_k, big_e, it = _ke_from_complement(kp)
-    return EllipticPair(k, big_k, big_e, it)
+    big_k, head, tail, it = _agm(kp)
+    return EllipticPair(k, big_k, big_k * (1.0 - head - tail), it)
 
 
 # ---------------------------------------------------------------------------
@@ -89,33 +95,15 @@ WW = "ww"
 _KERNEL_KINDS = (AA, WA, WW)
 
 
-# (1 + x^2/16) K - 2E cancels towards x = 4, where xi^2 = 1 - x^2/16 -> 0,
-# so where xi^2 <= 1/16 the ww kernel is summed as a series of positive
-# terms instead
-_WW_SERIES_KP = math.sqrt(15.0) / 4.0
-
-
-def _ww_edge_series(k2: float) -> float:
-    # (2 - k^2) K - 2E = (pi/2) sum_{n>=2} a_{n-1} (n-1)/n k^{2n} with
-    # a_n = ((1/2)_n / n!)^2; for k^2 <= 1/16 each term is below a
-    # sixteenth of the one before, so ~14 terms reach double precision
-    a, power, total, n = 0.25, k2 * k2, 0.0, 2
-    while True:
-        term = a * (n - 1) / n * power
-        if total + term == total:
-            return 0.5 * math.pi * total
-        total += term
-        a *= ((2 * n - 1) / (2 * n)) ** 2
-        power *= k2
-        n += 1
-
-
 def density(kind: str, x: float) -> float:
     """Pointwise value of a product density.
 
     All three kinds diverge logarithmically at x = 0 (K(xi) blows up as
     log(16/|x|)); the exact center returns +inf as an explicit marker.
-    Outside [-4, 4] the value is 0.
+    Outside [-4, 4] the value is 0.  On 0 < |x| < 4 the relative error is
+    below 2e-15 for every kind, also near |x| = 4 where wa and ww tend to 0:
+    their closed forms K - E and (1 + x^2/16) K - 2E come from
+    :func:`_agm` without a subtraction.
     """
     kind = kind.lower()
     if kind not in _KERNEL_KINDS:
@@ -132,14 +120,12 @@ def density(kind: str, x: float) -> float:
         # asymptotics c (log(16/|x|) + d) are exact to rounding
         c, d = _HEAD_CONSTANTS[kind]
         return c * (math.log(16.0) - math.log(ax) + d)
-    if kind == WW and kp >= _WW_SERIES_KP:
-        return 2.0 * _ww_edge_series((1.0 - kp) * (1.0 + kp)) / _PI2
-    big_k, big_e, _ = _ke_from_complement(kp)
+    big_k, head, tail, _ = _agm(kp)
     if kind == AA:
         return big_k / (2.0 * _PI2)
     if kind == WA:
-        return (big_k - big_e) / _PI2
-    return 2.0 * ((1.0 + ax * ax / 16.0) * big_k - 2.0 * big_e) / _PI2
+        return big_k * (head + tail) / _PI2
+    return 4.0 * big_k * tail / _PI2
 
 
 def arcsine_density(x: float) -> float:

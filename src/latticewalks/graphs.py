@@ -19,7 +19,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import ResourceLimitError
 
@@ -114,8 +114,6 @@ class FiniteGraph:
         adj: list[set[int]] = [set() for _ in verts]
         for a, b in edges:
             i, j = index[_as_coords(a)], index[_as_coords(b)]
-            if i == j:
-                raise ValueError("self-loops are not allowed")
             adj[i].add(j)
             adj[j].add(i)
         return cls(verts, [sorted(s) for s in adj], root=root, name=name)
@@ -212,15 +210,6 @@ def _neighbor_fn(g: Graph) -> Callable[[Coords], Iterable[Coords]]:
     return g.neighbor_fn
 
 
-def _membership(g: Graph) -> Callable[[Coords], bool] | None:
-    """Membership test for g, or None when undecidable."""
-    if isinstance(g, FiniteGraph):
-        return g.__contains__
-    if g.contains_fn is None:
-        return None
-    return g.__contains__
-
-
 # ---------------------------------------------------------------------------
 # base graphs
 
@@ -266,67 +255,45 @@ class LatticeDomain:
     dimension: int
     predicate: Callable[[Coords], bool]
 
-    def contains(self, v) -> bool:
-        t = _as_coords(v)
-        if len(t) != self.dimension:
-            return False
-        return bool(self.predicate(t))
-
-
-def _named_domain(name: str, dimension: int, predicate) -> LatticeDomain:
-    dom = LatticeDomain(name, dimension, predicate)
-    # every named domain is rooted at the origin
-    if not dom.contains((0,) * dimension):
-        raise ValueError(f"domain {name} does not contain the origin")
-    return dom
-
 
 def full_plane() -> LatticeDomain:
-    return _named_domain("Z^2", 2, lambda v: True)
+    return LatticeDomain("Z^2", 2, lambda v: True)
 
 
 def half_plane() -> LatticeDomain:
     """Lattice points with x >= y."""
-    return _named_domain("x>=y", 2, lambda v: v[0] >= v[1])
+    return LatticeDomain("x>=y", 2, lambda v: v[0] >= v[1])
 
 
 def strip(n: int) -> LatticeDomain:
     """Diagonal strip x >= y >= x-(n-1), i.e. x-y confined to 0..n-1."""
     if n < 2:
         raise ValueError("strip width must be at least 2")
-    return _named_domain(f"x>=y>=x-{n - 1}", 2,
+    return LatticeDomain(f"x>=y>=x-{n - 1}", 2,
                          lambda v: v[0] >= v[1] >= v[0] - (n - 1))
 
 
 def wedge() -> LatticeDomain:
     """Wedge x >= y >= -x (an eighth of the plane, closed under reflection)."""
-    return _named_domain("x>=y>=-x", 2, lambda v: v[0] >= v[1] >= -v[0])
+    return LatticeDomain("x>=y>=-x", 2, lambda v: v[0] >= v[1] >= -v[0])
 
 
 def diamond(k: int, l: int) -> LatticeDomain:
     """Finite diamond 0 <= x+y <= k-1, 0 <= x-y <= l-1."""
     if k < 2 or l < 2:
         raise ValueError("diamond side lengths must be at least 2")
-    return _named_domain(
+    return LatticeDomain(
         f"0<=x+y<={k - 1},0<=x-y<={l - 1}", 2,
         lambda v: 0 <= v[0] + v[1] <= k - 1 and 0 <= v[0] - v[1] <= l - 1)
 
 
 def quarter_plane() -> LatticeDomain:
-    return _named_domain("x>=0,y>=0", 2, lambda v: v[0] >= 0 and v[1] >= 0)
+    return LatticeDomain("x>=0,y>=0", 2, lambda v: v[0] >= 0 and v[1] >= 0)
 
 
 def chamber3() -> LatticeDomain:
     """Ordered chamber x >= y >= z in Z^3."""
-    return _named_domain("x>=y>=z", 3, lambda v: v[0] >= v[1] >= v[2])
-
-
-def domain_from_predicate(dimension: int, predicate,
-                          name: str = "custom") -> LatticeDomain:
-    """Escape hatch for restricted lattices beyond the named kinds."""
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
-    return LatticeDomain(name, dimension, predicate)
+    return LatticeDomain("x>=y>=z", 3, lambda v: v[0] >= v[1] >= v[2])
 
 
 def restrict_lattice(domain: LatticeDomain) -> ImplicitGraph:
@@ -345,37 +312,17 @@ def restrict_lattice(domain: LatticeDomain) -> ImplicitGraph:
                     out.append(w)
         return out
 
-    return ImplicitGraph(d, nbrs, f"lattice[{domain.name}]", domain.contains)
+    return ImplicitGraph(d, nbrs, f"lattice[{domain.name}]", domain.predicate)
 
 
 # ---------------------------------------------------------------------------
 # products
 
 
-def _finite_product(g1: FiniteGraph, g2: FiniteGraph, mode: str,
-                    name: str) -> FiniteGraph:
+def _product(g1: Graph, g2: Graph, mode: str) -> Graph:
+    tag = "kron" if mode == "kron" else "cart"
+    name = f"{tag}({g1.name or 'G1'},{g2.name or 'G2'})"
     d1 = g1.dimension
-    n1, n2 = _neighbor_fn(g1), _neighbor_fn(g2)
-    verts = sorted(a + b for a in g1.vertices for b in g2.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    adj = []
-    for v in verts:
-        a, b = v[:d1], v[d1:]
-        if mode == "kron":
-            nbrs = [na + nb for na in n1(a) for nb in n2(b)]
-        else:
-            nbrs = [na + b for na in n1(a)]
-            nbrs += [a + nb for nb in n2(b)]
-        adj.append(sorted([index[w] for w in nbrs]))
-    root = None
-    if g1.root is not None and g2.root is not None:
-        root = index[g1.root_coords + g2.root_coords]
-    return FiniteGraph._trusted(verts, index, adj, root, name)
-
-
-def _implicit_product(g1: Graph, g2: Graph, mode: str,
-                      name: str) -> ImplicitGraph:
-    d1, d2 = g1.dimension, g2.dimension
     n1, n2 = _neighbor_fn(g1), _neighbor_fn(g2)
 
     if mode == "kron":
@@ -389,21 +336,14 @@ def _implicit_product(g1: Graph, g2: Graph, mode: str,
             out += [a + nb for nb in n2(b)]
             return out
 
-    m1, m2 = _membership(g1), _membership(g2)
-    contains = None
-    if m1 is not None and m2 is not None:
-        def contains(v: Coords) -> bool:
-            return m1(v[:d1]) and m2(v[d1:])
-
-    return ImplicitGraph(d1 + d2, nbrs, name, contains)
-
-
-def _product(g1: Graph, g2: Graph, mode: str) -> Graph:
-    tag = "kron" if mode == "kron" else "cart"
-    name = f"{tag}({g1.name or 'G1'},{g2.name or 'G2'})"
     if isinstance(g1, FiniteGraph) and isinstance(g2, FiniteGraph):
-        return _finite_product(g1, g2, mode, name)
-    return _implicit_product(g1, g2, mode, name)
+        verts = sorted(a + b for a in g1.vertices for b in g2.vertices)
+        root = None
+        if g1.root is not None and g2.root is not None:
+            root = g1.root_coords + g2.root_coords
+        return _induced(verts, nbrs, root, name)
+    return ImplicitGraph(d1 + g2.dimension, nbrs, name,
+                         lambda v: v[:d1] in g1 and v[d1:] in g2)
 
 
 def kronecker(g1: Graph, g2: Graph) -> Graph:
@@ -434,10 +374,9 @@ def ball(g: Graph, root, radius: int,
         raise ValueError("radius must be nonnegative")
     if budget < 1:
         raise ValueError("vertex budget must be positive")
-    member = _membership(g)
     if len(r) != g.dimension:
         raise ValueError(f"root dimension {len(r)} != graph dimension {g.dimension}")
-    if member is not None and not member(r):
+    if r not in g:
         raise ValueError(f"root {r} is not a vertex of {g.name or 'graph'}")
 
     # Each vertex's neighbor set is computed once.  A vertex at depth d has
@@ -480,6 +419,16 @@ def ball(g: Graph, root, radius: int,
         ball_radius=radius, depths=depths, truncated=truncated)
 
 
+def _induced(verts: list[Coords], nbrs: Callable[[Coords], Iterable[Coords]],
+             root: Coords | None, name: str) -> FiniteGraph:
+    # The graph on verts (sorted, distinct, well formed) whose edges are the
+    # pairs nbrs links inside verts; nbrs must be symmetric and loop-free
+    # and list each neighbor once.  root is dropped when it is not in verts.
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [sorted([index[w] for w in nbrs(v) if w in index]) for v in verts]
+    return FiniteGraph._trusted(verts, index, adj, index.get(root), name)
+
+
 def induced_subgraph(g: FiniteGraph, keep: Iterable[Sequence[int]],
                      name: str = "") -> FiniteGraph:
     """Induced subgraph on a subset of vertices, sorted by coordinates."""
@@ -489,14 +438,7 @@ def induced_subgraph(g: FiniteGraph, keep: Iterable[Sequence[int]],
     missing = [v for v in verts if v not in g]
     if missing:
         raise ValueError(f"vertices not in graph: {missing[:3]}")
-    index = {v: i for i, v in enumerate(verts)}
-    nbrs = _neighbor_fn(g)
-    adj = [sorted([index[w] for w in nbrs(v) if w in index]) for v in verts]
-    root = None
-    rc = g.root_coords
-    if rc is not None and rc in index:
-        root = index[rc]
-    return FiniteGraph._trusted(verts, index, adj, root, name or f"sub({g.name})")
+    return _induced(verts, _neighbor_fn(g), g.root_coords, name or f"sub({g.name})")
 
 
 def connected_components(g: FiniteGraph) -> list[FiniteGraph]:
@@ -518,7 +460,8 @@ def connected_components(g: FiniteGraph) -> list[FiniteGraph]:
                     stack.append(j)
         comps.append(sorted(g.vertices[i] for i in comp))
     comps.sort(key=lambda vs: vs[0])
-    return [induced_subgraph(g, vs, name=f"{g.name or 'graph'}[comp{c}]")
+    nbrs = _neighbor_fn(g)
+    return [_induced(vs, nbrs, g.root_coords, f"{g.name or 'graph'}[comp{c}]")
             for c, vs in enumerate(comps)]
 
 
@@ -625,52 +568,41 @@ def verify_isomorphism(iso: IsoMap, ball_radius: int,
 _FOLD = ((1, 1), (1, -1))  # (x, y) |-> (x + y, x - y)
 
 
-def plane_to_kron_map() -> IsoMap:
-    """(x,y) |-> (x+y, x-y) from the Cartesian plane lattice onto the
-    origin component of the Kronecker square of the integer line."""
-    src = cartesian(integer_line(), integer_line())
-    tgt = kronecker(integer_line(), integer_line())
-    return IsoMap(_FOLD, (0, 0), src, (0, 0), tgt, (0, 0), "plane-to-kron")
+class FoldKind(NamedTuple):
+    """A named fold: the parameters its builder takes, the ball radius it
+    is checked at, and the builder of (source, target, map name)."""
+
+    params: tuple[str, ...]
+    radius: int
+    build: Callable[..., tuple[Graph, Graph, str]]
 
 
-def strip_to_kron_map(n: int) -> IsoMap:
-    """Restriction of the fold map carrying the width-n diagonal strip onto
-    the origin component of line (x)K path(n)."""
-    src = restrict_lattice(strip(n))
-    tgt = kronecker(integer_line(), path_graph(n))
-    return IsoMap(_FOLD, (0, 0), src, (0, 0), tgt, (0, 0), f"strip{n}-to-kron")
+# The fold carries each lattice onto the origin component of a Kronecker
+# product of its two diagonal factors.  Builders look the
+# product constructors up at call time, so a wrapped kronecker or
+# cartesian sees every product they build.
+FOLD_KINDS: dict[str, FoldKind] = {
+    "plane": FoldKind((), 8, lambda: (
+        cartesian(integer_line(), integer_line()),
+        kronecker(integer_line(), integer_line()), "plane-to-kron")),
+    "strip": FoldKind(("n",), 6, lambda n: (
+        restrict_lattice(strip(n)),
+        kronecker(integer_line(), path_graph(n)), f"strip{n}-to-kron")),
+    "halfplane": FoldKind((), 6, lambda: (
+        restrict_lattice(half_plane()),
+        kronecker(integer_line(), half_line()), "halfplane-to-kron")),
+    "wedge": FoldKind((), 6, lambda: (
+        restrict_lattice(wedge()),
+        kronecker(half_line(), half_line()), "wedge-to-kron")),
+    "diamond": FoldKind(("k", "l"), 6, lambda k, l: (
+        restrict_lattice(diamond(k, l)),
+        kronecker(path_graph(k), path_graph(l)), f"diamond{k}x{l}-to-kron")),
+}
 
 
-def halfplane_to_kron_map() -> IsoMap:
-    """Fold map from the half plane x >= y onto line (x)K half-line."""
-    src = restrict_lattice(half_plane())
-    tgt = kronecker(integer_line(), half_line())
-    return IsoMap(_FOLD, (0, 0), src, (0, 0), tgt, (0, 0), "halfplane-to-kron")
-
-
-def wedge_to_kron_map() -> IsoMap:
-    """Fold map from the wedge x >= y >= -x onto half-line (x)K half-line."""
-    src = restrict_lattice(wedge())
-    tgt = kronecker(half_line(), half_line())
-    return IsoMap(_FOLD, (0, 0), src, (0, 0), tgt, (0, 0), "wedge-to-kron")
-
-
-def diamond_to_kron_map(k: int, l: int) -> IsoMap:
-    """Fold map from the (k,l) diamond onto path(k) (x)K path(l)."""
-    src = restrict_lattice(diamond(k, l))
-    tgt = kronecker(path_graph(k), path_graph(l))
-    return IsoMap(_FOLD, (0, 0), src, (0, 0), tgt, (0, 0), f"diamond{k}x{l}-to-kron")
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def to_edge_list(g: FiniteGraph) -> str:
-    """Plain-text edge list: header line, then one `a -- b` line per edge."""
-    rc = g.root_coords
-    root_txt = ",".join(map(str, rc)) if rc is not None else "none"
-    lines = [f"# dim={g.dimension} root={root_txt}"]
-    for a, b in sorted(g.edge_set()):
-        lines.append(f"{','.join(map(str, a))} -- {','.join(map(str, b))}")
-    return "\n".join(lines) + "\n"
+def fold_map(kind: str, *params: int) -> IsoMap:
+    """The fold (x, y) |-> (x + y, x - y) of a named kind in
+    :data:`FOLD_KINDS`, rooted at the origin on both sides; ``params`` are
+    the kind's parameters in the order of its ``params`` names."""
+    source, target, name = FOLD_KINDS[kind].build(*params)
+    return IsoMap(_FOLD, (0, 0), source, (0, 0), target, (0, 0), name)

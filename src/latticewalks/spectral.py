@@ -10,8 +10,7 @@ products of distributions:
 * Kronecker product  ->  Mellin convolution (momentwise product)
 
 Distributions here are compactly supported, so equality of all moments is
-equality of distributions; ``weak_equality_by_moments`` is the workhorse
-comparison.
+equality of distributions.
 """
 
 from __future__ import annotations
@@ -197,48 +196,3 @@ def path_spectrum(n: int) -> PathSpectrum:
     lams = tuple(2.0 * cos(a) for a in angles)
     weights = tuple(2.0 / (n + 1) * sin(a) ** 2 for a in angles)
     return PathSpectrum(n, lams, weights)
-
-
-# ---------------------------------------------------------------------------
-# comparisons
-
-
-def weak_equality_by_moments(a, b, m_max: int = 30, tol: float = 1e-9) -> bool:
-    """Moments agree for all orders 0..m_max, relatively for large values.
-
-    For compactly supported distributions this is genuine weak equality
-    once m_max is large; mismatch at any single order proves inequality.
-    """
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
-    for m in range(m_max + 1):
-        ma, mb = a.moment(m), b.moment(m)
-        if abs(ma - mb) > tol * max(1.0, abs(ma)):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class MomentSequence:
-    """Even-order moment list (M_0, M_2, M_4, ...) of a symmetric distribution."""
-
-    even_moments: tuple[Number, ...]
-
-    def __post_init__(self):
-        if not self.even_moments:
-            raise ValueError("moment sequence must not be empty")
-        if abs(self.even_moments[0] - 1) > 1e-12:
-            raise ValueError("M_0 must be 1")
-
-    @classmethod
-    def from_distribution(cls, d, m_max: int) -> "MomentSequence":
-        return cls(tuple(d.moment(m) for m in range(0, m_max + 1, 2)))
-
-    def hankel_2x2_ok(self, tol: float = 1e-9) -> bool:
-        """Necessary positivity check: M_{2i} M_{2i+4} >= M_{2i+2}^2."""
-        ms = self.even_moments
-        for i in range(len(ms) - 2):
-            a, b, c = ms[i], ms[i + 1], ms[i + 2]
-            if a * c - b * b < -tol * max(1.0, abs(a * c)):
-                return False
-        return True

@@ -342,13 +342,6 @@ class CoincidenceReport:
     root_b: Coords
     entries: tuple[tuple[int, int, int], ...]  # (m, count_a, count_b)
 
-    @property
-    def all_equal(self) -> bool:
-        return all(a == b for _, a, b in self.entries)
-
-    def mismatches(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(e for e in self.entries if e[1] != e[2])
-
 
 def moment_coincidence_report(g_a: Graph, o_a, g_b: Graph, o_b,
                               m_max: int,

@@ -6,6 +6,8 @@ cross-checks the production pipeline rather than re-running it.
 `naive_ball` is a textbook queue BFS over the public ``neighbors`` method,
 and `vector_walk_counts` iterates the full adjacency one step at a time;
 `path_walk_counts` does the same for the tridiagonal path adjacency.
+`as_implicit` hides a finite graph behind its public methods, so products
+of it take the lazy path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from latticewalks.graphs import FiniteGraph
+from latticewalks.graphs import FiniteGraph, ImplicitGraph
 
 
 def dp_closed_walks(g, root, m: int) -> int:
@@ -106,6 +108,11 @@ def path_walk_counts(n: int, m_max: int) -> list[int]:
 
 def path_adjacency(n: int) -> list[list[int]]:
     return [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
+
+
+def as_implicit(g: FiniteGraph) -> ImplicitGraph:
+    """The same graph as a neighbor-function view."""
+    return ImplicitGraph(g.dimension, g.neighbors, "implicit", g.__contains__)
 
 
 def random_graph(rng: random.Random, n_min: int = 2, n_max: int = 8) -> FiniteGraph:

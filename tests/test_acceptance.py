@@ -103,11 +103,11 @@ def test_2_binomial_identity():
 
 def test_3_isomorphism_suite():
     """The coordinate fold is an edge bijection on balls, origin fixed."""
-    cases = [(graphs.plane_to_kron_map(), 8),
-             (graphs.strip_to_kron_map(3), 6),
-             (graphs.strip_to_kron_map(4), 6),
-             (graphs.halfplane_to_kron_map(), 6),
-             (graphs.diamond_to_kron_map(4, 4), 6)]
+    cases = [(graphs.fold_map("plane"), 8),
+             (graphs.fold_map("strip", 3), 6),
+             (graphs.fold_map("strip", 4), 6),
+             (graphs.fold_map("halfplane"), 6),
+             (graphs.fold_map("diamond", 4, 4), 6)]
     for iso, radius in cases:
         rep = graphs.verify_isomorphism(iso, radius)
         if not rep.ok:

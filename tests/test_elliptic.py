@@ -20,6 +20,24 @@ def cat(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
+# rows (x, aa(x), wa(x), ww(x)) for TestDensityKernels.test_stated_relative_bound
+_DENSITY_REFERENCES = [
+    (0.5, 0.17606822504016556, 0.2484565200475565, 0.3005574440945741),
+    (2.0, 0.10925035897394315, 0.09579508777746233, 0.0554292741880199),
+    (3.0, 0.09141509366651011, 0.0428581880610064, 0.011456338327632907),
+    (3.5, 0.08497718687134619, 0.020580782091951265, 0.002657015675918005),
+    (3.8, 0.08163133967195559, 0.008061103181225951, 0.0004081902528410983),
+    (3.87, 0.08089748485240188, 0.005215613988616732, 0.0001709017663438546),
+    (3.99, 0.07967709908263657, 0.000398136504527294, 9.959639335444588e-07),
+    (4 - 1e-4, 0.07957846627988474, 3.9788984457319215e-06, 9.947308285221865e-11),
+    (4 - 1e-6, 0.07957748149313316, 3.9788738265331875e-08, 9.94718518942246e-15),
+    (4 - 1e-9, 0.07957747155589485, 3.978873906759539e-11, 9.947185590554305e-21),
+    (4 - 1e-12, 0.07957747154595761, 3.979227301475715e-14, 9.948952642750831e-27),
+    (math.nextafter(4, 0), 0.07957747154594767, 1.766974823035287e-17,
+     1.9617361324667372e-33),
+]
+
+
 class TestEllipticIntegrals:
     def test_degenerate_modulus(self):
         p = elliptic_KE(0.0)
@@ -141,17 +159,16 @@ class TestDensityKernels:
             assert v == pytest.approx(c * (math.log(16.0) - math.log(x) + d),
                                       rel=1e-15)
 
-    @pytest.mark.parametrize("x,expected", [
-        (3.9, 1.0073702982094677e-04),
-        (4 - 1e-2, 9.959639335444588e-07),
-        (4 - 1e-4, 9.947308285221865e-11),
-        (4 - 1e-6, 9.94718518942246e-15),
-        (4 - 1e-9, 9.947185590554305e-21),
-    ])
-    def test_ww_near_the_edge(self, x, expected):
-        # (1 + x^2/16) K - 2E cancels towards x = 4; references are 50-digit
-        # evaluations of the closed form
-        assert density("ww", x) == pytest.approx(expected, rel=1e-13, abs=0)
+    @pytest.mark.parametrize("kind", ["aa", "wa", "ww"])
+    def test_stated_relative_bound(self, kind):
+        # density's docstring bound, 2e-15 relative on (0, 4), out to the
+        # last double below 4, where K - E and (1 + x^2/16) K - 2E would
+        # cancel; references are 100-digit evaluations of the closed forms
+        # at the exact doubles listed
+        column = {"aa": 1, "wa": 2, "ww": 3}[kind]
+        for row in _DENSITY_REFERENCES:
+            x, expected = row[0], row[column]
+            assert density(kind, x) == pytest.approx(expected, rel=2e-15, abs=0), x
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

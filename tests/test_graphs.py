@@ -2,36 +2,31 @@ import random
 
 import pytest
 
-from helpers import naive_ball, random_graph
+from helpers import as_implicit, naive_ball, random_graph
 from latticewalks import graphs, walks
 from latticewalks.errors import ResourceLimitError
 from latticewalks.graphs import (
     FiniteGraph,
+    LatticeDomain,
     ball,
     cartesian,
     chamber3,
     connected_components,
     degree_histogram,
     diamond,
-    diamond_to_kron_map,
-    domain_from_predicate,
+    fold_map,
     full_plane,
     half_line,
     half_plane,
-    halfplane_to_kron_map,
     induced_subgraph,
     integer_line,
     kronecker,
     path_graph,
-    plane_to_kron_map,
     quarter_plane,
     restrict_lattice,
     strip,
-    strip_to_kron_map,
-    to_edge_list,
     verify_isomorphism,
     wedge,
-    wedge_to_kron_map,
 )
 
 
@@ -103,45 +98,51 @@ class TestBuiltinGraphs:
 class TestDomains:
     # membership probes double as the definition record for each region
     def test_half_plane(self):
-        d = half_plane()
-        assert d.contains((0, 0)) and d.contains((3, -1))
-        assert not d.contains((1, 2))
+        d = restrict_lattice(half_plane())
+        assert (0, 0) in d and (3, -1) in d
+        assert (1, 2) not in d
 
     def test_wedge(self):
-        d = wedge()
-        assert d.contains((2, 1)) and d.contains((2, -2))
-        assert not d.contains((2, 3)) and not d.contains((2, -3))
+        d = restrict_lattice(wedge())
+        assert (2, 1) in d and (2, -2) in d
+        assert (2, 3) not in d and (2, -3) not in d
 
     def test_strip_width(self):
-        d = strip(3)
-        assert d.contains((0, 0)) and d.contains((2, 0))
-        assert not d.contains((0, 1)) and not d.contains((3, 0))
+        d = restrict_lattice(strip(3))
+        assert (0, 0) in d and (2, 0) in d
+        assert (0, 1) not in d and (3, 0) not in d
 
     def test_strip_needs_width_two(self):
         with pytest.raises(ValueError):
             strip(1)
 
     def test_diamond_bounds(self):
-        d = diamond(3, 4)
-        assert d.contains((0, 0)) and d.contains((2, 0))
-        assert not d.contains((2, 1))  # x+y = 3 is outside 0..2
-        assert not d.contains((-1, 0))
+        d = restrict_lattice(diamond(3, 4))
+        assert (0, 0) in d and (2, 0) in d
+        assert (2, 1) not in d  # x+y = 3 is outside 0..2
+        assert (-1, 0) not in d
 
     def test_quarter_plane(self):
-        d = quarter_plane()
-        assert d.contains((0, 0)) and not d.contains((-1, 0))
+        d = restrict_lattice(quarter_plane())
+        assert (0, 0) in d and (-1, 0) not in d
 
     def test_chamber_ordering(self):
-        d = chamber3()
-        assert d.contains((2, 1, 0)) and d.contains((1, 1, 1))
-        assert not d.contains((0, 1, 0))
+        d = restrict_lattice(chamber3())
+        assert (2, 1, 0) in d and (1, 1, 1) in d
+        assert (0, 1, 0) not in d
 
     def test_custom_domain_predicate_hook(self):
-        d = domain_from_predicate(2, lambda v: v[0] % 2 == 0, name="even-x")
-        g = restrict_lattice(d)
+        g = restrict_lattice(LatticeDomain("even-x", 2, lambda v: v[0] % 2 == 0))
         assert g.neighbors((0, 0)) == ((0, -1), (0, 1))
-        with pytest.raises(ValueError):
-            domain_from_predicate(0, lambda v: True)
+        assert (0, 3) in g and (1, 0) not in g and (0, 0, 0) not in g
+
+    @pytest.mark.parametrize("domain", [
+        full_plane(), half_plane(), strip(2), wedge(), diamond(2, 2),
+        quarter_plane(), chamber3()], ids=lambda d: d.name)
+    def test_named_domains_contain_their_origin(self, domain):
+        # every named domain is rooted at the origin, down to its smallest
+        # valid parameters
+        assert (0,) * domain.dimension in restrict_lattice(domain)
 
     def test_restrict_lattice_neighbors(self):
         g = restrict_lattice(half_plane())
@@ -185,6 +186,43 @@ class TestProducts:
     def test_mixed_product_dimension(self):
         g = kronecker(restrict_lattice(full_plane()), integer_line())
         assert g.dimension == 3
+
+
+def _product_by_definition(g1, g2, kron: bool) -> FiniteGraph:
+    """The product straight from its definition: Kronecker pairs are
+    adjacent in both factors, Cartesian pairs are equal in one coordinate
+    and adjacent in the other."""
+    verts = [(a, b) for a in g1.vertices for b in g2.vertices]
+    edges = []
+    for a1, a2 in verts:
+        for b1, b2 in verts:
+            adj1, adj2 = b1 in g1.neighbors(a1), b2 in g2.neighbors(a2)
+            if kron:
+                linked = adj1 and adj2
+            else:
+                linked = (a1 == b1 and adj2) or (a2 == b2 and adj1)
+            if linked:
+                edges.append((a1 + a2, b1 + b2))
+    return FiniteGraph.from_edges(sorted(a + b for a, b in verts), edges)
+
+
+class TestProductDefinition:
+    @pytest.mark.parametrize("product", [kronecker, cartesian])
+    def test_finite_and_lazy_products_match_the_definition(self, product):
+        rng = random.Random(20161026)
+        for _ in range(25):
+            g1, g2 = random_graph(rng, 1, 5), random_graph(rng, 1, 5)
+            expected = _product_by_definition(g1, g2, product is kronecker)
+            g = product(g1, g2)
+            assert g.vertices == expected.vertices
+            assert g.adjacency == expected.adjacency
+            # the lazy product: the balls around every vertex, with radius
+            # at least the vertex count, cover all of it
+            lazy = product(as_implicit(g1), as_implicit(g2))
+            covered = set()
+            for v in expected.vertices:
+                covered |= ball(lazy, v, len(expected)).edge_set()
+            assert covered == expected.edge_set()
 
 
 class TestBall:
@@ -300,28 +338,32 @@ class TestComponentsAndSubgraphs:
             degree_histogram(path_graph(3), 1)  # no ball metadata
 
 
+_FOLD_PARAMS = {"strip": [(2,), (3,), (5,)], "diamond": [(2, 2), (3, 3), (4, 4)]}
+_FOLDS = [(kind, p) for kind in graphs.FOLD_KINDS for p in _FOLD_PARAMS.get(kind, [()])]
+
+
 class TestIsomorphisms:
-    @pytest.mark.parametrize("iso,radius", [
-        (plane_to_kron_map(), 6),
-        (strip_to_kron_map(3), 5),
-        (strip_to_kron_map(5), 5),
-        (halfplane_to_kron_map(), 5),
-        (wedge_to_kron_map(), 5),
-        (diamond_to_kron_map(3, 3), 5),
-        (diamond_to_kron_map(4, 4), 5),
-    ])
-    def test_builtin_folds_verify(self, iso, radius):
-        rep = verify_isomorphism(iso, radius)
+    @pytest.mark.parametrize("kind,params", _FOLDS,
+                             ids=[k + "".join(f"-{v}" for v in p) for k, p in _FOLDS])
+    def test_builtin_folds_verify_at_table_radius(self, kind, params):
+        rep = verify_isomorphism(fold_map(kind, *params), graphs.FOLD_KINDS[kind].radius)
         assert rep.ok, rep.detail
         assert rep.source_size == rep.target_size
 
+    def test_fold_map_names(self):
+        for n in (2, 3, 7):
+            assert fold_map("strip", n).name == f"strip{n}-to-kron"
+        assert fold_map("diamond", 4, 3).name == "diamond4x3-to-kron"
+        assert [fold_map(k).name for k in ("plane", "halfplane", "wedge")] == \
+            ["plane-to-kron", "halfplane-to-kron", "wedge-to-kron"]
+
     def test_iso_map_applies_affinely(self):
-        iso = plane_to_kron_map()
+        iso = fold_map("plane")
         assert iso.apply((2, 1)) == (3, 1)
         assert iso.apply((0, 0)) == (0, 0)
 
     def test_broken_map_reports_witness(self):
-        good = halfplane_to_kron_map()
+        good = fold_map("halfplane")
         bad = graphs.IsoMap(matrix=((1, 0), (0, 1)), offset=(0, 0),
                             source=good.source, source_root=good.source_root,
                             target=good.target, target_root=good.target_root,
@@ -331,7 +373,7 @@ class TestIsomorphisms:
         assert rep.witness is not None
 
     def test_root_mismatch_is_caught(self):
-        good = plane_to_kron_map()
+        good = fold_map("plane")
         bad = graphs.IsoMap(matrix=good.matrix, offset=(1, 1),
                             source=good.source, source_root=good.source_root,
                             target=good.target, target_root=good.target_root,
@@ -339,15 +381,6 @@ class TestIsomorphisms:
         rep = verify_isomorphism(bad, 2)
         assert not rep.ok
         assert "root" in rep.detail
-
-
-class TestEdgeListExport:
-    def test_to_edge_list_roundtrip_text(self):
-        text = to_edge_list(path_graph(3))
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("# dim=1 root=")
-        assert "0 -- 1" in lines[1]
-        assert len(lines) == 3
 
 
 def test_random_graphs_survive_validation():

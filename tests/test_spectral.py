@@ -11,11 +11,9 @@ from latticewalks.spectral import (
     ClassicalConv,
     Discrete,
     MellinConv,
-    MomentSequence,
     NamedDensity,
     Semicircle,
     path_spectrum,
-    weak_equality_by_moments,
 )
 from latticewalks.walks import path_closed_walks
 
@@ -86,13 +84,12 @@ class TestConvolutions:
     def test_arcsine_fixed_point(self):
         # the additive and multiplicative squares of the arcsine law agree
         a = ArcSine()
-        assert weak_equality_by_moments(ClassicalConv(a, a),
-                                        MellinConv(a, a))
+        add, mul = ClassicalConv(a, a), MellinConv(a, a)
+        assert [add.moment(m) for m in range(31)] == [mul.moment(m) for m in range(31)]
 
     def test_semicircle_squares_differ(self):
         w = Semicircle()
         add, mul = ClassicalConv(w, w), MellinConv(w, w)
-        assert not weak_equality_by_moments(add, mul)
         assert add.moment(4) == 10 and mul.moment(4) == 4
 
     def test_named_density_moments(self):
@@ -238,34 +235,3 @@ class TestLatticeCorrespondence:
         d = ps.to_discrete()
         for m in range(1, 4 * n + 2, 2):
             assert ps.moment(m) == 0 and d.moment(m) == 0
-
-
-class TestComparisons:
-    def test_weak_equality_of_identical_laws(self):
-        assert weak_equality_by_moments(Semicircle(), Semicircle())
-
-    def test_weak_inequality_detected(self):
-        assert not weak_equality_by_moments(Semicircle(), ArcSine())
-
-    def test_tolerance_is_relative(self):
-        big = Discrete([(2.0, 0.5), (-2.0, 0.5)])
-        slightly_off = Discrete([(2.0 + 1e-12, 0.5), (-2.0 - 1e-12, 0.5)])
-        assert weak_equality_by_moments(big, slightly_off, m_max=20, tol=1e-8)
-        assert not weak_equality_by_moments(big, slightly_off, m_max=20, tol=1e-14)
-
-
-class TestMomentSequence:
-    def test_from_distribution(self):
-        ms = MomentSequence.from_distribution(Semicircle(), 8)
-        assert ms.even_moments == (1, 1, 2, 5, 14)
-
-    def test_requires_unit_mass(self):
-        with pytest.raises(ValueError):
-            MomentSequence((2.0, 1.0))
-
-    def test_hankel_condition_on_real_moments(self):
-        assert MomentSequence.from_distribution(NamedDensity("ww"), 12).hankel_2x2_ok()
-        assert MomentSequence.from_distribution(ArcSine(), 20).hankel_2x2_ok()
-
-    def test_hankel_condition_rejects_impossible_sequence(self):
-        assert not MomentSequence((1.0, 1.0, 0.5)).hankel_2x2_ok()
