@@ -9,6 +9,7 @@ parameters into the output header (CSV comment line or JSON "params").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -410,7 +411,11 @@ def _add_common(sub, *, fmt_default="csv", kind=False, mmax=False, n=False,
     sub.add_argument("--out", default=None, help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    later call: parsing leaves it unchanged, so callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="latticewalks",
         description="Exact closed-walk tables, spectral moments, and "

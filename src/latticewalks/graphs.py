@@ -5,7 +5,8 @@ coordinate tuples, so base graphs, Kronecker/Cartesian products, and
 restricted lattices all share one hash-friendly vertex representation.
 Infinite graphs are neighbor-function views and are never materialized:
 exact computation always goes through :func:`ball`, which cuts the finite
-induced subgraph of bounded graph distance around a root.
+induced subgraph of bounded graph distance around a root, or through
+:func:`orbit_ball`, its quotient by a symmetry that fixes the root.
 
 Conventions
 -----------
@@ -19,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import ResourceLimitError
@@ -164,6 +166,38 @@ class FiniteGraph:
         return f"FiniteGraph({label}, n={len(self)}, edges={self.edge_count()})"
 
 
+class Symmetry(NamedTuple):
+    """A group of graph automorphisms, given by its orbits.
+
+    ``canon(v)`` is the representative of the orbit of v, the same tuple
+    for v and every image of v; ``orbit_size(rep)`` is the number of
+    vertices in the orbit of a representative.
+    """
+
+    canon: Callable[[Coords], Coords]
+    orbit_size: Callable[[Coords], int]
+
+    def fixes(self, v) -> bool:
+        """Whether v is a tuple that every map of the group fixes."""
+        return (isinstance(v, tuple) and self.canon(v) == v
+                and self.orbit_size(v) == 1)
+
+
+def _signed_orbit_size(rep: Coords) -> int:
+    # d!/prod(mult!) arrangements of the absolute values, times a sign
+    # for each nonzero coordinate
+    size = factorial(len(rep))
+    for c in set(rep):
+        size //= factorial(rep.count(c))
+    return size << sum(1 for c in rep if c)
+
+
+#: Signed coordinate permutations: automorphisms of Z^d, and of the
+#: Kronecker and Cartesian powers of the line, that fix the origin.
+SIGNED_PERMUTATIONS = Symmetry(lambda v: tuple(sorted(map(abs, v))),
+                               _signed_orbit_size)
+
+
 @dataclass(frozen=True)
 class ImplicitGraph:
     """Locally finite graph given by a neighbor function on coordinate tuples.
@@ -172,13 +206,16 @@ class ImplicitGraph:
     ``v`` exactly when ``v`` is a neighbor of ``w``, and never ``v`` itself.
     :func:`ball` trusts this and does not re-check the adjacency it builds.
     ``contains_fn`` is optional; when present it lets callers validate
-    roots before expanding balls.
+    roots before expanding balls.  ``symmetry`` is optional too: a group
+    of automorphisms of the graph, trusted like ``neighbor_fn``, which
+    :func:`orbit_ball` quotients by.
     """
 
     dimension: int
     neighbor_fn: Callable[[Coords], Iterable[Coords]]
     name: str
     contains_fn: Callable[[Coords], bool] | None = None
+    symmetry: Symmetry | None = None
 
     def neighbors(self, v) -> tuple[Coords, ...]:
         return tuple(sorted(set(self.neighbor_fn(_as_coords(v)))))
@@ -360,15 +397,8 @@ def cartesian(g1: Graph, g2: Graph) -> Graph:
 # finite truncations and component structure
 
 
-def ball(g: Graph, root, radius: int,
-         budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteGraph:
-    """Induced subgraph on vertices within graph distance ``radius`` of root.
-
-    Expansion is breadth first with coordinate-sorted layers, so the vertex
-    order (and everything derived from it) is deterministic.  Raises
-    :class:`ResourceLimitError` when the expansion would exceed ``budget``
-    vertices; the budget is a correctness guard, never a silent truncation.
-    """
+def _ball_root(g: Graph, root, radius: int, budget: int) -> Coords:
+    # the checked root of a ball expansion
     r = _as_coords(root)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -378,6 +408,27 @@ def ball(g: Graph, root, radius: int,
         raise ValueError(f"root dimension {len(r)} != graph dimension {g.dimension}")
     if r not in g:
         raise ValueError(f"root {r} is not a vertex of {g.name or 'graph'}")
+    return r
+
+
+def _over_budget(radius: int, r: Coords, budget: int, d: int, added: int,
+                 kept: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"ball of radius {radius} around {r} exceeds vertex budget {budget}: "
+        f"layer {d + 1} would add {added} vertices to the "
+        f"{kept} kept through layer {d}")
+
+
+def ball(g: Graph, root, radius: int,
+         budget: int = DEFAULT_VERTEX_BUDGET) -> FiniteGraph:
+    """Induced subgraph on vertices within graph distance ``radius`` of root.
+
+    Expansion is breadth first with coordinate-sorted layers, so the vertex
+    order (and everything derived from it) is deterministic.  Raises
+    :class:`ResourceLimitError` when the expansion would exceed ``budget``
+    vertices; the budget is a correctness guard, never a silent truncation.
+    """
+    r = _ball_root(g, root, radius, budget)
 
     # Each vertex's neighbor set is computed once.  A vertex at depth d has
     # neighbors only at depths d-1, d, d+1, so a layer's coordinate rows
@@ -392,10 +443,7 @@ def ball(g: Graph, root, radius: int,
         rows = [set(nbrs(v)) for v in frontier]
         fresh = sorted({w for row in rows for w in row if w not in index})
         if len(order) + len(fresh) > budget:
-            raise ResourceLimitError(
-                f"ball of radius {radius} around {r} exceeds vertex budget {budget}: "
-                f"layer {d + 1} would add {len(fresh)} vertices to the "
-                f"{len(order)} kept through layer {d}")
+            raise _over_budget(radius, r, budget, d, len(fresh), len(order))
         index.update(zip(fresh, range(len(order), len(order) + len(fresh))))
         order.extend(fresh)
         depths.extend([d + 1] * len(fresh))
@@ -417,6 +465,54 @@ def ball(g: Graph, root, radius: int,
     return FiniteGraph._trusted(
         order, index, adj, 0, f"ball({g.name or 'graph'},r={radius})",
         ball_radius=radius, depths=depths, truncated=truncated)
+
+
+def orbit_ball(g: ImplicitGraph, root, radius: int,
+               budget: int = DEFAULT_VERTEX_BUDGET
+               ) -> tuple[list[list[int]], list[int], list[int]]:
+    """Quotient of ``ball(g, root, radius)`` by ``g.symmetry``, which must
+    fix the root: ``(rows, depths, sizes)`` over one representative per
+    orbit, in the breadth-first layers of :func:`ball`, sorted within each.
+
+    ``rows[i]`` lists ``canon(w)``'s index for every neighbor w of
+    representative i inside the ball, repeats included, so its length is
+    i's degree in the ball; ``sizes[i]`` is the orbit size.  The budget
+    counts the vertices the representatives stand for, so an expansion
+    fails at the same layer, with the same message, as :func:`ball`.
+    """
+    r = _ball_root(g, root, radius, budget)
+    sym = g.symmetry
+    if sym is None or not sym.fixes(r):
+        raise ValueError(f"root {r} is not fixed by a symmetry of {g.name or 'graph'}")
+    canon, orbit_size, nbrs = sym.canon, sym.orbit_size, g.neighbor_fn
+    index = {r: 0}
+    depths = [0]
+    sizes = [1]
+    kept = 1
+    rows: list[list[int]] = []
+    frontier = [r]
+    for d in range(radius):
+        layer = [[canon(w) for w in set(nbrs(v))] for v in frontier]
+        fresh = sorted({c for row in layer for c in row if c not in index})
+        fresh_sizes = [orbit_size(c) for c in fresh]
+        added = sum(fresh_sizes)
+        if kept + added > budget:
+            raise _over_budget(radius, r, budget, d, added, kept)
+        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+        depths.extend([d + 1] * len(fresh))
+        sizes.extend(fresh_sizes)
+        kept += added
+        rows.extend([index[c] for c in row] for row in layer)
+        frontier = fresh
+        if not frontier:
+            break
+
+    # outermost layer: neighbors beyond the radius are cut off
+    get = index.get
+    for v in frontier:
+        row = [get(canon(w)) for w in set(nbrs(v))]
+        rows.append([j for j in row if j is not None])
+    return rows, depths, sizes
 
 
 def _induced(verts: list[Coords], nbrs: Callable[[Coords], Iterable[Coords]],

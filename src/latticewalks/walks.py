@@ -15,6 +15,17 @@ the last odd count reads lie at depth <= R, where a walk of length R+1
 ends only if it never left the ball.  Identities are asserted with
 big-integer equality, never floating point.
 
+When the graph carries a symmetry (a group of automorphisms, such as the
+signed coordinate permutations of Z^d) that fixes o, u_h is constant on
+each orbit, so the products run on one representative per orbit:
+(B u)[r] sums u[canon(w)] over the neighbours w of r.  The half-step
+identity holds with orbit sizes as weights,
+
+    count[2h] = sum |orb| u_h^2,    count[2h+1] = sum |orb| u_h u_{h+1},
+
+and the vertex budget counts the vertices the representatives stand for,
+so it fails where the ball would.  Any other graph or root takes the ball.
+
 Closed forms use half-step indexing internally: a walk of even length
 m = 2h on a bipartite lattice decomposes into h up/down or in/out pairs,
 which is where central binomials and Catalan numbers enter.
@@ -23,14 +34,14 @@ which is where central binomials and Catalan numbers enter.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from math import comb
 from operator import mul
 from typing import Callable
 
 from . import graphs
-from .graphs import (DEFAULT_VERTEX_BUDGET, Coords, FiniteGraph, Graph, ball)
+from .graphs import DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph, ball
 
 
 def central_binomial(m: int) -> int:
@@ -74,14 +85,22 @@ def path_closed_walks(n: int, m: int) -> int:
 # ball-based counting
 
 
-def _diagonal_counts(b: FiniteGraph, steps: int) -> list[int]:
-    # (A^k)_{oo} for k = 0..steps on a ball b of radius >= steps // 2 around
-    # o, by the half-step identity of the module docstring; u and nxt are
-    # u_h and u_{h+1}, and each product scatters from the depth <= h prefix.
-    adj, depths = b.adjacency, b.depths
-    n = len(b)
+def _diagonal_counts(rows: list[list[int]], depths: list[int], steps: int,
+                     weights: list[int] | None = None) -> list[int]:
+    # (A^k)_{oo} for k = 0..steps by the (weighted) half-step identity of
+    # the module docstring, with o at index 0 and depths nondecreasing.
+    # rows[i] lists the indices that entry i scatters to: a ball's
+    # adjacency, or the transposed orbit rows.  u and nxt are u_h and
+    # u_{h+1}, and each product scatters from the depth <= h prefix.
+    if weights is None:
+        def dot(a, b, end):
+            return sum(map(mul, a[:end], b))
+    else:
+        def dot(a, b, end):
+            return sum(map(mul, map(mul, weights, a[:end]), b))
+    n = len(rows)
     u = [0] * n
-    u[b.root] = 1
+    u[0] = 1
     out = [1]
     h = 0
     while len(out) <= steps:
@@ -90,28 +109,21 @@ def _diagonal_counts(b: FiniteGraph, steps: int) -> list[int]:
         for i in range(end):
             ui = u[i]
             if ui:
-                for j in adj[i]:
+                for j in rows[i]:
                     nxt[j] += ui
-        out.append(sum(map(mul, u[:end], nxt)))
+        out.append(dot(u, nxt, end))
         h += 1
         if len(out) <= steps:
-            end = bisect_right(depths, h)
-            out.append(sum(map(mul, nxt[:end], nxt[:end])))
+            out.append(dot(nxt, nxt, bisect_right(depths, h)))
         u = nxt
     return out
 
 
 def walk_count(g: Graph, o, m: int,
                budget: int = DEFAULT_VERTEX_BUDGET) -> int:
-    """Number of closed walks of length m at vertex o, exactly.
-
-    A closed m-walk stays within graph distance floor(m/2) of o, so the
-    count is computed on that ball's induced subgraph.
-    """
-    if m < 0:
-        raise ValueError("walk length must be nonnegative")
-    b = ball(g, o, m // 2, budget)
-    return _diagonal_counts(b, m)[m]
+    """Number of closed walks of length m at vertex o, exactly: the last
+    entry of :func:`walk_table`."""
+    return walk_table(g, o, m, budget).counts[m]
 
 
 @dataclass(frozen=True)
@@ -134,11 +146,23 @@ class WalkTable:
 
 def walk_table(g: Graph, o, m_max: int,
                budget: int = DEFAULT_VERTEX_BUDGET) -> WalkTable:
-    """Walk counts for all lengths 0..m_max from a single ball expansion."""
+    """Walk counts for all lengths 0..m_max from a single ball expansion,
+    lumped to orbit representatives when ``g.symmetry`` fixes o."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    b = ball(g, o, m_max // 2, budget)
-    counts = _diagonal_counts(b, m_max)
+    sym = getattr(g, "symmetry", None)
+    if sym is not None and sym.fixes(o):
+        rows, depths, sizes = graphs.orbit_ball(g, o, m_max // 2, budget)
+        # the scatter loop needs, for each representative s, every r
+        # whose row names s
+        cols: list[list[int]] = [[] for _ in rows]
+        for r, row in enumerate(rows):
+            for s in row:
+                cols[s].append(r)
+        counts = _diagonal_counts(cols, depths, m_max, sizes)
+    else:
+        b = ball(g, o, m_max // 2, budget)
+        counts = _diagonal_counts(b.adjacency, b.depths, m_max)
     return WalkTable(g.name or "graph", tuple(o), tuple(counts))
 
 
@@ -211,11 +235,18 @@ def _chamber3(h: int) -> int:
                for k in range(h + 1))
 
 
+def _signed(g: Graph) -> Graph:
+    # g, marked invariant under signed coordinate permutations
+    return replace(g, symmetry=SIGNED_PERMUTATIONS)
+
+
 # Builders look graphs' constructors up at call time, so a wrapped
 # graphs.kronecker or graphs.cartesian sees every product they build.
+# The kinds built on Z, Z^2 and the Kronecker and Cartesian cubes of Z
+# carry their signed-permutation symmetry, which walk_table lumps by.
 _KINDS: dict[str, LatticeKind] = {lk.key: lk for lk in (
     LatticeKind("z", 1, (), "integer line at 0; binom(2h,h)",
-                lambda: (graphs.integer_line(), (0,)),
+                lambda: (_signed(graphs.integer_line()), (0,)),
                 central_binomial),
     LatticeKind("zplus", 1, (), "half line at 0; Catalan C_h",
                 lambda: (graphs.half_line(), (0,)),
@@ -224,7 +255,7 @@ _KINDS: dict[str, LatticeKind] = {lk.key: lk for lk in (
                 lambda: (graphs.half_line(), (1,)),
                 lambda h: catalan(h + 1)),
     LatticeKind("z2", 2, (), "square lattice at the origin; binom(2h,h)^2",
-                lambda: (graphs.restrict_lattice(graphs.full_plane()), (0, 0)),
+                lambda: (_signed(graphs.restrict_lattice(graphs.full_plane())), (0, 0)),
                 lambda h: comb(2 * h, h) ** 2),
     LatticeKind("halfplane", 2, (),
                 "half plane x>=y at the origin; C_h*binom(2h,h)",
@@ -254,12 +285,12 @@ _KINDS: dict[str, LatticeKind] = {lk.key: lk for lk in (
                 lambda h, k, l: path_closed_walks(k, 2 * h) * path_closed_walks(l, 2 * h)),
     LatticeKind("bcc3", 3, (),
                 "Kronecker cube of the line at the origin; binom(2h,h)^3",
-                lambda: (reduce(graphs.kronecker, [graphs.integer_line()] * 3),
+                lambda: (_signed(reduce(graphs.kronecker, [graphs.integer_line()] * 3)),
                          (0, 0, 0)),
                 lambda h: comb(2 * h, h) ** 3),
     LatticeKind("z3cartesian", 3, (), "cubic lattice at the origin; "
                 "sum_k binom(2h,2k) binom(2k,k)^2 binom(2h-2k,h-k)",
-                lambda: (reduce(graphs.cartesian, [graphs.integer_line()] * 3),
+                lambda: (_signed(reduce(graphs.cartesian, [graphs.integer_line()] * 3)),
                          (0, 0, 0)),
                 _z3cartesian),
     LatticeKind("chamber3", 3, (), "chamber x>=y>=z at the origin; "

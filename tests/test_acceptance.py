@@ -12,7 +12,6 @@ import math
 import random
 from math import comb
 
-import pytest
 from scipy.special import ellipe, ellipk
 
 from helpers import (

@@ -254,6 +254,25 @@ class TestParserContract:
         assert capsys.readouterr().out == ""
         assert "4,6,6,true" in target.read_text().splitlines()
 
+    def test_interleaved_commands_carry_nothing_over(self, capsys, tmp_path):
+        # one parser serves every main() call in a process, so no --out,
+        # --format or --kind may leak from one command into the next
+        target = tmp_path / "table.json"
+        first = ["walks", "--kind", "bcc3", "--mmax", "6", "--format", "json",
+                 "--out", str(target)]
+        second = ["components", "--n", "3", "--k", "4"]
+        assert run(capsys, *first) == (0, "", "")
+        written = target.read_bytes()
+        target.unlink()
+        code, out, _ = run(capsys, *second)
+        assert code == 0 and not target.exists()
+        assert out.splitlines()[0] == ("# params: command=components kind=kron "
+                                       "n=3 k=4 radius_budget=5000000 format=csv")
+        assert run(capsys, *first) == (0, "", "")
+        assert target.read_bytes() == written
+        assert json.loads(written)["params"]["kind"] == "bcc3"
+        assert run(capsys, *second) == (0, out, "")
+
 
 # SHA-256 of commands whose output holds only integers and fixed text (no
 # libm floats), so the digests are portable: these bytes are a contract.
@@ -404,3 +423,15 @@ def test_import_does_not_load_numpy():
                             capture_output=True, text=True, timeout=60,
                             check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_import_builds_no_parser():
+    # the parser is built on the first main() call, not at import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import latticewalks.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60,
+                            check=True)
+    assert result.stdout.strip() == "0"

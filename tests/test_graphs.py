@@ -1,6 +1,10 @@
+import itertools
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import as_implicit, naive_ball, random_graph
 from latticewalks import graphs, walks
@@ -20,6 +24,7 @@ from latticewalks.graphs import (
     half_plane,
     induced_subgraph,
     integer_line,
+    orbit_ball,
     kronecker,
     path_graph,
     quarter_plane,
@@ -309,6 +314,71 @@ class TestBallOracle:
                 root = (0,) * g.dimension
                 for radius in range(5):
                     _assert_ball_matches_oracle(g, root, radius)
+
+
+_SYMMETRIC = ("z", "z2", "bcc3", "z3cartesian")
+
+
+@cache
+def _ball_vertices(kind: str) -> list:
+    g, o = walks.build_lattice(kind)
+    return ball(g, o, 6).vertices
+
+
+def _signed_image(perm, signs, v) -> tuple:
+    return tuple(s * v[p] for s, p in zip(signs, perm))
+
+
+def _signed_images(v) -> set:
+    # v under every signed coordinate permutation, enumerated
+    d = len(v)
+    return {_signed_image(perm, signs, v)
+            for perm in itertools.permutations(range(d))
+            for signs in itertools.product((-1, 1), repeat=d)}
+
+
+class TestOrbitBall:
+    @pytest.mark.parametrize("kind", _SYMMETRIC)
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_signed_permutations_are_automorphisms(self, kind, data):
+        g, _ = walks.build_lattice(kind)
+        d = g.dimension
+        v = data.draw(st.sampled_from(_ball_vertices(kind)))
+        perm = data.draw(st.permutations(range(d)))
+        signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=d, max_size=d))
+
+        def sigma(w):
+            return _signed_image(perm, signs, w)
+
+        assert set(g.neighbors(sigma(v))) == {sigma(w) for w in g.neighbors(v)}
+        canon, orbit_size = g.symmetry.canon, g.symmetry.orbit_size
+        assert canon(sigma(v)) == canon(v)
+        assert orbit_size(canon(v)) == len(_signed_images(v))
+
+    @pytest.mark.parametrize("kind", _SYMMETRIC)
+    def test_quotient_of_the_naive_ball(self, kind):
+        g, o = walks.build_lattice(kind)
+        canon = g.symmetry.canon
+        for radius in range(7):
+            vertices, depths, adjacency, _ = naive_ball(g, o, radius)
+            depth = dict(zip(vertices, depths))
+            reps = sorted({canon(v) for v in vertices}, key=lambda c: (depth[c], c))
+            index = {c: i for i, c in enumerate(reps)}
+            rows, rep_depths, sizes = orbit_ball(g, o, radius)
+            assert rep_depths == [depth[c] for c in reps]
+            assert sizes == [sum(canon(v) == c for v in vertices) for c in reps]
+            assert [sorted(row) for row in rows] == [
+                sorted(index[canon(vertices[j])] for j in adjacency[vertices.index(c)])
+                for c in reps]
+
+    def test_root_must_be_fixed(self):
+        g, _ = walks.build_lattice("z2")
+        for root in ((1, 0), (0, 1)):
+            with pytest.raises(ValueError, match="not fixed"):
+                orbit_ball(g, root, 3)
+        with pytest.raises(ValueError, match="not fixed"):
+            orbit_ball(restrict_lattice(full_plane()), (0, 0), 3)
 
 
 class TestComponentsAndSubgraphs:

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from helpers import int_matrix_power_diag, path_adjacency
-from latticewalks.errors import NumericalError
 from latticewalks.spectral import (
     ArcSine,
     ClassicalConv,

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from math import comb
 
@@ -15,10 +16,10 @@ from helpers import (
     random_graph,
     vector_walk_counts,
 )
-from latticewalks import graphs, walks
+from latticewalks import graphs
+from latticewalks.cli import CAP_3D, CAP_12D
 from latticewalks.errors import ResourceLimitError
 from latticewalks.walks import (
-    WalkTable,
     build_lattice,
     cartesian_walk_convolution,
     catalan,
@@ -193,6 +194,59 @@ class TestWalkCountProperties:
         g, o = build_lattice("z3cartesian")
         t = walk_table(g, o, 8)
         assert all(isinstance(c, int) and c >= 0 for c in t.counts)
+
+
+_SYMMETRIC = ("z", "z2", "bcc3", "z3cartesian")
+
+
+class TestOrbitLumping:
+    """walk_table iterates on orbit representatives when the graph's
+    symmetry fixes the root; the ball path is the oracle."""
+
+    def test_only_the_signed_permutation_kinds_carry_a_symmetry(self):
+        params = {"strip": {"n": 3}, "diamond": {"k": 3, "l": 4}}
+        for kind in lattice_walk_kinds():
+            g, _ = build_lattice(kind, **params.get(kind, {}))
+            expected = graphs.SIGNED_PERMUTATIONS if kind in _SYMMETRIC else None
+            assert getattr(g, "symmetry", None) is expected
+
+    @pytest.mark.parametrize("kind", _SYMMETRIC)
+    def test_lumped_equals_ball_path_up_to_the_cap(self, kind):
+        g, o = build_lattice(kind)
+        plain = dataclasses.replace(g, symmetry=None)
+        cap = CAP_3D if lattice_kind(kind).dimension == 3 else CAP_12D
+        for m in range(cap + 1):
+            lumped = walk_table(g, o, m)
+            assert lumped == walk_table(plain, o, m)
+            assert lumped.counts[m] == closed_form_walks(kind, m)
+
+    @pytest.mark.parametrize("kind,root,lumped", [
+        ("z2", (1, 0), False), ("z2", (2, 1), False), ("z2", (0, 1), False),
+        ("z", (3,), False), ("z", (0,), True), ("z2", (0, 0), True),
+        ("bcc3", (0, 0, 0), True), ("z3cartesian", (1, 0, 0), False),
+    ])
+    def test_only_a_fixed_root_is_lumped(self, monkeypatch, kind, root, lumped):
+        expansions = []
+
+        def spy(g, o, *args):
+            expansions.append(o)
+            return graphs.ball(g, o, *args)
+
+        monkeypatch.setattr("latticewalks.walks.ball", spy)
+        g, _ = build_lattice(kind)
+        counts = walk_table(g, root, 10).counts
+        assert expansions == ([] if lumped else [root])
+        assert list(counts) == [dp_closed_walks(g, root, m) for m in range(11)]
+
+    @pytest.mark.parametrize("budget", [4, 10])
+    def test_budget_errors_match_the_ball_path(self, budget):
+        g, o = build_lattice("z2")
+        messages = []
+        for graph in (g, dataclasses.replace(g, symmetry=None)):
+            with pytest.raises(ResourceLimitError) as info:
+                walk_table(graph, o, 12, budget)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 @st.composite
