@@ -99,12 +99,13 @@ def _run_walks(args) -> tuple[str, int]:
         ball_count = table.counts[m]
         closed = walks.closed_form_walks(args.kind, m, n=args.n, k=args.k, l=args.l)
         rows.append((m, ball_count, closed, ball_count == closed))
+    code = 0 if all(ok for *_, ok in rows) else 1
     if args.format == "json":
         body = {"rows": [{"m": m, "ball_count": bc, "closed_form": cf, "match": ok}
                          for m, bc, cf, ok in rows]}
-        return _json_doc(params, body), 0
+        return _json_doc(params, body), code
     lines = [f"{m},{bc},{cf},{_fmt(ok)}" for m, bc, cf, ok in rows]
-    return _csv(params, "m,ball_count,closed_form,match", lines), 0
+    return _csv(params, "m,ball_count,closed_form,match", lines), code
 
 
 _MOMENT_KINDS = ("arcsine", "semicircle", "aa", "wa", "ww",

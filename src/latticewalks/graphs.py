@@ -171,7 +171,9 @@ class Symmetry(NamedTuple):
 
     ``canon(v)`` is the representative of the orbit of v, the same tuple
     for v and every image of v; ``orbit_size(rep)`` is the number of
-    vertices in the orbit of a representative.
+    vertices in the orbit of a representative.  Two kinds are built
+    here: :data:`SIGNED_PERMUTATIONS`, and :func:`reflection` for the
+    group of order 2 that one mirror generates.
     """
 
     canon: Callable[[Coords], Coords]
@@ -198,6 +200,17 @@ SIGNED_PERMUTATIONS = Symmetry(lambda v: tuple(sorted(map(abs, v))),
                                _signed_orbit_size)
 
 
+def reflection(sigma: Callable[[Coords], Coords]) -> Symmetry:
+    """The group {1, sigma} of an involutive automorphism sigma: an orbit
+    is {v, sigma(v)}, represented by its smaller tuple."""
+
+    def canon(v: Coords) -> Coords:
+        w = sigma(v)
+        return w if w < v else v
+
+    return Symmetry(canon, lambda rep: 1 if sigma(rep) == rep else 2)
+
+
 @dataclass(frozen=True)
 class ImplicitGraph:
     """Locally finite graph given by a neighbor function on coordinate tuples.
@@ -208,7 +221,11 @@ class ImplicitGraph:
     ``contains_fn`` is optional; when present it lets callers validate
     roots before expanding balls.  ``symmetry`` is optional too: a group
     of automorphisms of the graph, trusted like ``neighbor_fn``, which
-    :func:`orbit_ball` quotients by.
+    :func:`orbit_ball` quotients by.  The named lattices of
+    :mod:`latticewalks.walks` set it: signed coordinate permutations on
+    Z, Z^2 and the Kronecker and Cartesian cubes of Z, and a mirror
+    through the root on the half plane, wedge, strip, quarter plane and
+    chamber and their product forms.
     """
 
     dimension: int

@@ -15,16 +15,26 @@ the last odd count reads lie at depth <= R, where a walk of length R+1
 ends only if it never left the ball.  Identities are asserted with
 big-integer equality, never floating point.
 
-When the graph carries a symmetry (a group of automorphisms, such as the
-signed coordinate permutations of Z^d) that fixes o, u_h is constant on
-each orbit, so the products run on one representative per orbit:
-(B u)[r] sums u[canon(w)] over the neighbours w of r.  The half-step
-identity holds with orbit sizes as weights,
+When the graph carries a symmetry (a group of automorphisms) that fixes
+o, u_h is constant on each orbit, so the products run on one
+representative per orbit: (B u)[r] sums u[canon(w)] over the neighbours
+w of r.  The half-step identity holds with orbit sizes as weights,
 
     count[2h] = sum |orb| u_h^2,    count[2h+1] = sum |orb| u_h u_{h+1},
 
 and the vertex budget counts the vertices the representatives stand for,
-so it fails where the ball would.  Any other graph or root takes the ball.
+so it fails where the ball would.  Eleven named kinds carry one: z, z2,
+bcc3 and z3cartesian the signed coordinate permutations, and seven a
+mirror through the corner root,
+
+    halfplane, strip       (x, y) -> (-y, -x)
+    wedge                  (x, y) -> (x, -y)
+    quarterplane, zxzplus  (x, y) -> (y, x)
+    chamber3               (x, y, z) -> (-z, -y, -x)
+    kkc3                   (a, b, c) -> (b, a, c)
+
+Any other graph or root takes the ball: zplus and zplus-at-1 have no
+mirror that fixes the root, and the diamond is finite and small.
 
 Closed forms use half-step indexing internally: a walk of even length
 m = 2h on a bipartite lattice decomposes into h up/down or in/out pairs,
@@ -41,7 +51,8 @@ from operator import mul
 from typing import Callable
 
 from . import graphs
-from .graphs import DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph, ball
+from .graphs import (DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph,
+                     ball, reflection)
 
 
 def central_binomial(m: int) -> int:
@@ -62,12 +73,20 @@ def path_closed_walks(n: int, m: int) -> int:
     """Closed m-walks at the first vertex of the n-vertex path, exactly.
 
     By the reflection principle for walks confined between two absorbing
-    barriers n+1 apart, the count for m = 2h is
+    barriers p = n+1 apart, the count for m = 2h is
 
-        sum_j [binom(m, h + j(n+1)) - binom(m, h + j(n+1) - 1)],
+        sum_j [B(h + jp) - B(h + jp - 1)],    B = binom(m, .).
 
-    O(m/(n+1)) binomials.  This is deliberately independent of the ball
-    machinery so it can serve as the 1-D factor in product closed forms.
+    B is symmetric about h, so the terms j and -j pair up:
+
+        B(h) - B(h-1) + sum_{k = h+p, h+2p, ...} [2B(k) - B(k-1) - B(k+1)],
+
+    and B(k-1), B(k+1) are B(k) times k/(m-k+1) and (m-k)/(k+1), so a
+    pair costs one binomial: B(k) (m + 2 - (2k-m)^2) / ((k+1)(m-k+1)),
+    an exact division.  The first term is the Catalan number C_h, and
+    k = m+1 contributes -B(m) = -1.  This is deliberately independent of
+    the ball machinery so it can serve as the 1-D factor in product
+    closed forms.
     """
     if n < 1:
         raise ValueError("path needs at least one vertex")
@@ -76,9 +95,12 @@ def path_closed_walks(n: int, m: int) -> int:
     if m % 2:
         return 0
     h, p = m // 2, n + 1
-    # binom(m, k) with k congruent to h, minus those with k congruent to h-1
-    return (sum(comb(m, k) for k in range(h % p, m + 1, p))
-            - sum(comb(m, k) for k in range((h - 1) % p, m + 1, p)))
+    total = catalan(h)
+    for k in range(h + p, m + 1, p):
+        total += comb(m, k) * (m + 2 - (2 * k - m) ** 2) // ((k + 1) * (m - k + 1))
+    if (h + 1) % p == 0:
+        total -= 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +262,28 @@ def _signed(g: Graph) -> Graph:
     return replace(g, symmetry=SIGNED_PERMUTATIONS)
 
 
+def _mirrored(g: Graph, sigma: Callable[[Coords], Coords]) -> Graph:
+    # g, marked invariant under the involutive automorphism sigma
+    return replace(g, symmetry=reflection(sigma))
+
+
+def _swap(v: Coords) -> Coords:
+    # the mirror x = y of the quarter plane
+    return v[1], v[0]
+
+
+def _antidiagonal(v: Coords) -> Coords:
+    # the mirror x = -y of the half plane and the diagonal strip
+    return -v[1], -v[0]
+
+
 # Builders look graphs' constructors up at call time, so a wrapped
 # graphs.kronecker or graphs.cartesian sees every product they build.
 # The kinds built on Z, Z^2 and the Kronecker and Cartesian cubes of Z
-# carry their signed-permutation symmetry, which walk_table lumps by.
+# carry their signed-permutation symmetry, and the other restricted kinds
+# but the half line and the diamond a mirror that fixes the root;
+# walk_table lumps by either.  Under the fold a mirror reflects one
+# Kronecker factor or swaps two equal ones.
 _KINDS: dict[str, LatticeKind] = {lk.key: lk for lk in (
     LatticeKind("z", 1, (), "integer line at 0; binom(2h,h)",
                 lambda: (_signed(graphs.integer_line()), (0,)),
@@ -259,26 +299,31 @@ _KINDS: dict[str, LatticeKind] = {lk.key: lk for lk in (
                 lambda h: comb(2 * h, h) ** 2),
     LatticeKind("halfplane", 2, (),
                 "half plane x>=y at the origin; C_h*binom(2h,h)",
-                lambda: (graphs.restrict_lattice(graphs.half_plane()), (0, 0)),
+                lambda: (_mirrored(graphs.restrict_lattice(graphs.half_plane()),
+                                   _antidiagonal), (0, 0)),
                 lambda h: catalan(h) * comb(2 * h, h)),
     LatticeKind("wedge", 2, (), "wedge x>=y>=-x at the origin; C_h^2",
-                lambda: (graphs.restrict_lattice(graphs.wedge()), (0, 0)),
+                lambda: (_mirrored(graphs.restrict_lattice(graphs.wedge()),
+                                   lambda v: (v[0], -v[1])), (0, 0)),
                 lambda h: catalan(h) ** 2),
     LatticeKind("quarterplane", 2, (),
                 "quarter plane at the corner; sum_k binom(2h,2k) C_k C_{h-k}",
-                lambda: (graphs.restrict_lattice(graphs.quarter_plane()), (0, 0)),
+                lambda: (_mirrored(graphs.restrict_lattice(graphs.quarter_plane()),
+                                   _swap), (0, 0)),
                 _quarterplane),
     # the quarter plane again, built as a Cartesian product of two
     # half-lines; its closed form is the product form of the same count
     LatticeKind("zxzplus", 2, (),
                 "corner-rooted product of two half-lines (the quarter plane); "
                 "product form C_h*C_{h+1}",
-                lambda: (graphs.cartesian(graphs.half_line(), graphs.half_line()),
+                lambda: (_mirrored(graphs.cartesian(graphs.half_line(),
+                                                    graphs.half_line()), _swap),
                          (0, 0)),
                 lambda h: catalan(h) * catalan(h + 1)),
     LatticeKind("strip", 2, ("n",),
                 "diagonal strip of width n; binom(2h,h)*walks(P_n)",
-                lambda n: (graphs.restrict_lattice(graphs.strip(n)), (0, 0)),
+                lambda n: (_mirrored(graphs.restrict_lattice(graphs.strip(n)),
+                                     _antidiagonal), (0, 0)),
                 lambda h, n: comb(2 * h, h) * path_closed_walks(n, 2 * h)),
     LatticeKind("diamond", 2, ("k", "l"), "finite diamond; walks(P_k)*walks(P_l)",
                 lambda k, l: (graphs.restrict_lattice(graphs.diamond(k, l)), (0, 0)),
@@ -295,13 +340,14 @@ _KINDS: dict[str, LatticeKind] = {lk.key: lk for lk in (
                 _z3cartesian),
     LatticeKind("chamber3", 3, (), "chamber x>=y>=z at the origin; "
                 "sum_k binom(2h,2k) C_k^2 C_{h-k}",
-                lambda: (graphs.restrict_lattice(graphs.chamber3()), (0, 0, 0)),
+                lambda: (_mirrored(graphs.restrict_lattice(graphs.chamber3()),
+                                   lambda v: (-v[2], -v[1], -v[0])), (0, 0, 0)),
                 _chamber3),
     LatticeKind("kkc3", 3, (), "Cartesian product of a Kronecker square of "
                 "half-lines with a half-line, at the origin; same sum as chamber3",
-                lambda: (graphs.cartesian(graphs.kronecker(graphs.half_line(),
-                                                           graphs.half_line()),
-                                          graphs.half_line()), (0, 0, 0)),
+                lambda: (_mirrored(graphs.cartesian(
+                    graphs.kronecker(graphs.half_line(), graphs.half_line()),
+                    graphs.half_line()), lambda v: (v[1], v[0], v[2])), (0, 0, 0)),
                 _chamber3),
 )}
 

@@ -7,7 +7,9 @@ cross-checks the production pipeline rather than re-running it.
 and `vector_walk_counts` iterates the full adjacency one step at a time;
 `path_walk_counts` does the same for the tridiagonal path adjacency.
 `as_implicit` hides a finite graph behind its public methods, so products
-of it take the lazy path.
+of it take the lazy path.  `SIGNED_KINDS`, `MIRRORS` and `LUMPED` name the
+lattice kinds whose graphs carry a symmetry, with each mirror written out
+here rather than taken from the builders.
 """
 
 from __future__ import annotations
@@ -137,3 +139,28 @@ def random_connected_graph(rng: random.Random, n_min: int = 2,
             edges.add(((min(i, j),), (max(i, j),)))
     return FiniteGraph.from_edges([(i,) for i in range(n)], sorted(edges),
                                   root=(0,))
+
+
+#: Kinds invariant under signed coordinate permutations.
+SIGNED_KINDS = ("z", "z2", "bcc3", "z3cartesian")
+
+#: The involutive automorphism that fixes the root of each mirrored kind.
+MIRRORS = {
+    "halfplane": lambda v: (-v[1], -v[0]),
+    "wedge": lambda v: (v[0], -v[1]),
+    "quarterplane": lambda v: (v[1], v[0]),
+    "zxzplus": lambda v: (v[1], v[0]),
+    "strip": lambda v: (-v[1], -v[0]),
+    "chamber3": lambda v: (-v[2], -v[1], -v[0]),
+    "kkc3": lambda v: (v[1], v[0], v[2]),
+}
+
+#: (kind, build parameters) of every kind that walk_table lumps, the
+#: strip at two widths.
+LUMPED = [(kind, params) for kind in (*SIGNED_KINDS, *MIRRORS)
+          for params in ([{"n": 3}, {"n": 7}] if kind == "strip" else [{}])]
+
+
+def kind_id(kind: str, params: dict) -> str:
+    """A test id for a kind and its build parameters, e.g. ``strip-n3``."""
+    return kind + "".join(f"-{a}{v}" for a, v in params.items())

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from latticewalks import walks
 from latticewalks.cli import main
 
 
@@ -72,6 +73,19 @@ class TestWalksCommand:
         code, _, err = run(capsys, "walks", "--kind", "strip", "--mmax", "4")
         assert code == 1
         assert "requires parameter n" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mismatch_exits_one(self, capsys, monkeypatch, fmt):
+        closed = walks.closed_form_walks
+        monkeypatch.setattr(walks, "closed_form_walks",
+                            lambda kind, m, **params: closed(kind, m, **params) + 1)
+        code, out, _ = run(capsys, "walks", "--kind", "wedge", "--mmax", "4",
+                           "--format", fmt)
+        assert code == 1
+        if fmt == "csv":
+            assert "4,4,5,false" in out.splitlines()
+        else:
+            assert json.loads(out)["rows"][4]["match"] is False
 
 
 class TestBudgetPlumbing:

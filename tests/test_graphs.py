@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import as_implicit, naive_ball, random_graph
+from helpers import (
+    LUMPED,
+    MIRRORS,
+    SIGNED_KINDS,
+    as_implicit,
+    kind_id,
+    naive_ball,
+    random_graph,
+)
 from latticewalks import graphs, walks
 from latticewalks.errors import ResourceLimitError
 from latticewalks.graphs import (
@@ -288,8 +296,7 @@ def _assert_ball_matches_oracle(g, root, radius):
 
 class TestBallOracle:
     @pytest.mark.parametrize("kind,params", _NAMED,
-                             ids=[k + "".join(f"-{a}{v}" for a, v in p.items())
-                                  for k, p in _NAMED])
+                             ids=[kind_id(*kp) for kp in _NAMED])
     def test_named_kinds(self, kind, params):
         g, o = walks.build_lattice(kind, **params)
         for radius in range(7):
@@ -316,12 +323,12 @@ class TestBallOracle:
                     _assert_ball_matches_oracle(g, root, radius)
 
 
-_SYMMETRIC = ("z", "z2", "bcc3", "z3cartesian")
+_MIRRORED = [(kind, params) for kind, params in LUMPED if kind in MIRRORS]
 
 
 @cache
-def _ball_vertices(kind: str) -> list:
-    g, o = walks.build_lattice(kind)
+def _ball_vertices(kind: str, params: tuple = ()) -> list:
+    g, o = walks.build_lattice(kind, **dict(params))
     return ball(g, o, 6).vertices
 
 
@@ -338,7 +345,7 @@ def _signed_images(v) -> set:
 
 
 class TestOrbitBall:
-    @pytest.mark.parametrize("kind", _SYMMETRIC)
+    @pytest.mark.parametrize("kind", SIGNED_KINDS)
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
     def test_signed_permutations_are_automorphisms(self, kind, data):
@@ -356,9 +363,26 @@ class TestOrbitBall:
         assert canon(sigma(v)) == canon(v)
         assert orbit_size(canon(v)) == len(_signed_images(v))
 
-    @pytest.mark.parametrize("kind", _SYMMETRIC)
-    def test_quotient_of_the_naive_ball(self, kind):
-        g, o = walks.build_lattice(kind)
+    @pytest.mark.parametrize("kind,params", _MIRRORED,
+                             ids=[kind_id(*kp) for kp in _MIRRORED])
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_mirrors_are_involutive_automorphisms(self, kind, params, data):
+        g, _ = walks.build_lattice(kind, **params)
+        sigma = MIRRORS[kind]
+        v = data.draw(st.sampled_from(_ball_vertices(kind, tuple(params.items()))))
+        assert sigma(sigma(v)) == v
+        assert sigma(v) in g
+        assert set(g.neighbors(sigma(v))) == {sigma(w) for w in g.neighbors(v)}
+        canon, orbit_size = g.symmetry.canon, g.symmetry.orbit_size
+        assert canon(v) in (v, sigma(v))
+        assert canon(sigma(v)) == canon(v)
+        assert orbit_size(canon(v)) == len({v, sigma(v)})
+
+    @pytest.mark.parametrize("kind,params", LUMPED,
+                             ids=[kind_id(*kp) for kp in LUMPED])
+    def test_quotient_of_the_naive_ball(self, kind, params):
+        g, o = walks.build_lattice(kind, **params)
         canon = g.symmetry.canon
         for radius in range(7):
             vertices, depths, adjacency, _ = naive_ball(g, o, radius)
@@ -373,8 +397,9 @@ class TestOrbitBall:
                 for c in reps]
 
     def test_root_must_be_fixed(self):
-        g, _ = walks.build_lattice("z2")
-        for root in ((1, 0), (0, 1)):
+        for kind, root in (("z2", (1, 0)), ("z2", (0, 1)), ("halfplane", (1, 0)),
+                           ("chamber3", (1, 0, 0))):
+            g, _ = walks.build_lattice(kind)
             with pytest.raises(ValueError, match="not fixed"):
                 orbit_ball(g, root, 3)
         with pytest.raises(ValueError, match="not fixed"):

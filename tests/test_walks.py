@@ -7,9 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    LUMPED,
+    MIRRORS,
+    SIGNED_KINDS,
     as_implicit,
     dp_closed_walks,
     int_matrix_power_diag,
+    kind_id,
     path_adjacency,
     path_walk_counts,
     random_connected_graph,
@@ -63,9 +67,10 @@ class TestPathClosedWalks:
                 assert path_closed_walks(n, m) == int_matrix_power_diag(adj, 0, m)
 
     def test_reflection_formula_matches_iteration(self):
-        for n in range(1, 31):
-            assert [path_closed_walks(n, m) for m in range(201)] == \
-                path_walk_counts(n, 200)
+        # m up to 400 puts the boundary pair k = m + 1 in range for every n
+        for n in range(1, 41):
+            assert [path_closed_walks(n, m) for m in range(401)] == \
+                path_walk_counts(n, 400)
 
     def test_four_vertex_path_is_odd_fibonacci(self):
         # endpoint return counts on the 4-path: 1, 1, 2, 5, 13, 34, 89
@@ -196,34 +201,50 @@ class TestWalkCountProperties:
         assert all(isinstance(c, int) and c >= 0 for c in t.counts)
 
 
-_SYMMETRIC = ("z", "z2", "bcc3", "z3cartesian")
-
-
 class TestOrbitLumping:
     """walk_table iterates on orbit representatives when the graph's
     symmetry fixes the root; the ball path is the oracle."""
 
-    def test_only_the_signed_permutation_kinds_carry_a_symmetry(self):
-        params = {"strip": {"n": 3}, "diamond": {"k": 3, "l": 4}}
+    def test_exactly_the_lumped_kinds_carry_a_symmetry(self):
+        params = {"strip": {"n": 3}, "diamond": {"k": 3, "l": 3}}
+        lumped = []
         for kind in lattice_walk_kinds():
-            g, _ = build_lattice(kind, **params.get(kind, {}))
-            expected = graphs.SIGNED_PERMUTATIONS if kind in _SYMMETRIC else None
-            assert getattr(g, "symmetry", None) is expected
+            g, o = build_lattice(kind, **params.get(kind, {}))
+            sym = getattr(g, "symmetry", None)
+            if kind in SIGNED_KINDS:
+                assert sym is graphs.SIGNED_PERMUTATIONS
+            elif kind in MIRRORS:
+                sigma = MIRRORS[kind]
+                vertices = graphs.ball(g, o, 4).vertices
+                assert [sym.canon(v) for v in vertices] == \
+                    [min(v, sigma(v)) for v in vertices]
+            else:
+                assert sym is None
+            if sym is not None:
+                lumped.append(kind)
+        assert len(lumped) == 11
 
-    @pytest.mark.parametrize("kind", _SYMMETRIC)
-    def test_lumped_equals_ball_path_up_to_the_cap(self, kind):
-        g, o = build_lattice(kind)
+    @pytest.mark.parametrize("kind,params", LUMPED,
+                             ids=[kind_id(*kp) for kp in LUMPED])
+    def test_lumped_equals_ball_path_up_to_the_cap(self, kind, params):
+        g, o = build_lattice(kind, **params)
         plain = dataclasses.replace(g, symmetry=None)
         cap = CAP_3D if lattice_kind(kind).dimension == 3 else CAP_12D
         for m in range(cap + 1):
             lumped = walk_table(g, o, m)
             assert lumped == walk_table(plain, o, m)
-            assert lumped.counts[m] == closed_form_walks(kind, m)
+            assert lumped.counts[m] == closed_form_walks(kind, m, **params)
 
     @pytest.mark.parametrize("kind,root,lumped", [
         ("z2", (1, 0), False), ("z2", (2, 1), False), ("z2", (0, 1), False),
         ("z", (3,), False), ("z", (0,), True), ("z2", (0, 0), True),
         ("bcc3", (0, 0, 0), True), ("z3cartesian", (1, 0, 0), False),
+        # on a mirror line (the strip at width 3)
+        ("halfplane", (1, -1), True), ("wedge", (2, 0), True),
+        ("strip", (1, -1), True),
+        # off it
+        ("chamber3", (1, 0, 0), False), ("kkc3", (1, 0, 0), False),
+        ("halfplane", (1, 0), False),
     ])
     def test_only_a_fixed_root_is_lumped(self, monkeypatch, kind, root, lumped):
         expansions = []
@@ -233,20 +254,21 @@ class TestOrbitLumping:
             return graphs.ball(g, o, *args)
 
         monkeypatch.setattr("latticewalks.walks.ball", spy)
-        g, _ = build_lattice(kind)
+        g, _ = build_lattice(kind, **({"n": 3} if kind == "strip" else {}))
         counts = walk_table(g, root, 10).counts
         assert expansions == ([] if lumped else [root])
         assert list(counts) == [dp_closed_walks(g, root, m) for m in range(11)]
 
     @pytest.mark.parametrize("budget", [4, 10])
     def test_budget_errors_match_the_ball_path(self, budget):
-        g, o = build_lattice("z2")
-        messages = []
-        for graph in (g, dataclasses.replace(g, symmetry=None)):
-            with pytest.raises(ResourceLimitError) as info:
-                walk_table(graph, o, 12, budget)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+        for kind in ("z2", "chamber3"):
+            g, o = build_lattice(kind)
+            messages = []
+            for graph in (g, dataclasses.replace(g, symmetry=None)):
+                with pytest.raises(ResourceLimitError) as info:
+                    walk_table(graph, o, 12, budget)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
 
 
 @st.composite
