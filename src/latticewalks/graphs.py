@@ -356,13 +356,15 @@ def restrict_lattice(domain: LatticeDomain) -> ImplicitGraph:
     Edges move +-1 in exactly one coordinate and stay inside the domain.
     """
     d = domain.dimension
+    inside = domain.predicate
 
     def nbrs(v: Coords) -> list[Coords]:
         out = []
         for i in range(d):
-            for s in (-1, 1):
-                w = v[:i] + (v[i] + s,) + v[i + 1:]
-                if domain.predicate(w):
+            head, x, tail = v[:i], v[i], v[i + 1:]
+            for y in (x - 1, x + 1):
+                w = head + (y,) + tail
+                if inside(w):
                     out.append(w)
         return out
 

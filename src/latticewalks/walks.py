@@ -15,6 +15,17 @@ the last odd count reads lie at depth <= R, where a walk of length R+1
 ends only if it never left the ball.  Identities are asserted with
 big-integer equality, never floating point.
 
+Every named lattice is bipartite, and so is any ball in which no edge
+links two vertices of equal depth: its even and its odd layers are the
+colour classes, and u_h lives on the class of h's parity.  One scan of
+the ball's rows tells which case holds.  Then each class gets its own
+index space, in layer order; a product scatters from u_h on one class
+into u_{h+1} on the other, count[2h] sums over one class, and
+count[2h+1] is exactly 0, since u_h and u_{h+1} have disjoint supports.
+A ball with an edge inside a layer (it closes an odd cycle) runs the
+same loop with one class holding every vertex, and its odd counts are
+the dot products above.
+
 When the graph carries a symmetry (a group of automorphisms) that fixes
 o, u_h is constant on each orbit, so the products run on one
 representative per orbit: (B u)[r] sums u[canon(w)] over the neighbours
@@ -23,9 +34,10 @@ w of r.  The half-step identity holds with orbit sizes as weights,
     count[2h] = sum |orb| u_h^2,    count[2h+1] = sum |orb| u_h u_{h+1},
 
 and the vertex budget counts the vertices the representatives stand for,
-so it fails where the ball would.  Eleven named kinds carry one: z, z2,
-bcc3 and z3cartesian the signed coordinate permutations, and seven a
-mirror through the corner root,
+so it fails where the ball would.  An automorphism that fixes o keeps
+depth, so the parity classes split the representatives the same way.
+Eleven named kinds carry one: z, z2, bcc3 and z3cartesian the signed
+coordinate permutations, and seven a mirror through the corner root,
 
     halfplane, strip       (x, y) -> (-y, -x)
     wedge                  (x, y) -> (x, -y)
@@ -46,9 +58,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import chain
 from math import comb
 from operator import mul
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import graphs
 from .graphs import (DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph,
@@ -107,36 +120,65 @@ def path_closed_walks(n: int, m: int) -> int:
 # ball-based counting
 
 
-def _diagonal_counts(rows: list[list[int]], depths: list[int], steps: int,
-                     weights: list[int] | None = None) -> list[int]:
-    # (A^k)_{oo} for k = 0..steps by the (weighted) half-step identity of
-    # the module docstring, with o at index 0 and depths nondecreasing.
-    # rows[i] lists the indices that entry i scatters to: a ball's
-    # adjacency, or the transposed orbit rows.  u and nxt are u_h and
-    # u_{h+1}, and each product scatters from the depth <= h prefix.
+def _parity_classes(rows: list[list[int]], depths: list[int]
+                    ) -> tuple[list[Sequence[int]], Sequence[int]]:
+    # The index classes the kernel iterates on, each in layer order, and
+    # pos[i], entry i's place in its class.  rows[i] lists the entries
+    # that i links to, at depths within one of depths[i].  When no row
+    # links two equal depths, the classes are the even and the odd
+    # layers: colour classes, so u_h lives on class h % 2.  Otherwise
+    # one class holds every entry.
+    classes: list[list[int]] = [[], []]
+    pos: list[int] = []
+    lo = 0
+    for d in range(depths[-1] + 1):
+        hi = bisect_right(depths, d, lo)
+        if d in map(depths.__getitem__, chain.from_iterable(rows[lo:hi])):
+            return [range(len(depths))], range(len(depths))
+        cls = classes[d & 1]
+        pos.extend(range(len(cls), len(cls) + hi - lo))
+        cls.extend(range(lo, hi))
+        lo = hi
+    return classes, pos
+
+
+def _dot(weights: list[int] | None, a: list[int], b: list[int], end: int) -> int:
+    # sum over i < end of weights[i] a[i] b[i], unit weights for None;
+    # a[i] b[i] comes first, so a[i] * a[i] takes int's squaring path
     if weights is None:
-        def dot(a, b, end):
-            return sum(map(mul, a[:end], b))
-    else:
-        def dot(a, b, end):
-            return sum(map(mul, map(mul, weights, a[:end]), b))
-    n = len(rows)
-    u = [0] * n
+        return sum(map(mul, a[:end], b))
+    return sum(map(mul, weights, map(mul, a[:end], b)))
+
+
+def _diagonal_counts(classes: list[tuple[list[list[int]], list[int], list[int] | None]],
+                     steps: int) -> list[int]:
+    # (A^k)_{oo} for k = 0..steps by the (weighted) half-step identity of
+    # the module docstring.  classes holds (rows, depths, weights) for
+    # each class of _parity_classes, o at index 0 of the first: rows[i]
+    # lists the indices in the next class (the other one, or itself when
+    # it is alone) that entry i scatters to, and depths are
+    # nondecreasing.  u and nxt are u_h and u_{h+1} over their classes,
+    # and each product scatters from the depth <= h prefix.  With two
+    # classes u and nxt have disjoint supports, so odd counts are 0.
+    alone = len(classes) == 1
+    u = [0] * len(classes[0][0])
     u[0] = 1
     out = [1]
     h = 0
     while len(out) <= steps:
+        rows, depths, weights = classes[h % len(classes)]
+        _, next_depths, next_weights = classes[(h + 1) % len(classes)]
         end = bisect_right(depths, h)
-        nxt = [0] * n
+        nxt = [0] * len(next_depths)
         for i in range(end):
             ui = u[i]
             if ui:
                 for j in rows[i]:
                     nxt[j] += ui
-        out.append(dot(u, nxt, end))
+        out.append(_dot(weights, u, nxt, end) if alone else 0)
         h += 1
         if len(out) <= steps:
-            out.append(dot(nxt, nxt, bisect_right(depths, h)))
+            out.append(_dot(next_weights, nxt, nxt, bisect_right(next_depths, h)))
         u = nxt
     return out
 
@@ -175,16 +217,22 @@ def walk_table(g: Graph, o, m_max: int,
     sym = getattr(g, "symmetry", None)
     if sym is not None and sym.fixes(o):
         rows, depths, sizes = graphs.orbit_ball(g, o, m_max // 2, budget)
-        # the scatter loop needs, for each representative s, every r
-        # whose row names s
-        cols: list[list[int]] = [[] for _ in rows]
-        for r, row in enumerate(rows):
+        classes, pos = _parity_classes(rows, depths)
+        # the scatter loop needs, for each representative s, the class
+        # index of every r whose row names s
+        scatter: list[list[int]] = [[] for _ in rows]
+        for pr, row in zip(pos, rows):
             for s in row:
-                cols[s].append(r)
-        counts = _diagonal_counts(cols, depths, m_max, sizes)
+                scatter[s].append(pr)
     else:
         b = ball(g, o, m_max // 2, budget)
-        counts = _diagonal_counts(b.adjacency, b.depths, m_max)
+        rows, depths, sizes = b.adjacency, b.depths, None
+        classes, pos = _parity_classes(rows, depths)
+        scatter = [list(map(pos.__getitem__, row)) for row in rows]
+    counts = _diagonal_counts(
+        [(list(map(scatter.__getitem__, cls)), list(map(depths.__getitem__, cls)),
+          None if sizes is None else list(map(sizes.__getitem__, cls)))
+         for cls in classes], m_max)
     return WalkTable(g.name or "graph", tuple(o), tuple(counts))
 
 

@@ -259,6 +259,26 @@ class TestOrbitLumping:
         assert expansions == ([] if lumped else [root])
         assert list(counts) == [dp_closed_walks(g, root, m) for m in range(11)]
 
+    def test_a_lumped_graph_with_odd_cycles(self, monkeypatch):
+        # the triangular lattice, Z^2 with the diagonal steps +-(1, 1),
+        # under the mirror x <-> y: its triangles link equal depths
+        steps = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
+        g = graphs.ImplicitGraph(
+            2, lambda v: [(v[0] + a, v[1] + b) for a, b in steps], "triangular",
+            symmetry=graphs.reflection(lambda v: (v[1], v[0])))
+        expansions = []
+
+        def spy(g, o, *args):
+            expansions.append(o)
+            return graphs.ball(g, o, *args)
+
+        monkeypatch.setattr("latticewalks.walks.ball", spy)
+        counts = walk_table(g, (0, 0), 10).counts
+        assert expansions == []
+        assert counts[:7] == (1, 0, 6, 12, 90, 360, 2040)
+        assert counts == walk_table(dataclasses.replace(g, symmetry=None), (0, 0), 10).counts
+        assert list(counts) == [dp_closed_walks(g, (0, 0), m) for m in range(11)]
+
     @pytest.mark.parametrize("budget", [4, 10])
     def test_budget_errors_match_the_ball_path(self, budget):
         for kind in ("z2", "chamber3"):
@@ -289,6 +309,7 @@ def _graph(n: int, edges) -> graphs.FiniteGraph:
 _TRIANGLE = _graph(3, [(0, 1), (1, 2), (0, 2)])
 _K4 = _graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 _ISOLATED_ROOT = _graph(3, [(1, 2)])
+_FIVE_CYCLE = _graph(5, [(i, (i + 1) % 5) for i in range(5)])
 _HYPOTHESIS = settings(max_examples=120, deadline=None, database=None,
                        derandomize=True)
 
@@ -304,6 +325,11 @@ class TestHalfStepIdentity:
     @example(g=_K4, pick=3, m_max=15)
     @example(g=_ISOLATED_ROOT, pick=0, m_max=15)
     @example(g=_ISOLATED_ROOT, pick=0, m_max=0)
+    # at radius 1 the ball is a path, bipartite; at radius 2 its outer
+    # layer holds the edge that closes the 5-cycle, and count[5] = 2
+    @example(g=_FIVE_CYCLE, pick=0, m_max=3)
+    @example(g=_FIVE_CYCLE, pick=0, m_max=4)
+    @example(g=_FIVE_CYCLE, pick=0, m_max=5)
     def test_finite_graphs(self, g, pick, m_max):
         i = pick % len(g)
         expected = vector_walk_counts(g.adjacency, i, m_max)
