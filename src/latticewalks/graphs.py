@@ -558,6 +558,10 @@ def induced_subgraph(g: FiniteGraph, keep: Iterable[Sequence[int]],
 
 def connected_components(g: FiniteGraph) -> list[FiniteGraph]:
     """Connected components as induced subgraphs, ordered by smallest vertex."""
+    verts, adj = g.vertices, g.adjacency
+    # on a coordinate-sorted vertex list, index order is coordinate order
+    # and relabelled rows stay sorted
+    in_order = verts == sorted(verts)
     seen = [False] * len(g)
     comps = []
     for start in range(len(g)):
@@ -569,15 +573,30 @@ def connected_components(g: FiniteGraph) -> list[FiniteGraph]:
         while stack:
             i = stack.pop()
             comp.append(i)
-            for j in g.adjacency[i]:
+            for j in adj[i]:
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
-        comps.append(sorted(g.vertices[i] for i in comp))
-    comps.sort(key=lambda vs: vs[0])
-    nbrs = _neighbor_fn(g)
-    return [_induced(vs, nbrs, g.root_coords, f"{g.name or 'graph'}[comp{c}]")
-            for c, vs in enumerate(comps)]
+        comp.sort(key=None if in_order else verts.__getitem__)
+        comps.append(comp)
+    comps.sort(key=lambda comp: verts[comp[0]])
+
+    # each component's rows are g's rows relabelled to the local
+    # (coordinate-sorted) indices
+    local = [0] * len(g)
+    out = []
+    for c, comp in enumerate(comps):
+        for k, i in enumerate(comp):
+            local[i] = k
+        vs = [verts[i] for i in comp]
+        rows = [[local[j] for j in adj[i]] for i in comp]
+        if not in_order:
+            for row in rows:
+                row.sort()
+        root = local[g.root] if g.root is not None and g.root in comp else None
+        out.append(FiniteGraph._trusted(vs, dict(zip(vs, range(len(vs)))), rows,
+                                        root, f"{g.name or 'graph'}[comp{c}]"))
+    return out
 
 
 def degree_histogram(g: FiniteGraph, interior_radius: int) -> dict[int, int]:
@@ -622,8 +641,21 @@ class IsoMap:
         t = _as_coords(v)
         if len(t) != len(self.matrix[0]):
             raise ValueError("coordinate dimension does not match map")
-        return tuple(sum(row[j] * t[j] for j in range(len(t))) + off
-                     for row, off in zip(self.matrix, self.offset))
+        return self._images([t])[0]
+
+    def _images(self, vertices: list[Coords]) -> list[Coords]:
+        # the images of well-formed vertices of the map's dimension, one
+        # output coordinate at a time over the coordinate columns; a ragged
+        # matrix or an offset of the wrong length raises ValueError
+        columns = list(zip(*vertices))
+        out = []
+        for row, off in zip(self.matrix, self.offset, strict=True):
+            acc = [off] * len(vertices)
+            for c, col in zip(row, columns, strict=True):
+                if c:
+                    acc = [a + c * x for a, x in zip(acc, col)]
+            out.append(acc)
+        return list(zip(*out))
 
 
 @dataclass(frozen=True)
@@ -640,44 +672,50 @@ def verify_isomorphism(iso: IsoMap, ball_radius: int,
     """Check that the map carries the radius-r source ball bijectively onto
     the radius-r target ball with all edges preserved in both directions.
 
-    Returns a report with the first violation found, if any.
+    The checks run in order: the root's image, the two ball sizes, that
+    the map is injective on the source ball and lands inside the target
+    ball, and then the edges both ways.  The map is applied once per
+    source vertex; each image becomes its target index, and the edges are
+    compared as two sets of ``a < b`` target-index pairs, O(V + E) set
+    work.  The report names the first failed check; for an edge check its
+    witness is the smallest differing edge as a coordinate pair with
+    sorted endpoints.
     """
     src = ball(iso.source, iso.source_root, ball_radius, budget)
     tgt = ball(iso.target, iso.target_root, ball_radius, budget)
+    n = len(src)
+
+    def report(detail: str, witness: tuple | None = None) -> IsoReport:
+        return IsoReport(False, detail, witness, n, len(tgt))
 
     if iso.apply(iso.source_root) != tuple(iso.target_root):
-        return IsoReport(False, "map does not carry the source root to the target root",
-                         (iso.source_root,), len(src), len(tgt))
-    if len(src) != len(tgt):
-        return IsoReport(False, f"ball sizes differ: {len(src)} vs {len(tgt)}",
-                         None, len(src), len(tgt))
+        return report("map does not carry the source root to the target root",
+                      (iso.source_root,))
+    if n != len(tgt):
+        return report(f"ball sizes differ: {n} vs {len(tgt)}")
 
-    image: dict[Coords, Coords] = {}
-    for v in src.vertices:
-        w = iso.apply(v)
-        if w in image:
-            return IsoReport(False, "map is not injective on the source ball",
-                             (image[w], v), len(src), len(tgt))
-        image[w] = v
-    tgt_set = set(tgt.vertices)
-    for w in image:
-        if w not in tgt_set:
-            return IsoReport(False, f"image vertex {w} is outside the target ball",
-                             (image[w],), len(src), len(tgt))
+    images = iso._images(src.vertices)
+    if len(set(images)) != n:
+        first: dict[Coords, Coords] = {}
+        for v, w in zip(src.vertices, images):
+            if w in first:
+                return report("map is not injective on the source ball", (first[w], v))
+            first[w] = v
+    perm = list(map(tgt._index.get, images))
+    if None in perm:
+        i = perm.index(None)
+        return report(f"image vertex {images[i]} is outside the target ball",
+                      (src.vertices[i],))
 
-    src_edges = {(iso.apply(a), iso.apply(b)) for a, b in src.edge_set()}
-    src_edges = {(a, b) if a <= b else (b, a) for a, b in src_edges}
-    tgt_edges = set(tgt.edge_set())
-    extra = src_edges - tgt_edges
-    if extra:
-        return IsoReport(False, "mapped edge missing from the target ball",
-                         next(iter(sorted(extra))), len(src), len(tgt))
-    missing = tgt_edges - src_edges
-    if missing:
-        return IsoReport(False, "target edge has no preimage edge",
-                         next(iter(sorted(missing))), len(src), len(tgt))
-    return IsoReport(True, "edge-preserving bijection on balls", None,
-                     len(src), len(tgt))
+    mapped = {(a, b) for a, row in zip(perm, src.adjacency)
+              for b in map(perm.__getitem__, row) if a < b}
+    target = {(a, b) for a, row in enumerate(tgt.adjacency) for b in row if a < b}
+    for detail, diff in (("mapped edge missing from the target ball", mapped - target),
+                         ("target edge has no preimage edge", target - mapped)):
+        if diff:
+            return report(detail, min(tuple(sorted(map(tgt.vertices.__getitem__, e)))
+                                      for e in diff))
+    return IsoReport(True, "edge-preserving bijection on balls", None, n, n)
 
 
 _FOLD = ((1, 1), (1, -1))  # (x, y) |-> (x + y, x - y)

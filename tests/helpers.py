@@ -7,9 +7,11 @@ cross-checks the production pipeline rather than re-running it.
 and `vector_walk_counts` iterates the full adjacency one step at a time;
 `path_walk_counts` does the same for the tridiagonal path adjacency.
 `as_implicit` hides a finite graph behind its public methods, so products
-of it take the lazy path.  `SIGNED_KINDS`, `MIRRORS` and `LUMPED` name the
-lattice kinds whose graphs carry a symmetry, with each mirror written out
-here rather than taken from the builders.
+of it take the lazy path.  `reference_iso_report` checks an affine map
+the way the coordinate edge-set algorithm does, on `naive_ball`s.
+`SIGNED_KINDS`, `MIRRORS` and `LUMPED` name the lattice kinds whose graphs
+carry a symmetry, with each mirror written out here rather than taken
+from the builders.
 """
 
 from __future__ import annotations
@@ -139,6 +141,49 @@ def random_connected_graph(rng: random.Random, n_min: int = 2,
             edges.add(((min(i, j),), (max(i, j),)))
     return FiniteGraph.from_edges([(i,) for i in range(n)], sorted(edges),
                                   root=(0,))
+
+
+def reference_iso_report(iso, radius: int) -> tuple:
+    """``(ok, detail, witness, source_size, target_size)`` of checking
+    ``iso`` on the radius-r balls, with each edge mapped as a pair of
+    coordinate tuples and both edge sets compared as sets of sorted
+    coordinate pairs."""
+
+    def apply(v):
+        return tuple(sum(a * x for a, x in zip(row, v)) + off
+                     for row, off in zip(iso.matrix, iso.offset))
+
+    def edges(vertices, adjacency):
+        return {tuple(sorted((vertices[i], vertices[j])))
+                for i, row in enumerate(adjacency) for j in row}
+
+    src, _, src_adj, _ = naive_ball(iso.source, iso.source_root, radius)
+    tgt, _, tgt_adj, _ = naive_ball(iso.target, iso.target_root, radius)
+    sizes = (len(src), len(tgt))
+    if apply(iso.source_root) != tuple(iso.target_root):
+        return (False, "map does not carry the source root to the target root",
+                (iso.source_root,), *sizes)
+    if len(src) != len(tgt):
+        return (False, f"ball sizes differ: {len(src)} vs {len(tgt)}", None, *sizes)
+    preimage = {}
+    for v in src:
+        w = apply(v)
+        if w in preimage:
+            return (False, "map is not injective on the source ball",
+                    (preimage[w], v), *sizes)
+        preimage[w] = v
+    inside = set(tgt)
+    for w, v in preimage.items():
+        if w not in inside:
+            return (False, f"image vertex {w} is outside the target ball", (v,), *sizes)
+    mapped = {tuple(sorted((apply(a), apply(b)))) for a, b in edges(src, src_adj)}
+    target = edges(tgt, tgt_adj)
+    if mapped - target:
+        return (False, "mapped edge missing from the target ball",
+                min(mapped - target), *sizes)
+    if target - mapped:
+        return (False, "target edge has no preimage edge", min(target - mapped), *sizes)
+    return (True, "edge-preserving bijection on balls", None, *sizes)
 
 
 #: Kinds invariant under signed coordinate permutations.

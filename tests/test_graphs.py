@@ -14,11 +14,13 @@ from helpers import (
     kind_id,
     naive_ball,
     random_graph,
+    reference_iso_report,
 )
 from latticewalks import graphs, walks
 from latticewalks.errors import ResourceLimitError
 from latticewalks.graphs import (
     FiniteGraph,
+    IsoMap,
     LatticeDomain,
     ball,
     cartesian,
@@ -406,6 +408,11 @@ class TestOrbitBall:
             orbit_ball(restrict_lattice(full_plane()), (0, 0), 3)
 
 
+def _assert_same_graph(g, h):
+    assert (g.vertices, g.adjacency, g.root, g.name) == \
+        (h.vertices, h.adjacency, h.root, h.name)
+
+
 class TestComponentsAndSubgraphs:
     def test_induced_subgraph_keeps_inner_edges(self):
         g = path_graph(5)
@@ -419,6 +426,38 @@ class TestComponentsAndSubgraphs:
                                    [((2,), (3,))])
         comps = connected_components(g)
         assert [c.vertices for c in comps] == [[(0,)], [(1,)], [(2,), (3,)]]
+
+    def test_components_of_unsorted_graph_are_induced_subgraphs(self):
+        # listed out of coordinate order, rooted in the second component
+        g = FiniteGraph.from_edges(
+            [(3, 0), (0, 1), (2, 2), (1, 0), (0, 0), (2, 1)],
+            [((0, 0), (0, 1)), ((1, 0), (0, 0)), ((2, 1), (2, 2)),
+             ((3, 0), (2, 2)), ((2, 1), (3, 0))], root=(3, 0), name="G")
+        comps = connected_components(g)
+        assert [c.vertices for c in comps] == [[(0, 0), (0, 1), (1, 0)],
+                                               [(2, 1), (2, 2), (3, 0)]]
+        assert [c.adjacency for c in comps] == [[[1, 2], [0], [0]],
+                                                [[1, 2], [0, 2], [0, 1]]]
+        assert [(c.root, c.name) for c in comps] == [(None, "G[comp0]"), (2, "G[comp1]")]
+        for c in comps:
+            _assert_same_graph(c, induced_subgraph(g, c.vertices, name=c.name))
+
+    def test_components_of_shuffled_random_graphs(self):
+        rng = random.Random(2718)
+        for _ in range(40):
+            g = random_graph(rng, 1, 9)
+            order = list(range(len(g)))
+            rng.shuffle(order)
+            relabel = {i: k for k, i in enumerate(order)}
+            h = FiniteGraph([g.vertices[i] for i in order],
+                            [[relabel[j] for j in g.adjacency[i]] for i in order],
+                            root=rng.choice(g.vertices), name="H")
+            comps = connected_components(h)
+            assert sorted(v for c in comps for v in c.vertices) == sorted(h.vertices)
+            assert [c.vertices[0] for c in comps] == sorted(c.vertices[0] for c in comps)
+            for k, c in enumerate(comps):
+                assert c.name == f"H[comp{k}]"
+                _assert_same_graph(c, induced_subgraph(h, c.vertices, name=c.name))
 
     def test_degree_histogram_interior_only(self):
         b = ball(restrict_lattice(full_plane()), (0, 0), 4)
@@ -435,6 +474,45 @@ class TestComponentsAndSubgraphs:
 
 _FOLD_PARAMS = {"strip": [(2,), (3,), (5,)], "diamond": [(2, 2), (3, 3), (4, 4)]}
 _FOLDS = [(kind, p) for kind in graphs.FOLD_KINDS for p in _FOLD_PARAMS.get(kind, [()])]
+
+
+def _remap(good, matrix=None, offset=None, target=None):
+    """good with its matrix, offset or target graph replaced."""
+    return IsoMap(matrix or good.matrix, offset or good.offset, good.source,
+                  good.source_root, target or good.target, good.target_root)
+
+
+def _report(iso, radius):
+    rep = verify_isomorphism(iso, radius)
+    return (rep.ok, rep.detail, rep.witness, rep.source_size, rep.target_size)
+
+
+def _identity(verts, root, source_edges, target_edges):
+    """The identity map between two graphs on the same vertices."""
+    return IsoMap(((1,),), (0,), FiniteGraph.from_edges(verts, source_edges), root,
+                  FiniteGraph.from_edges(verts, target_edges), root)
+
+
+# rooted at (1,), both radius-1 balls hold all three vertices
+_LINE = [(0,), (1,), (2,)]
+_PATH = [((0,), (1,)), ((1,), (2,))]
+_TRIANGLE = _PATH + [((0,), (2,))]
+
+#: A map for each IsoReport branch, with the report it gives; the root and
+#: outside-the-target branches are pinned by test_root_mismatch_is_caught
+#: and test_broken_map_reports_witness.
+_BRANCHES = {
+    "sizes": lambda: (_remap(fold_map("plane"), target=fold_map("strip", 3).target), 2, (
+        False, "ball sizes differ: 13 vs 8", None, 13, 8)),
+    "injective": lambda: (_remap(fold_map("plane"), matrix=((1, 1), (1, 1))), 2, (
+        False, "map is not injective on the source ball", ((-1, 0), (0, -1)), 13, 13)),
+    "mapped-edge-missing": lambda: (_identity(_LINE, (1,), _TRIANGLE, _PATH), 1, (
+        False, "mapped edge missing from the target ball", ((0,), (2,)), 3, 3)),
+    "target-edge-unmatched": lambda: (_identity(_LINE, (1,), _PATH, _TRIANGLE), 1, (
+        False, "target edge has no preimage edge", ((0,), (2,)), 3, 3)),
+    "ok": lambda: (fold_map("plane"), 2, (
+        True, "edge-preserving bijection on balls", None, 13, 13)),
+}
 
 
 class TestIsomorphisms:
@@ -457,25 +535,52 @@ class TestIsomorphisms:
         assert iso.apply((2, 1)) == (3, 1)
         assert iso.apply((0, 0)) == (0, 0)
 
+    def test_malformed_map_is_rejected(self):
+        good = fold_map("plane")
+        for matrix, offset in ((((1, 1), (1,)), (0, 0)), (((1, 1), (1, 1, 1)), (0, 0)),
+                               (good.matrix, (0,))):
+            with pytest.raises(ValueError):
+                _remap(good, matrix=matrix, offset=offset).apply((2, 3))
+
     def test_broken_map_reports_witness(self):
         good = fold_map("halfplane")
-        bad = graphs.IsoMap(matrix=((1, 0), (0, 1)), offset=(0, 0),
-                            source=good.source, source_root=good.source_root,
-                            target=good.target, target_root=good.target_root,
-                            name="identity-into-kron")
-        rep = verify_isomorphism(bad, 3)
-        assert not rep.ok
-        assert rep.witness is not None
+        bad = _remap(good, matrix=((1, 0), (0, 1)))
+        assert _report(bad, 3) == (
+            False, "image vertex (0, -1) is outside the target ball", ((0, -1),), 14, 14)
 
     def test_root_mismatch_is_caught(self):
-        good = fold_map("plane")
-        bad = graphs.IsoMap(matrix=good.matrix, offset=(1, 1),
-                            source=good.source, source_root=good.source_root,
-                            target=good.target, target_root=good.target_root,
-                            name="shifted")
-        rep = verify_isomorphism(bad, 2)
-        assert not rep.ok
-        assert "root" in rep.detail
+        bad = _remap(fold_map("plane"), offset=(1, 1))
+        assert _report(bad, 2) == (
+            False, "map does not carry the source root to the target root",
+            ((0, 0),), 13, 13)
+
+    @pytest.mark.parametrize("case", list(_BRANCHES), ids=list(_BRANCHES))
+    def test_report_branch_is_pinned(self, case):
+        iso, radius, expected = _BRANCHES[case]()
+        assert _report(iso, radius) == expected
+
+    def test_edge_witness_is_smallest_in_coordinates(self):
+        # two differing edges: (5,)-(6,) has the smaller target indices,
+        # (1,)-(2,) the smaller coordinates
+        verts = [(0,), (1,), (2,), (5,), (6,)]
+        tree = [((0,), (5,)), ((0,), (6,)), ((5,), (1,)), ((6,), (2,))]
+        more = tree + [((5,), (6,)), ((1,), (2,))]
+        assert _report(_identity(verts, (0,), more, tree), 2) == (
+            False, "mapped edge missing from the target ball", ((1,), (2,)), 5, 5)
+        assert _report(_identity(verts, (0,), tree, more), 2) == (
+            False, "target edge has no preimage edge", ((1,), (2,)), 5, 5)
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_reports_match_coordinate_reference(self, data):
+        kind = data.draw(st.sampled_from(sorted(graphs.FOLD_KINDS)))
+        params = data.draw(st.tuples(*[st.integers(2, 6)] * len(graphs.FOLD_KINDS[kind].params)))
+        entry = st.integers(-2, 2)
+        matrix = data.draw(st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)))
+        offset = data.draw(st.one_of(st.just((0, 0)), st.tuples(entry, entry)))
+        radius = data.draw(st.integers(1, 4))
+        iso = _remap(fold_map(kind, *params), matrix=matrix, offset=offset)
+        assert _report(iso, radius) == reference_iso_report(iso, radius)
 
 
 def test_random_graphs_survive_validation():
