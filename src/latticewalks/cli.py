@@ -108,7 +108,7 @@ def _run_walks(args) -> tuple[str, int]:
     return _csv(params, "m,ball_count,closed_form,match", lines), code
 
 
-_MOMENT_KINDS = ("arcsine", "semicircle", "aa", "wa", "ww",
+_MOMENT_KINDS = ("arcsine", "semicircle", *spectral.PRODUCT_FACTORS,
                  "classical-aa", "classical-ww", "path")
 
 
@@ -117,7 +117,7 @@ def _moment_distribution(kind: str, n):
         return spectral.ArcSine()
     if kind == "semicircle":
         return spectral.Semicircle()
-    if kind in ("aa", "wa", "ww"):
+    if kind in spectral.PRODUCT_FACTORS:
         return spectral.NamedDensity(kind)
     if kind == "classical-aa":
         return spectral.ClassicalConv(spectral.ArcSine(), spectral.ArcSine())
@@ -147,8 +147,9 @@ def _run_moments(args) -> tuple[str, int]:
 
 
 def _run_density(args) -> tuple[str, int]:
-    if args.kind not in ("aa", "wa", "ww"):
-        raise ValueError(f"unknown density kind {args.kind!r}; known: aa, wa, ww")
+    if args.kind not in spectral.PRODUCT_FACTORS:
+        raise ValueError(f"unknown density kind {args.kind!r}; "
+                         f"known: {', '.join(spectral.PRODUCT_FACTORS)}")
     if args.grid < 2:
         raise ValueError("--grid needs at least 2 points")
     params = {"command": "density", "kind": args.kind, "grid": args.grid,
@@ -284,23 +285,21 @@ def _suite_coincidence(budget: int, sweep_tol: float) -> list[dict]:
 
 def _suite_density(budget: int, sweep_tol: float) -> list[dict]:
     checks = []
-    for kind in ("aa", "wa", "ww"):
+    for kind in spectral.PRODUCT_FACTORS:
         val = elliptic.density_moment(kind, 0)
         checks.append(_check(f"normalization {kind}", 1.0, val, 1e-8,
                              abs(val - 1.0) <= 1e-8))
-    for kind in ("aa", "wa", "ww"):
+    for kind in spectral.PRODUCT_FACTORS:
         dist = spectral.NamedDensity(kind)
         for m in (2, 4, 6, 8, 10):
             expected = dist.moment(m)
             actual = elliptic.density_moment(kind, m)
             ok = abs(actual - expected) <= 1e-6 * max(1.0, abs(expected))
             checks.append(_check(f"moment {kind} m={m}", expected, actual, 1e-6, ok))
-    kernels = {"aa": (elliptic.arcsine_density, elliptic.arcsine_density),
-               "wa": (elliptic.semicircle_density, elliptic.arcsine_density),
-               "ww": (elliptic.semicircle_density, elliptic.semicircle_density)}
     xs = [0.2 + 3.6 * i / 19 for i in range(20)]
-    for kind, (f, g) in kernels.items():
-        dev = max(abs(elliptic.mellin_density_convolve(f, g, x, tol=1e-8)
+    for kind, (left, right) in spectral.PRODUCT_FACTORS.items():
+        dev = max(abs(elliptic.mellin_density_convolve(left.density, right.density,
+                                                       x, tol=1e-8)
                       - elliptic.density(kind, x)) for x in xs)
         checks.append(_check(f"mellin-convolution-sweep {kind} (20 pts)", 0.0,
                              dev, sweep_tol, dev <= sweep_tol))

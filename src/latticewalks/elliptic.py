@@ -89,10 +89,23 @@ def elliptic_KE(k: float) -> EllipticPair:
 
 _PI2 = math.pi * math.pi
 
-AA = "aa"
-WA = "wa"
-WW = "ww"
-_KERNEL_KINDS = (AA, WA, WW)
+# kind: (c, d, value).  Near x = 0 the kernel behaves like
+# c * (log(16/|x|) + d), which feeds the analytic value of the singular
+# head panel [0, eps] and the underflow case of density; value(K, head,
+# tail) is the kernel from the output of _agm.
+_KERNELS = {
+    "aa": (1.0 / (2.0 * _PI2), 0.0, lambda big_k, head, tail: big_k / (2.0 * _PI2)),
+    "wa": (1.0 / _PI2, -1.0, lambda big_k, head, tail: big_k * (head + tail) / _PI2),
+    "ww": (2.0 / _PI2, -2.0, lambda big_k, head, tail: 4.0 * big_k * tail / _PI2),
+}
+
+
+def _kernel(kind: str) -> tuple[float, float, Callable[[float, float, float], float]]:
+    # the table entry of a kernel kind, case-insensitive
+    kind = kind.lower()
+    if kind not in _KERNELS:
+        raise ValueError(f"unknown kernel kind {kind!r}; known: {', '.join(_KERNELS)}")
+    return _KERNELS[kind]
 
 
 def density(kind: str, x: float) -> float:
@@ -105,9 +118,7 @@ def density(kind: str, x: float) -> float:
     their closed forms K - E and (1 + x^2/16) K - 2E come from
     :func:`_agm` without a subtraction.
     """
-    kind = kind.lower()
-    if kind not in _KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}; known: aa, wa, ww")
+    c, d, value = _kernel(kind)
     ax = abs(float(x))
     if ax > 4.0:
         return 0.0
@@ -118,14 +129,9 @@ def density(kind: str, x: float) -> float:
     if kp == 0.0:
         # |x|/4 underflows for the smallest subnormal x, where the head
         # asymptotics c (log(16/|x|) + d) are exact to rounding
-        c, d = _HEAD_CONSTANTS[kind]
         return c * (math.log(16.0) - math.log(ax) + d)
     big_k, head, tail, _ = _agm(kp)
-    if kind == AA:
-        return big_k / (2.0 * _PI2)
-    if kind == WA:
-        return big_k * (head + tail) / _PI2
-    return 4.0 * big_k * tail / _PI2
+    return value(big_k, head, tail)
 
 
 def arcsine_density(x: float) -> float:
@@ -281,11 +287,6 @@ def mellin_density_convolve(f: Callable[[float], float],
     return 2.0 * val
 
 
-# near x = 0 each kernel behaves like c * (log(16/x) + d); the constants
-# feed the analytic value of the singular head panel [0, eps]
-_HEAD_CONSTANTS = {AA: (1.0 / (2.0 * _PI2), 0.0),
-                   WA: (1.0 / _PI2, -1.0),
-                   WW: (2.0 / _PI2, -2.0)}
 _HEAD_EPS = 1e-6
 
 
@@ -297,12 +298,9 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     on [0, 1e-6] from the leading asymptotics; the rest is adaptive
     quadrature.  Absolute error is below tol * max(1, result).
     """
-    kind = kind.lower()
-    if kind not in _KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kind!r}; known: aa, wa, ww")
+    c, d, _ = _kernel(kind)
     if m < 0 or m % 2:
         raise ValueError("moment order must be even and nonnegative")
-    c, d = _HEAD_CONSTANTS[kind]
     eps = _HEAD_EPS
     head = c * eps ** (m + 1) / (m + 1) * (math.log(16.0 / eps) + 1.0 / (m + 1) + d)
 

@@ -6,7 +6,9 @@ restricted lattices all share one hash-friendly vertex representation.
 Infinite graphs are neighbor-function views and are never materialized:
 exact computation always goes through :func:`ball`, which cuts the finite
 induced subgraph of bounded graph distance around a root, or through
-:func:`orbit_ball`, its quotient by a symmetry that fixes the root.
+:func:`orbit_ball`, its quotient by a symmetry that fixes the root.  Both
+run one breadth-first expansion: a ball is its quotient by the trivial
+group.
 
 Conventions
 -----------
@@ -80,7 +82,10 @@ class FiniteGraph:
                 raise ValueError(f"adjacency not symmetric at {i} -> {j}")
         self.adjacency: list[list[int]] = adj
         if root is not None and not isinstance(root, int):
-            root = self._index[_as_coords(root)]
+            r = _as_coords(root)
+            if r not in self._index:
+                raise ValueError(f"root {r} is not a vertex of {name or 'graph'}")
+            root = self._index[r]
         if root is not None and not 0 <= root < n:
             raise ValueError("root index out of range")
         self.root = root
@@ -115,7 +120,10 @@ class FiniteGraph:
         index = {v: i for i, v in enumerate(verts)}
         adj: list[set[int]] = [set() for _ in verts]
         for a, b in edges:
-            i, j = index[_as_coords(a)], index[_as_coords(b)]
+            a, b = _as_coords(a), _as_coords(b)
+            if a not in index or b not in index:
+                raise ValueError(f"edge {(a, b)} has an end outside the vertex list")
+            i, j = index[a], index[b]
             adj[i].add(j)
             adj[j].add(i)
         return cls(verts, [sorted(s) for s in adj], root=root, name=name)
@@ -416,8 +424,13 @@ def cartesian(g1: Graph, g2: Graph) -> Graph:
 # finite truncations and component structure
 
 
-def _ball_root(g: Graph, root, radius: int, budget: int) -> Coords:
-    # the checked root of a ball expansion
+def _expand(g: Graph, root, radius: int, budget: int, sym: Symmetry | None
+            ) -> tuple[dict[Coords, int], list[list[int]], list[int], list[int], bool]:
+    # The quotient of the ball by sym, a group that must fix the root:
+    # (index, rows, depths, sizes, truncated), where index maps each orbit
+    # representative to its position, rows, depths and sizes are as
+    # orbit_ball returns them, and truncated tells whether the outermost
+    # layer lost neighbors beyond the radius.
     r = _as_coords(root)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -427,15 +440,54 @@ def _ball_root(g: Graph, root, radius: int, budget: int) -> Coords:
         raise ValueError(f"root dimension {len(r)} != graph dimension {g.dimension}")
     if r not in g:
         raise ValueError(f"root {r} is not a vertex of {g.name or 'graph'}")
-    return r
+    if sym is None or not sym.fixes(r):
+        raise ValueError(f"root {r} is not fixed by a symmetry of {g.name or 'graph'}")
+
+    # Each vertex's neighbor set is computed once.  A vertex at depth d has
+    # neighbors only at depths d-1, d, d+1, so a layer's rows become index
+    # rows as soon as the next layer is indexed.  The budget counts the
+    # vertices the representatives stand for.
+    canon, orbit_size, nbrs = sym.canon, sym.orbit_size, _neighbor_fn(g)
+    index = {r: 0}
+    depths = [0]
+    sizes = [1]
+    kept = 1
+    rows: list[list[int]] = []
+    frontier = [r]
+    for d in range(radius):
+        layer = [[canon(w) for w in set(nbrs(v))] for v in frontier]
+        fresh = sorted({c for row in layer for c in row if c not in index})
+        fresh_sizes = [orbit_size(c) for c in fresh]
+        added = sum(fresh_sizes)
+        if kept + added > budget:
+            raise ResourceLimitError(
+                f"ball of radius {radius} around {r} exceeds vertex budget {budget}: "
+                f"layer {d + 1} would add {added} vertices to the "
+                f"{kept} kept through layer {d}")
+        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+        depths.extend([d + 1] * len(fresh))
+        sizes.extend(fresh_sizes)
+        kept += added
+        rows.extend([index[c] for c in row] for row in layer)
+        frontier = fresh
+        if not frontier:
+            break
+
+    # outermost layer: neighbors beyond the radius are cut off
+    truncated = False
+    get = index.get
+    for v in frontier:
+        row = [get(canon(w)) for w in set(nbrs(v))]
+        if None in row:
+            truncated = True
+            row = [j for j in row if j is not None]
+        rows.append(row)
+    return index, rows, depths, sizes, truncated
 
 
-def _over_budget(radius: int, r: Coords, budget: int, d: int, added: int,
-                 kept: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"ball of radius {radius} around {r} exceeds vertex budget {budget}: "
-        f"layer {d + 1} would add {added} vertices to the "
-        f"{kept} kept through layer {d}")
+# The group of the identity alone: every orbit is one vertex, and
+# tuple(w) is w itself.
+_TRIVIAL = Symmetry(tuple, lambda rep: 1)
 
 
 def ball(g: Graph, root, radius: int,
@@ -447,42 +499,11 @@ def ball(g: Graph, root, radius: int,
     :class:`ResourceLimitError` when the expansion would exceed ``budget``
     vertices; the budget is a correctness guard, never a silent truncation.
     """
-    r = _ball_root(g, root, radius, budget)
-
-    # Each vertex's neighbor set is computed once.  A vertex at depth d has
-    # neighbors only at depths d-1, d, d+1, so a layer's coordinate rows
-    # become index rows as soon as the next layer is indexed.
-    nbrs = _neighbor_fn(g)
-    index = {r: 0}
-    order = [r]
-    depths = [0]
-    adj: list[list[int]] = []
-    frontier = [r]
-    for d in range(radius):
-        rows = [set(nbrs(v)) for v in frontier]
-        fresh = sorted({w for row in rows for w in row if w not in index})
-        if len(order) + len(fresh) > budget:
-            raise _over_budget(radius, r, budget, d, len(fresh), len(order))
-        index.update(zip(fresh, range(len(order), len(order) + len(fresh))))
-        order.extend(fresh)
-        depths.extend([d + 1] * len(fresh))
-        adj.extend(sorted([index[w] for w in row]) for row in rows)
-        frontier = fresh
-        if not frontier:
-            break
-
-    # outermost layer: neighbors beyond the radius are cut off
-    truncated = False
-    get = index.get
-    for v in frontier:
-        row = [get(w) for w in set(nbrs(v))]
-        if None in row:
-            truncated = True
-            row = [j for j in row if j is not None]
+    index, rows, depths, _, truncated = _expand(g, root, radius, budget, _TRIVIAL)
+    for row in rows:
         row.sort()
-        adj.append(row)
     return FiniteGraph._trusted(
-        order, index, adj, 0, f"ball({g.name or 'graph'},r={radius})",
+        list(index), index, rows, 0, f"ball({g.name or 'graph'},r={radius})",
         ball_radius=radius, depths=depths, truncated=truncated)
 
 
@@ -496,41 +517,11 @@ def orbit_ball(g: ImplicitGraph, root, radius: int,
     ``rows[i]`` lists ``canon(w)``'s index for every neighbor w of
     representative i inside the ball, repeats included, so its length is
     i's degree in the ball; ``sizes[i]`` is the orbit size.  The budget
-    counts the vertices the representatives stand for, so an expansion
-    fails at the same layer, with the same message, as :func:`ball`.
+    counts the vertices the representatives stand for.  :func:`ball` is
+    the same expansion under the trivial group, so both fail on the same
+    input with the same message, and a budget overrun at the same layer.
     """
-    r = _ball_root(g, root, radius, budget)
-    sym = g.symmetry
-    if sym is None or not sym.fixes(r):
-        raise ValueError(f"root {r} is not fixed by a symmetry of {g.name or 'graph'}")
-    canon, orbit_size, nbrs = sym.canon, sym.orbit_size, g.neighbor_fn
-    index = {r: 0}
-    depths = [0]
-    sizes = [1]
-    kept = 1
-    rows: list[list[int]] = []
-    frontier = [r]
-    for d in range(radius):
-        layer = [[canon(w) for w in set(nbrs(v))] for v in frontier]
-        fresh = sorted({c for row in layer for c in row if c not in index})
-        fresh_sizes = [orbit_size(c) for c in fresh]
-        added = sum(fresh_sizes)
-        if kept + added > budget:
-            raise _over_budget(radius, r, budget, d, added, kept)
-        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-        depths.extend([d + 1] * len(fresh))
-        sizes.extend(fresh_sizes)
-        kept += added
-        rows.extend([index[c] for c in row] for row in layer)
-        frontier = fresh
-        if not frontier:
-            break
-
-    # outermost layer: neighbors beyond the radius are cut off
-    get = index.get
-    for v in frontier:
-        row = [get(canon(w)) for w in set(nbrs(v))]
-        rows.append([j for j in row if j is not None])
+    _, rows, depths, sizes, _ = _expand(g, root, radius, budget, g.symmetry)
     return rows, depths, sizes
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, cos, pi, sin
 
+from . import elliptic
 from .walks import catalan, path_closed_walks
 
 Number = int | float
@@ -48,6 +49,7 @@ class ArcSine(SpectralDistribution):
     """
 
     name = "arcsine"
+    density = staticmethod(elliptic.arcsine_density)
 
     def moment(self, m: int) -> int:
         _check_order(m)
@@ -62,6 +64,7 @@ class Semicircle(SpectralDistribution):
     """
 
     name = "semicircle"
+    density = staticmethod(elliptic.semicircle_density)
 
     def moment(self, m: int) -> int:
         _check_order(m)
@@ -132,7 +135,9 @@ class MellinConv(SpectralDistribution):
         return self.left.moment(m) * self.right.moment(m)
 
 
-_NAMED_FACTORS = {
+#: The factor laws of each product density on [-4, 4], whose pointwise
+#: values :func:`latticewalks.elliptic.density` evaluates.
+PRODUCT_FACTORS = {
     "aa": (ArcSine, ArcSine),
     "wa": (Semicircle, ArcSine),
     "ww": (Semicircle, Semicircle),
@@ -150,11 +155,12 @@ class NamedDensity(SpectralDistribution):
 
     def __init__(self, kind: str):
         kind = kind.lower()
-        if kind not in _NAMED_FACTORS:
-            raise ValueError(f"unknown density kind {kind!r}; known: aa, wa, ww")
+        if kind not in PRODUCT_FACTORS:
+            raise ValueError(f"unknown density kind {kind!r}; "
+                             f"known: {', '.join(PRODUCT_FACTORS)}")
         self.kind = kind
         self.name = f"density-{kind}"
-        fl, fr = _NAMED_FACTORS[kind]
+        fl, fr = PRODUCT_FACTORS[kind]
         self._inner = MellinConv(fl(), fr())
 
     def moment(self, m: int) -> Number:

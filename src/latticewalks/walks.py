@@ -217,18 +217,16 @@ def walk_table(g: Graph, o, m_max: int,
     sym = getattr(g, "symmetry", None)
     if sym is not None and sym.fixes(o):
         rows, depths, sizes = graphs.orbit_ball(g, o, m_max // 2, budget)
-        classes, pos = _parity_classes(rows, depths)
-        # the scatter loop needs, for each representative s, the class
-        # index of every r whose row names s
-        scatter: list[list[int]] = [[] for _ in rows]
-        for pr, row in zip(pos, rows):
-            for s in row:
-                scatter[s].append(pr)
     else:
         b = ball(g, o, m_max // 2, budget)
         rows, depths, sizes = b.adjacency, b.depths, None
-        classes, pos = _parity_classes(rows, depths)
-        scatter = [list(map(pos.__getitem__, row)) for row in rows]
+    classes, pos = _parity_classes(rows, depths)
+    # the scatter loop needs, for each entry s, the class index of every r
+    # whose row names s; on a ball's symmetric rows that is s's own row
+    scatter: list[list[int]] = [[] for _ in rows]
+    for pr, row in zip(pos, rows):
+        for s in row:
+            scatter[s].append(pr)
     counts = _diagonal_counts(
         [(list(map(scatter.__getitem__, cls)), list(map(depths.__getitem__, cls)),
           None if sizes is None else list(map(sizes.__getitem__, cls)))

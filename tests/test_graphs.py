@@ -86,6 +86,14 @@ class TestFiniteGraph:
         with pytest.raises(KeyError):
             g.neighbors((7,))
 
+    def test_rejects_root_outside_vertices(self):
+        with pytest.raises(ValueError, match=r"root \(5,\) is not a vertex"):
+            FiniteGraph([(0,), (1,)], [[1], [0]], root=(5,))
+
+    def test_from_edges_rejects_edge_outside_vertices(self):
+        with pytest.raises(ValueError, match=r"edge \(\(0,\), \(7,\)\)"):
+            FiniteGraph.from_edges([(0,), (1,)], [((0,), (7,))])
+
 
 class TestBuiltinGraphs:
     def test_path_graph_endpoints(self):
@@ -406,6 +414,31 @@ class TestOrbitBall:
                 orbit_ball(g, root, 3)
         with pytest.raises(ValueError, match="not fixed"):
             orbit_ball(restrict_lattice(full_plane()), (0, 0), 3)
+
+
+# (kind, root, radius, budget, start of the message)
+_BAD_BALL_INPUT = [
+    ("z2", (0, 0), -1, 100, "radius must be nonnegative"),
+    ("chamber3", (0, 0, 0), -1, 100, "radius must be nonnegative"),
+    ("z2", (0, 0), 3, 0, "vertex budget must be positive"),
+    ("chamber3", (0, 0, 0), 3, 0, "vertex budget must be positive"),
+    ("z2", (0, 0, 0), 3, 100, "root dimension 3 != graph dimension 2"),
+    ("chamber3", (0, 0), 3, 100, "root dimension 2 != graph dimension 3"),
+    ("z2", (0.5, 0), 3, 100, "vertex coordinates must be ints"),
+    ("chamber3", (0, 1, 0), 3, 100, "root (0, 1, 0) is not a vertex"),
+]
+
+
+@pytest.mark.parametrize("kind,root,radius,budget,message", _BAD_BALL_INPUT)
+def test_ball_and_orbit_ball_reject_bad_input_alike(kind, root, radius, budget,
+                                                    message):
+    g, _ = walks.build_lattice(kind)
+    with pytest.raises(ValueError) as from_ball:
+        ball(g, root, radius, budget)
+    with pytest.raises(ValueError) as from_orbit_ball:
+        orbit_ball(g, root, radius, budget)
+    assert str(from_ball.value).startswith(message)
+    assert str(from_orbit_ball.value) == str(from_ball.value)
 
 
 def _assert_same_graph(g, h):

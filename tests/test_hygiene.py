@@ -1,6 +1,6 @@
 """Static checks on the source tree, run with the tests because no linter
 runs in CI: no module under ``src/`` or ``tests/`` imports a name it never
-uses."""
+uses, and no private module-level name under ``src/`` goes unread."""
 
 import ast
 from pathlib import Path
@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+SOURCES = sorted(ROOT.glob("src/**/*.py"))
+MODULES = sorted([*SOURCES, *ROOT.glob("tests/**/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -51,3 +52,54 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Private names (one leading underscore) that a module of ``sources``
+    defines at its top level by ``def``, ``class`` or assignment and that
+    no module of ``sources`` reads, as ``"module:line: name"``.  A read is
+    a loaded name, a loaded attribute of that name, or an import of it."""
+    defined: list[tuple[str, int, str]] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module}:{line}: {name}" for module, line, name in defined
+            if name not in read]
+
+
+def test_scan_finds_dead_private_names():
+    sources = {"a": ("_LIMIT = 3\n"
+                     "_unused_table = {}\n"
+                     "__version__ = '1'\n"
+                     "def _helper():\n"
+                     "    return _LIMIT\n"
+                     "def _stale():\n"
+                     "    _local = 1\n"
+                     "class _Gone:\n"
+                     "    pass\n"),
+               "b": ("from a import _helper\n"
+                     "import a\n"
+                     "print(_helper(), a._stale)\n")}
+    assert dead_private_names(sources) == ["a:2: _unused_table", "a:8: _Gone"]
+
+
+def test_no_dead_private_names():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    assert dead_private_names(sources) == []

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from helpers import int_matrix_power_diag, path_adjacency
+from latticewalks import elliptic, spectral
 from latticewalks.spectral import (
     ArcSine,
     ClassicalConv,
@@ -102,6 +103,9 @@ class TestConvolutions:
     def test_named_density_unknown_kind(self):
         with pytest.raises(ValueError):
             NamedDensity("argh")
+
+    def test_product_factors_cover_the_kernel_kinds(self):
+        assert set(spectral.PRODUCT_FACTORS) == set(elliptic._KERNELS)
 
 
 class TestPathSpectrum:
