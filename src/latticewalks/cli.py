@@ -2,8 +2,11 @@
 component and isomorphism reports, and the verification suites.
 
 Identical invocations produce byte-identical output: fixed formatting,
-fixed ordering, no timestamps.  Every command echoes its resolved
-parameters into the output header (CSV comment line or JSON "params").
+fixed ordering, no timestamps.  Each command is declared once, in
+``_COMMANDS``, by its help text, runner, default format and option names;
+the parser, the dispatch and the parameter echo all read that entry.  A
+command echoes its resolved options in declaration order, then its format,
+into the output header (CSV comment line or JSON "params").
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _jsonable(v):
 
 
 def _resolve_budget(args) -> int:
-    if getattr(args, "radius_budget", None) is not None:
+    if args.radius_budget is not None:
         if args.radius_budget < 1:
             raise ValueError("--radius-budget must be positive")
         return args.radius_budget
@@ -79,8 +82,7 @@ def _json_doc(params: dict, body: dict) -> str:
 # commands
 
 
-def _run_walks(args) -> tuple[str, int]:
-    budget = _resolve_budget(args)
+def _run_walks(args, params: dict) -> tuple[str, int]:
     kind = walks.lattice_kind(args.kind)
     cap = CAP_3D if kind.dimension == 3 else CAP_12D
     if args.mmax < 0:
@@ -90,10 +92,7 @@ def _run_walks(args) -> tuple[str, int]:
             f"mmax {args.mmax} exceeds the cap {cap} for {kind.dimension}-d "
             f"kind {kind.key!r}")
     graph, root = walks.build_lattice(args.kind, n=args.n, k=args.k, l=args.l)
-    table = walks.walk_table(graph, root, args.mmax, budget)
-    params = {"command": "walks", "kind": args.kind, "mmax": args.mmax,
-              "n": args.n, "k": args.k, "l": args.l,
-              "radius_budget": budget, "format": args.format}
+    table = walks.walk_table(graph, root, args.mmax, args.radius_budget)
     rows = []
     for m in range(args.mmax + 1):
         ball_count = table.counts[m]
@@ -130,14 +129,12 @@ def _moment_distribution(kind: str, n):
     raise ValueError(f"unknown moment kind {kind!r}; known: {', '.join(_MOMENT_KINDS)}")
 
 
-def _run_moments(args) -> tuple[str, int]:
+def _run_moments(args, params: dict) -> tuple[str, int]:
     if args.mmax < 0:
         raise ValueError("--mmax must be nonnegative")
     if args.mmax > CAP_12D:
         raise ValueError(f"mmax {args.mmax} exceeds the moment-table cap {CAP_12D}")
     dist = _moment_distribution(args.kind, args.n)
-    params = {"command": "moments", "kind": args.kind, "mmax": args.mmax,
-              "n": args.n, "format": args.format}
     # every moment kind has exact integer moments
     values = [dist.moment(m) for m in range(args.mmax + 1)]
     if args.format == "json":
@@ -146,14 +143,12 @@ def _run_moments(args) -> tuple[str, int]:
     return _csv(params, "m,moment", [f"{m},{v}" for m, v in enumerate(values)]), 0
 
 
-def _run_density(args) -> tuple[str, int]:
+def _run_density(args, params: dict) -> tuple[str, int]:
     if args.kind not in spectral.PRODUCT_FACTORS:
         raise ValueError(f"unknown density kind {args.kind!r}; "
                          f"known: {', '.join(spectral.PRODUCT_FACTORS)}")
     if args.grid < 2:
         raise ValueError("--grid needs at least 2 points")
-    params = {"command": "density", "kind": args.kind, "grid": args.grid,
-              "format": args.format}
     xs = [-4.0 + 8.0 * i / (args.grid - 1) for i in range(args.grid)]
     vals = [elliptic.density(args.kind, x) for x in xs]
     if args.format == "json":
@@ -165,17 +160,19 @@ def _run_density(args) -> tuple[str, int]:
     return _csv(params, "x,density", lines), 0
 
 
-def _run_components(args) -> tuple[str, int]:
-    budget = _resolve_budget(args)
+def _run_components(args, params: dict) -> tuple[str, int]:
     if args.kind not in ("kron", "cartesian"):
         raise ValueError("components --kind must be 'kron' or 'cartesian'")
-    na = args.n if args.n is not None else 2
-    nb = args.k if args.k is not None else 2
-    g1, g2 = graphs.path_graph(na), graphs.path_graph(nb)
+    size = args.n * args.k
+    # a pair of nonpositive sizes is left to path_graph to reject
+    if args.n > 0 and args.k > 0 and size > args.radius_budget:
+        raise ResourceLimitError(
+            f"product of P{args.n} and P{args.k} has {size} vertices, more than "
+            f"the vertex budget {args.radius_budget}; raise it with "
+            f"--radius-budget or {ENV_BUDGET}")
+    g1, g2 = graphs.path_graph(args.n), graphs.path_graph(args.k)
     prod = graphs.kronecker(g1, g2) if args.kind == "kron" else graphs.cartesian(g1, g2)
     comps = graphs.connected_components(prod)
-    params = {"command": "components", "kind": args.kind, "n": na, "k": nb,
-              "radius_budget": budget, "format": args.format}
     if args.format == "json":
         body = {"count": len(comps),
                 "components": [{"index": i, "size": len(c),
@@ -200,12 +197,9 @@ def _iso_map(kind: str, n=None, k=None, l=None):
     return graphs.fold_map(kind, *(given[p] for p in needs)), radius
 
 
-def _run_iso(args) -> tuple[str, int]:
-    budget = _resolve_budget(args)
+def _run_iso(args, params: dict) -> tuple[str, int]:
     iso, radius = _iso_map(args.kind, args.n, args.k, args.l)
-    report = graphs.verify_isomorphism(iso, radius, budget)
-    params = {"command": "iso", "kind": args.kind, "n": args.n, "k": args.k,
-              "l": args.l, "radius_budget": budget, "format": args.format}
+    report = graphs.verify_isomorphism(iso, radius, args.radius_budget)
     code = 0 if report.ok else 1
     if args.format == "csv":
         line = (f"{iso.name},{radius},{_fmt(report.ok)},{report.detail},"
@@ -354,16 +348,12 @@ _SUITES = {
 }
 
 
-def _run_verify(args) -> tuple[str, int]:
-    budget = _resolve_budget(args)
-    sweep_tol = args.tol if args.tol is not None else 1e-6
+def _run_verify(args, params: dict) -> tuple[str, int]:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        checks.extend(_SUITES[name](budget, sweep_tol))
+        checks.extend(_SUITES[name](args.radius_budget, args.tol))
     all_pass = all(c["pass"] for c in checks)
-    params = {"command": "verify", "suite": args.suite, "tol": sweep_tol,
-              "radius_budget": budget, "format": args.format}
     code = 0 if all_pass else 1
     if args.format == "csv":
         lines = [",".join([c["name"], _fmt(c["expected"]), _fmt(c["actual"]),
@@ -376,39 +366,50 @@ def _run_verify(args) -> tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command table
 
-
-def _add_common(sub, *, fmt_default="csv", kind=False, mmax=False, n=False,
-                kk=False, ll=False, grid=False, suite=False, tol=False,
-                budget=False):
-    if kind:
-        sub.add_argument("--kind", required=True, help="named kind")
-    if mmax:
-        sub.add_argument("--mmax", type=int, required=True,
-                         help="largest walk length / moment order")
-    if n:
-        sub.add_argument("--n", type=int, default=None)
-    if kk:
-        sub.add_argument("--k", type=int, default=None)
-    if ll:
-        sub.add_argument("--l", type=int, default=None)
-    if grid:
-        sub.add_argument("--grid", type=int, required=True,
-                         help="number of sample points on [-4, 4]")
-    if suite:
-        sub.add_argument("--suite", required=True, choices=(*_SUITES, "all"))
-    if tol:
-        sub.add_argument("--tol", type=float, default=None,
-                         help="override the convolution sweep tolerance")
-    if budget:
-        sub.add_argument("--radius-budget", type=int, default=None,
-                         dest="radius_budget",
-                         help=f"vertex budget for ball expansion "
+#: ``add_argument`` keywords of each option, whose flag is its name with
+#: ``_`` written ``-``; each command lists its options in this order
+_OPTIONS = {
+    "kind": {"required": True, "help": "named kind"},
+    "mmax": {"type": int, "required": True,
+             "help": "largest walk length / moment order"},
+    "n": {"type": int},
+    "k": {"type": int},
+    "l": {"type": int},
+    "grid": {"type": int, "required": True,
+             "help": "number of sample points on [-4, 4]"},
+    "suite": {"required": True, "choices": (*_SUITES, "all")},
+    "tol": {"type": float, "default": 1e-6,
+            "help": "override the convolution sweep tolerance"},
+    "radius_budget": {"type": int,
+                      "help": f"vertex budget for ball expansion "
                               f"(default {graphs.DEFAULT_VERTEX_BUDGET}, "
-                              f"env {ENV_BUDGET})")
-    sub.add_argument("--format", choices=("csv", "json"), default=fmt_default)
-    sub.add_argument("--out", default=None, help="write output to a file")
+                              f"env {ENV_BUDGET})"},
+}
+
+#: (command, option) -> keywords that replace the shared ones
+_OVERRIDES = {
+    ("components", "kind"): {"required": False, "default": "kron"},
+    ("components", "n"): {"default": 2},
+    ("components", "k"): {"default": 2},
+}
+
+#: command -> (help, runner, default --format, option names)
+_COMMANDS = {
+    "walks": ("walk table with closed-form comparison", _run_walks, "csv",
+              ("kind", "mmax", "n", "k", "l", "radius_budget")),
+    "moments": ("moment table of a distribution", _run_moments, "csv",
+                ("kind", "mmax", "n")),
+    "density": ("sample a product density on a grid", _run_density, "csv",
+                ("kind", "grid")),
+    "verify": ("run a verification suite", _run_verify, "json",
+               ("suite", "tol", "radius_budget")),
+    "components": ("components of a product of paths", _run_components, "csv",
+                   ("kind", "n", "k", "radius_budget")),
+    "iso": ("check a built-in lattice isomorphism", _run_iso, "json",
+            ("kind", "n", "k", "l", "radius_budget")),
+}
 
 
 @functools.cache
@@ -422,52 +423,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "product densities for graph products and restricted "
                     "integer lattices.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("walks", help="walk table with closed-form comparison")
-    _add_common(sub, kind=True, mmax=True, n=True, kk=True, ll=True,
-                budget=True)
-
-    sub = subs.add_parser("moments", help="moment table of a distribution")
-    _add_common(sub, kind=True, mmax=True, n=True)
-
-    sub = subs.add_parser("density", help="sample a product density on a grid")
-    _add_common(sub, kind=True, grid=True)
-
-    sub = subs.add_parser("verify", help="run a verification suite")
-    _add_common(sub, fmt_default="json", suite=True, tol=True, budget=True)
-
-    sub = subs.add_parser("components", help="components of a product of paths")
-    sub.add_argument("--kind", default="kron", help="named kind")
-    _add_common(sub, n=True, kk=True, budget=True)
-
-    sub = subs.add_parser("iso", help="check a built-in lattice isomorphism")
-    _add_common(sub, fmt_default="json", kind=True, n=True, kk=True,
-                ll=True, budget=True)
-
+    for command, (text, _, fmt_default, options) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        for name in options:
+            sub.add_argument("--" + name.replace("_", "-"),
+                             **_OPTIONS[name] | _OVERRIDES.get((command, name), {}))
+        sub.add_argument("--format", choices=("csv", "json"), default=fmt_default)
+        sub.add_argument("--out", default=None, help="write output to a file")
     return parser
 
 
-_RUNNERS = {
-    "walks": _run_walks,
-    "moments": _run_moments,
-    "density": _run_density,
-    "verify": _run_verify,
-    "components": _run_components,
-    "iso": _run_iso,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, run, _, options = _COMMANDS[args.command]
     try:
-        text, code = _RUNNERS[args.command](args)
+        if "radius_budget" in options:
+            args.radius_budget = _resolve_budget(args)
+        params = {"command": args.command,
+                  **{name: getattr(args, name) for name in options},
+                  "format": args.format}
+        text, code = run(args, params)
     except (ValueError, ResourceLimitError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return code

@@ -53,8 +53,7 @@ class FiniteGraph:
     depths, the requested radius, and a truncation flag.
     """
 
-    def __init__(self, vertices, adjacency, root=None, name="", *,
-                 ball_radius=None, depths=None, truncated=False):
+    def __init__(self, vertices, adjacency, root=None, name=""):
         self.vertices: list[Coords] = [_as_coords(v) for v in vertices]
         if not self.vertices:
             raise ValueError("graph needs at least one vertex")
@@ -90,9 +89,9 @@ class FiniteGraph:
             raise ValueError("root index out of range")
         self.root = root
         self.name = name
-        self.ball_radius = ball_radius
-        self.depths = depths
-        self.truncated = truncated
+        self.ball_radius = None
+        self.depths = None
+        self.truncated = False
 
     @classmethod
     def _trusted(cls, vertices: list[Coords], index: dict[Coords, int],

@@ -107,6 +107,26 @@ class TestBudgetPlumbing:
         assert code == 1
         assert "LATTICE_WALKS_BUDGET" in err
 
+    @pytest.mark.parametrize("argv,budgeted", [
+        ("walks --kind hexagon --mmax 4", True),
+        ("iso --kind hexagon", True),
+        ("verify --suite identity", True),
+        ("components --kind hexagon", True),
+        ("moments --kind ww --mmax 4", False),
+        ("density --kind ww --grid 5", False),
+    ])
+    def test_malformed_env_budget_on_every_command(self, capsys, monkeypatch,
+                                                    argv, budgeted):
+        # the budget is resolved before the command runs, so it is reported
+        # ahead of an unknown kind; moments and density take no budget
+        monkeypatch.setenv("LATTICE_WALKS_BUDGET", "lots")
+        code, out, err = run(capsys, *argv.split())
+        if budgeted:
+            assert (code, out) == (1, "")
+            assert err == "error: LATTICE_WALKS_BUDGET must be an integer, got 'lots'\n"
+        else:
+            assert (code, err) == (0, "")
+
 
 class TestMomentsCommand:
     def test_ww_moments(self, capsys):
@@ -182,6 +202,34 @@ class TestComponentsCommand:
                            "--n", "2", "--k", "3")
         assert code == 0
         assert out.splitlines()[2:] == ['0,6,"0,0"']
+
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_budget_limits_product_vertices(self, capsys, monkeypatch, via_env):
+        argv = ["components", "--n", "3", "--k", "3"]
+        if via_env:
+            monkeypatch.setenv("LATTICE_WALKS_BUDGET", "8")
+        else:
+            argv += ["--radius-budget", "8"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "9 vertices" in err and "budget 8" in err
+        assert "--radius-budget" in err and "LATTICE_WALKS_BUDGET" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_budget_at_product_size_passes(self, capsys, fmt):
+        argv = ["components", "--n", "3", "--k", "3", "--format", fmt]
+        code, full, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--radius-budget", "9")
+        assert code == 0
+        budget = "radius_budget={}" if fmt == "csv" else '"radius_budget": {}'
+        assert out == full.replace(budget.format(5000000), budget.format(9), 1)
+
+    def test_nonpositive_sizes_rejected_before_budget(self, capsys):
+        code, _, err = run(capsys, "components", "--n", "-3000", "--k", "-3000")
+        assert code == 1
+        assert err == "error: path needs at least one vertex\n"
 
 
 class TestIsoCommand:
@@ -267,6 +315,21 @@ class TestParserContract:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert "4,6,6,true" in target.read_text().splitlines()
+
+    @pytest.mark.parametrize("missing_dir", [True, False])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, missing_dir):
+        target = tmp_path / "missing" / "x.csv" if missing_dir else tmp_path
+        code, out, err = run(capsys, "walks", "--kind", "z", "--mmax", "2",
+                             "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+    def test_failed_command_writes_no_file(self, capsys, tmp_path):
+        target = tmp_path / "table.csv"
+        code, _, _ = run(capsys, "walks", "--kind", "hexagon", "--mmax", "2",
+                         "--out", str(target))
+        assert code == 1 and not target.exists()
 
     def test_interleaved_commands_carry_nothing_over(self, capsys, tmp_path):
         # one parser serves every main() call in a process, so no --out,
@@ -424,6 +487,48 @@ def test_integer_outputs_are_byte_identical(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The parameter echo where BYTE_DIGESTS do not reach: (argv, environment
+# budget, CSV echo line, JSON "params" in key order).
+ECHO_PINS = [
+    ("density --kind wa --grid 3", None,
+     "# params: command=density kind=wa grid=3 format=csv",
+     {"command": "density", "kind": "wa", "grid": 3, "format": "json"}),
+    ("components", None,
+     "# params: command=components kind=kron n=2 k=2 radius_budget=5000000 format=csv",
+     {"command": "components", "kind": "kron", "n": 2, "k": 2,
+      "radius_budget": 5000000, "format": "json"}),
+    ("verify --suite identity --tol 0.001", None,
+     "# params: command=verify suite=identity tol=0.001 radius_budget=5000000 format=csv",
+     {"command": "verify", "suite": "identity", "tol": 0.001,
+      "radius_budget": 5000000, "format": "json"}),
+    ("walks --kind z --mmax 2 --radius-budget 7", None,
+     "# params: command=walks kind=z mmax=2 n=none k=none l=none radius_budget=7 format=csv",
+     {"command": "walks", "kind": "z", "mmax": 2, "n": None, "k": None, "l": None,
+      "radius_budget": 7, "format": "json"}),
+    ("iso --kind wedge", "123456",
+     "# params: command=iso kind=wedge n=none k=none l=none radius_budget=123456 format=csv",
+     {"command": "iso", "kind": "wedge", "n": None, "k": None, "l": None,
+      "radius_budget": 123456, "format": "json"}),
+    ("moments --kind path --n 6 --mmax 4", None,
+     "# params: command=moments kind=path mmax=4 n=6 format=csv",
+     {"command": "moments", "kind": "path", "mmax": 4, "n": 6, "format": "json"}),
+]
+
+
+@pytest.mark.parametrize("argv,env_budget,csv_line,json_params", ECHO_PINS,
+                         ids=[argv for argv, *_ in ECHO_PINS])
+def test_parameter_echo(capsys, monkeypatch, argv, env_budget, csv_line, json_params):
+    if env_budget is None:
+        monkeypatch.delenv("LATTICE_WALKS_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("LATTICE_WALKS_BUDGET", env_budget)
+    code, out, _ = run(capsys, *argv.split(), "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == csv_line
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["params"].items()) == list(json_params.items())
 
 
 def test_import_does_not_load_numpy():

@@ -75,6 +75,15 @@ class TestFiniteGraph:
         with pytest.raises(ValueError):
             FiniteGraph([(0.5,), (1,)], [[1], [0]])
 
+    def test_ball_fields_are_not_constructor_keywords(self):
+        # only ball() may attach depths, which degree_histogram trusts
+        with pytest.raises(TypeError):
+            FiniteGraph([(0,), (1,)], [[1], [0]], ball_radius=1, depths=[0, 1])
+        g = FiniteGraph([(0,), (1,)], [[1], [0]], root=(0,))
+        assert (g.ball_radius, g.depths, g.truncated) == (None, None, False)
+        with pytest.raises(ValueError, match="produced by ball"):
+            degree_histogram(g, 0)
+
     def test_membership_and_index(self):
         g = path_graph(3)
         assert (2,) in g

@@ -1,11 +1,16 @@
 """Static checks on the source tree, run with the tests because no linter
 runs in CI: no module under ``src/`` or ``tests/`` imports a name it never
-uses, and no private module-level name under ``src/`` goes unread."""
+uses, no private module-level name under ``src/`` goes unread, and the
+README lists exactly the flags the command-line parser takes."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from latticewalks import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(ROOT.glob("src/**/*.py"))
@@ -103,3 +108,24 @@ def test_scan_finds_dead_private_names():
 def test_no_dead_private_names():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
     assert dead_private_names(sources) == []
+
+
+def readme_flags(readme: str) -> set[str]:
+    """The ``--flags`` of the "Flags:" paragraph of the README's "Command
+    line" section."""
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    paragraph = section.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
+    return set(re.findall(r"--[a-z][a-z-]*", paragraph))
+
+
+def parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Option strings of every subcommand of ``parser``, without help."""
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {flag for sub in subs.choices.values() for action in sub._actions
+            for flag in action.option_strings} - {"-h", "--help"}
+
+
+def test_readme_lists_the_parser_flags():
+    readme = (ROOT / "README.md").read_text()
+    assert readme_flags(readme) == parser_flags(cli.build_parser())
