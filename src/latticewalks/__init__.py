@@ -61,6 +61,7 @@ from .spectral import (
     NamedDensity,
     PathSpectrum,
     Semicircle,
+    moment_law,
     path_spectrum,
 )
 from .walks import (
@@ -131,6 +132,7 @@ __all__ = [
     "lattice_walk_kinds",
     "mellin_density_convolve",
     "moment_coincidence_report",
+    "moment_law",
     "path_closed_walks",
     "path_graph",
     "path_spectrum",

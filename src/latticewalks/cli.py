@@ -107,34 +107,12 @@ def _run_walks(args, params: dict) -> tuple[str, int]:
     return _csv(params, "m,ball_count,closed_form,match", lines), code
 
 
-_MOMENT_KINDS = ("arcsine", "semicircle", *spectral.PRODUCT_FACTORS,
-                 "classical-aa", "classical-ww", "path")
-
-
-def _moment_distribution(kind: str, n):
-    if kind == "arcsine":
-        return spectral.ArcSine()
-    if kind == "semicircle":
-        return spectral.Semicircle()
-    if kind in spectral.PRODUCT_FACTORS:
-        return spectral.NamedDensity(kind)
-    if kind == "classical-aa":
-        return spectral.ClassicalConv(spectral.ArcSine(), spectral.ArcSine())
-    if kind == "classical-ww":
-        return spectral.ClassicalConv(spectral.Semicircle(), spectral.Semicircle())
-    if kind == "path":
-        if n is None:
-            raise ValueError("moment kind 'path' requires --n")
-        return spectral.path_spectrum(n)
-    raise ValueError(f"unknown moment kind {kind!r}; known: {', '.join(_MOMENT_KINDS)}")
-
-
 def _run_moments(args, params: dict) -> tuple[str, int]:
     if args.mmax < 0:
         raise ValueError("--mmax must be nonnegative")
     if args.mmax > CAP_12D:
         raise ValueError(f"mmax {args.mmax} exceeds the moment-table cap {CAP_12D}")
-    dist = _moment_distribution(args.kind, args.n)
+    dist = spectral.moment_law(args.kind, args.n)
     # every moment kind has exact integer moments
     values = [dist.moment(m) for m in range(args.mmax + 1)]
     if args.format == "json":
@@ -144,9 +122,6 @@ def _run_moments(args, params: dict) -> tuple[str, int]:
 
 
 def _run_density(args, params: dict) -> tuple[str, int]:
-    if args.kind not in spectral.PRODUCT_FACTORS:
-        raise ValueError(f"unknown density kind {args.kind!r}; "
-                         f"known: {', '.join(spectral.PRODUCT_FACTORS)}")
     if args.grid < 2:
         raise ValueError("--grid needs at least 2 points")
     xs = [-4.0 + 8.0 * i / (args.grid - 1) for i in range(args.grid)]
@@ -184,21 +159,9 @@ def _run_components(args, params: dict) -> tuple[str, int]:
     return _csv(params, "component,size,smallest_vertex", lines), 0
 
 
-def _iso_map(kind: str, n=None, k=None, l=None):
-    """(isomorphism, radius) of a built-in iso kind."""
-    if kind not in graphs.FOLD_KINDS:
-        raise ValueError(
-            f"unknown iso kind {kind!r}; known: {', '.join(graphs.FOLD_KINDS)}")
-    needs, radius, _ = graphs.FOLD_KINDS[kind]
-    given = {"n": n, "k": k, "l": l}
-    if any(given[p] is None for p in needs):
-        raise ValueError(f"iso kind {kind!r} requires "
-                         + " and ".join(f"--{p}" for p in needs))
-    return graphs.fold_map(kind, *(given[p] for p in needs)), radius
-
-
 def _run_iso(args, params: dict) -> tuple[str, int]:
-    iso, radius = _iso_map(args.kind, args.n, args.k, args.l)
+    iso = graphs.fold_map(args.kind, n=args.n, k=args.k, l=args.l)
+    radius = graphs.FOLD_KINDS[args.kind].radius
     report = graphs.verify_isomorphism(iso, radius, args.radius_budget)
     code = 0 if report.ok else 1
     if args.format == "csv":
@@ -240,7 +203,7 @@ def _suite_iso(budget: int, sweep_tol: float) -> list[dict]:
              ("halfplane", {}), ("wedge", {}), ("diamond", {"k": 4, "l": 4})]
     checks = []
     for kind, params in cases:
-        iso, radius = _iso_map(kind, **params)
+        iso, radius = graphs.fold_map(kind, **params), graphs.FOLD_KINDS[kind].radius
         rep = graphs.verify_isomorphism(iso, radius, budget)
         actual = "ok" if rep.ok else f"fail: {rep.detail}"
         checks.append(_check(f"{iso.name} r={radius}", "ok", actual, 0, rep.ok))
@@ -393,6 +356,9 @@ _OVERRIDES = {
     ("components", "kind"): {"required": False, "default": "kron"},
     ("components", "n"): {"default": 2},
     ("components", "k"): {"default": 2},
+    ("components", "radius_budget"): {
+        "help": f"vertex budget for the n*k vertices of the product "
+                f"(default {graphs.DEFAULT_VERTEX_BUDGET}, env {ENV_BUDGET})"},
 }
 
 #: command -> (help, runner, default --format, option names)

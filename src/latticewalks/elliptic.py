@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import NumericalError
+from .errors import KindTable, NumericalError
 
 # a few ulps: the AGM gap stalls near half an ulp of a and never hits 0
 _EPS = 4.0e-16
@@ -93,19 +93,11 @@ _PI2 = math.pi * math.pi
 # c * (log(16/|x|) + d), which feeds the analytic value of the singular
 # head panel [0, eps] and the underflow case of density; value(K, head,
 # tail) is the kernel from the output of _agm.
-_KERNELS = {
+_KERNELS = KindTable("density", {
     "aa": (1.0 / (2.0 * _PI2), 0.0, lambda big_k, head, tail: big_k / (2.0 * _PI2)),
     "wa": (1.0 / _PI2, -1.0, lambda big_k, head, tail: big_k * (head + tail) / _PI2),
     "ww": (2.0 / _PI2, -2.0, lambda big_k, head, tail: 4.0 * big_k * tail / _PI2),
-}
-
-
-def _kernel(kind: str) -> tuple[float, float, Callable[[float, float, float], float]]:
-    # the table entry of a kernel kind, case-insensitive
-    kind = kind.lower()
-    if kind not in _KERNELS:
-        raise ValueError(f"unknown kernel kind {kind!r}; known: {', '.join(_KERNELS)}")
-    return _KERNELS[kind]
+})
 
 
 def density(kind: str, x: float) -> float:
@@ -118,7 +110,7 @@ def density(kind: str, x: float) -> float:
     their closed forms K - E and (1 + x^2/16) K - 2E come from
     :func:`_agm` without a subtraction.
     """
-    c, d, value = _kernel(kind)
+    c, d, value = _KERNELS[kind]
     ax = abs(float(x))
     if ax > 4.0:
         return 0.0
@@ -298,7 +290,7 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     on [0, 1e-6] from the leading asymptotics; the rest is adaptive
     quadrature.  Absolute error is below tol * max(1, result).
     """
-    c, d, _ = _kernel(kind)
+    c, d, _ = _KERNELS[kind]
     if m < 0 or m % 2:
         raise ValueError("moment order must be even and nonnegative")
     eps = _HEAD_EPS

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import ResourceLimitError
+from .errors import KindTable, ResourceLimitError
 
 Coords = tuple[int, ...]
 
@@ -724,7 +724,7 @@ class FoldKind(NamedTuple):
 # product of its two diagonal factors.  Builders look the
 # product constructors up at call time, so a wrapped kronecker or
 # cartesian sees every product they build.
-FOLD_KINDS: dict[str, FoldKind] = {
+FOLD_KINDS = KindTable("fold", {
     "plane": FoldKind((), 8, lambda: (
         cartesian(integer_line(), integer_line()),
         kronecker(integer_line(), integer_line()), "plane-to-kron")),
@@ -740,12 +740,15 @@ FOLD_KINDS: dict[str, FoldKind] = {
     "diamond": FoldKind(("k", "l"), 6, lambda k, l: (
         restrict_lattice(diamond(k, l)),
         kronecker(path_graph(k), path_graph(l)), f"diamond{k}x{l}-to-kron")),
-}
+})
 
 
-def fold_map(kind: str, *params: int) -> IsoMap:
+def fold_map(kind: str, n: int | None = None, k: int | None = None,
+             l: int | None = None) -> IsoMap:
     """The fold (x, y) |-> (x + y, x - y) of a named kind in
-    :data:`FOLD_KINDS`, rooted at the origin on both sides; ``params`` are
-    the kind's parameters in the order of its ``params`` names."""
-    source, target, name = FOLD_KINDS[kind].build(*params)
+    :data:`FOLD_KINDS`, rooted at the origin on both sides; the kind takes
+    exactly the parameters its ``params`` names."""
+    fold = FOLD_KINDS[kind]
+    source, target, name = fold.build(**FOLD_KINDS.params(kind, fold.params,
+                                                          n=n, k=k, l=l))
     return IsoMap(_FOLD, (0, 0), source, (0, 0), target, (0, 0), name)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import comb, cos, pi, sin
 
 from . import elliptic
+from .errors import KindTable
 from .walks import catalan, path_closed_walks
 
 Number = int | float
@@ -137,11 +138,11 @@ class MellinConv(SpectralDistribution):
 
 #: The factor laws of each product density on [-4, 4], whose pointwise
 #: values :func:`latticewalks.elliptic.density` evaluates.
-PRODUCT_FACTORS = {
+PRODUCT_FACTORS = KindTable("density", {
     "aa": (ArcSine, ArcSine),
     "wa": (Semicircle, ArcSine),
     "ww": (Semicircle, Semicircle),
-}
+})
 
 
 class NamedDensity(SpectralDistribution):
@@ -154,13 +155,9 @@ class NamedDensity(SpectralDistribution):
     """
 
     def __init__(self, kind: str):
-        kind = kind.lower()
-        if kind not in PRODUCT_FACTORS:
-            raise ValueError(f"unknown density kind {kind!r}; "
-                             f"known: {', '.join(PRODUCT_FACTORS)}")
+        fl, fr = PRODUCT_FACTORS[kind]
         self.kind = kind
         self.name = f"density-{kind}"
-        fl, fr = PRODUCT_FACTORS[kind]
         self._inner = MellinConv(fl(), fr())
 
     def moment(self, m: int) -> Number:
@@ -202,3 +199,24 @@ def path_spectrum(n: int) -> PathSpectrum:
     lams = tuple(2.0 * cos(a) for a in angles)
     weights = tuple(2.0 / (n + 1) * sin(a) ** 2 for a in angles)
     return PathSpectrum(n, lams, weights)
+
+
+#: The laws whose moment tables the CLI's ``moments`` command prints:
+#: kind -> (parameters it requires, builder of the law from them).  The
+#: builders look path_spectrum up at call time, so a wrapped
+#: path_spectrum sees every path law built here.
+MOMENT_LAWS = KindTable("moment", {
+    "arcsine": ((), ArcSine),
+    "semicircle": ((), Semicircle),
+    **{kind: ((), lambda kind=kind: NamedDensity(kind)) for kind in PRODUCT_FACTORS},
+    "classical-aa": ((), lambda: ClassicalConv(ArcSine(), ArcSine())),
+    "classical-ww": ((), lambda: ClassicalConv(Semicircle(), Semicircle())),
+    "path": (("n",), lambda n: path_spectrum(n)),
+})
+
+
+def moment_law(kind: str, n: int | None = None) -> SpectralDistribution | PathSpectrum:
+    """The law of a named kind in :data:`MOMENT_LAWS`; ``path`` requires
+    the path's vertex count ``n``, and no other kind takes it."""
+    requires, build = MOMENT_LAWS[kind]
+    return build(**MOMENT_LAWS.params(kind, requires, n=n))

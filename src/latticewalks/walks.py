@@ -64,6 +64,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import graphs
+from .errors import KindTable
 from .graphs import (DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph,
                      ball, reflection)
 
@@ -273,19 +274,6 @@ class LatticeKind:
     closed_fn: Callable[..., int]
 
 
-def _params(kind: "LatticeKind", n, k, l) -> dict:
-    given = {"n": n, "k": k, "l": l}
-    out = {}
-    for p in kind.requires:
-        if given[p] is None:
-            raise ValueError(f"kind {kind.key!r} requires parameter {p}")
-        out[p] = given[p]
-    for p, v in given.items():
-        if v is not None and p not in kind.requires:
-            raise ValueError(f"kind {kind.key!r} does not take parameter {p}")
-    return out
-
-
 def _quarterplane(h: int) -> int:
     return sum(comb(2 * h, 2 * k) * catalan(k) * catalan(h - k)
                for k in range(h + 1))
@@ -330,7 +318,7 @@ def _antidiagonal(v: Coords) -> Coords:
 # but the half line and the diamond a mirror that fixes the root;
 # walk_table lumps by either.  Under the fold a mirror reflects one
 # Kronecker factor or swaps two equal ones.
-_KINDS: dict[str, LatticeKind] = {lk.key: lk for lk in (
+_KINDS = KindTable("lattice", {lk.key: lk for lk in (
     LatticeKind("z", 1, (), "integer line at 0; binom(2h,h)",
                 lambda: (_signed(graphs.integer_line()), (0,)),
                 central_binomial),
@@ -395,7 +383,7 @@ _KINDS: dict[str, LatticeKind] = {lk.key: lk for lk in (
                     graphs.kronecker(graphs.half_line(), graphs.half_line()),
                     graphs.half_line()), lambda v: (v[1], v[0], v[2])), (0, 0, 0)),
                 _chamber3),
-)}
+)})
 
 
 def lattice_walk_kinds() -> tuple[str, ...]:
@@ -403,18 +391,14 @@ def lattice_walk_kinds() -> tuple[str, ...]:
 
 
 def lattice_kind(kind: str) -> LatticeKind:
-    try:
-        return _KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown lattice kind {kind!r}; known: {', '.join(_KINDS)}") from None
+    return _KINDS[kind]
 
 
 def build_lattice(kind: str, n: int | None = None, k: int | None = None,
                   l: int | None = None) -> tuple[Graph, Coords]:
     """The rooted graph behind a named kind: (graph, root coordinates)."""
-    lk = lattice_kind(kind)
-    return lk.build_fn(**_params(lk, n, k, l))
+    lk = _KINDS[kind]
+    return lk.build_fn(**_KINDS.params(kind, lk.requires, n=n, k=k, l=l))
 
 
 def closed_form_walks(kind: str, m: int, n: int | None = None,
@@ -423,8 +407,8 @@ def closed_form_walks(kind: str, m: int, n: int | None = None,
 
     All named kinds are bipartite, so odd lengths return 0.
     """
-    lk = lattice_kind(kind)
-    params = _params(lk, n, k, l)
+    lk = _KINDS[kind]
+    params = _KINDS.params(kind, lk.requires, n=n, k=k, l=l)
     if m < 0:
         raise ValueError("walk length must be nonnegative")
     if m % 2:

@@ -106,7 +106,7 @@ def test_3_isomorphism_suite():
              (graphs.fold_map("strip", 3), 6),
              (graphs.fold_map("strip", 4), 6),
              (graphs.fold_map("halfplane"), 6),
-             (graphs.fold_map("diamond", 4, 4), 6)]
+             (graphs.fold_map("diamond", k=4, l=4), 6)]
     for iso, radius in cases:
         rep = graphs.verify_isomorphism(iso, radius)
         if not rep.ok:

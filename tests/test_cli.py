@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from latticewalks import walks
-from latticewalks.cli import main
+from latticewalks.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -160,7 +161,7 @@ class TestMomentsCommand:
     def test_path_requires_n(self, capsys):
         code, _, err = run(capsys, "moments", "--kind", "path", "--mmax", "4")
         assert code == 1
-        assert "--n" in err
+        assert err == "error: moment kind 'path' requires parameter n\n"
 
     def test_moment_cap(self, capsys):
         code, _, err = run(capsys, "moments", "--kind", "aa", "--mmax", "44")
@@ -243,12 +244,52 @@ class TestIsoCommand:
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "iso", "--kind", "diamond", "--k", "4")
         assert code == 1
-        assert err == "error: iso kind 'diamond' requires --k and --l\n"
+        assert err == "error: fold kind 'diamond' requires parameter l\n"
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "iso", "--kind", "wedge", "--format", "csv")
         assert code == 0
         assert out.splitlines()[1] == "name,radius,ok,detail,source_size,target_size"
+
+
+_KNOWN = {"lattice": ", ".join(walks.lattice_walk_kinds()),
+          "moment": "arcsine, semicircle, aa, wa, ww, classical-aa, classical-ww, path",
+          "fold": "plane, strip, halfplane, wedge, diamond",
+          "density": "aa, wa, ww"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("walks --kind hexagon --mmax 4", f"unknown lattice kind 'hexagon'; known: {_KNOWN['lattice']}"),
+    ("walks --kind Z2 --mmax 4", f"unknown lattice kind 'Z2'; known: {_KNOWN['lattice']}"),
+    ("walks --kind strip --mmax 4", "lattice kind 'strip' requires parameter n"),
+    ("walks --kind z --n 3 --mmax 4", "lattice kind 'z' does not take parameter n"),
+    ("moments --kind hexagon --mmax 4", f"unknown moment kind 'hexagon'; known: {_KNOWN['moment']}"),
+    ("moments --kind path --mmax 4", "moment kind 'path' requires parameter n"),
+    ("moments --kind arcsine --n 5 --mmax 4", "moment kind 'arcsine' does not take parameter n"),
+    ("iso --kind hexagon", f"unknown fold kind 'hexagon'; known: {_KNOWN['fold']}"),
+    ("iso --kind diamond --k 4", "fold kind 'diamond' requires parameter l"),
+    ("iso --kind plane --n 3", "fold kind 'plane' does not take parameter n"),
+    ("density --kind hexagon --grid 5", f"unknown density kind 'hexagon'; known: {_KNOWN['density']}"),
+    ("density --kind AA --grid 5", f"unknown density kind 'AA'; known: {_KNOWN['density']}"),
+])
+def test_one_kind_rule_for_every_command(capsys, argv, message):
+    # a kind matches exactly, and a parameter it does not take is an error
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_components_budget_help_names_the_product():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+    def budget_help(command):
+        return next(a.help for a in subs[command]._actions if a.dest == "radius_budget")
+
+    tail = "(default 5000000, env LATTICE_WALKS_BUDGET)"
+    assert budget_help("components") == f"vertex budget for the n*k vertices of the product {tail}"
+    for command in ("walks", "verify", "iso"):
+        assert budget_help(command) == f"vertex budget for ball expansion {tail}"
 
 
 class TestVerifyCommand:

@@ -174,6 +174,12 @@ class TestDensityKernels:
         with pytest.raises(ValueError):
             density("xx", 1.0)
 
+    def test_kinds_match_exactly(self):
+        with pytest.raises(ValueError, match="unknown density kind 'AA'"):
+            density("AA", 1.0)
+        with pytest.raises(ValueError, match="unknown density kind 'AA'"):
+            density_moment("AA", 2)
+
 
 class TestFactorDensities:
     def test_arcsine_density(self):

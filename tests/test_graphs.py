@@ -561,16 +561,27 @@ class TestIsomorphisms:
     @pytest.mark.parametrize("kind,params", _FOLDS,
                              ids=[k + "".join(f"-{v}" for v in p) for k, p in _FOLDS])
     def test_builtin_folds_verify_at_table_radius(self, kind, params):
-        rep = verify_isomorphism(fold_map(kind, *params), graphs.FOLD_KINDS[kind].radius)
+        fold = graphs.FOLD_KINDS[kind]
+        rep = verify_isomorphism(fold_map(kind, **dict(zip(fold.params, params))), fold.radius)
         assert rep.ok, rep.detail
         assert rep.source_size == rep.target_size
 
     def test_fold_map_names(self):
         for n in (2, 3, 7):
             assert fold_map("strip", n).name == f"strip{n}-to-kron"
-        assert fold_map("diamond", 4, 3).name == "diamond4x3-to-kron"
+        assert fold_map("diamond", k=4, l=3).name == "diamond4x3-to-kron"
         assert [fold_map(k).name for k in ("plane", "halfplane", "wedge")] == \
             ["plane-to-kron", "halfplane-to-kron", "wedge-to-kron"]
+
+    @pytest.mark.parametrize("kind,params,message", [
+        ("nope", {}, "unknown fold kind 'nope'; known: plane, strip, halfplane, wedge, diamond"),
+        ("strip", {}, "fold kind 'strip' requires parameter n"),
+        ("plane", {"n": 3}, "fold kind 'plane' does not take parameter n"),
+    ])
+    def test_fold_map_checks_kind_and_parameters(self, kind, params, message):
+        with pytest.raises(ValueError) as info:
+            fold_map(kind, **params)
+        assert str(info.value) == message
 
     def test_iso_map_applies_affinely(self):
         iso = fold_map("plane")
@@ -621,7 +632,8 @@ class TestIsomorphisms:
         matrix = data.draw(st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)))
         offset = data.draw(st.one_of(st.just((0, 0)), st.tuples(entry, entry)))
         radius = data.draw(st.integers(1, 4))
-        iso = _remap(fold_map(kind, *params), matrix=matrix, offset=offset)
+        iso = _remap(fold_map(kind, **dict(zip(graphs.FOLD_KINDS[kind].params, params))),
+                     matrix=matrix, offset=offset)
         assert _report(iso, radius) == reference_iso_report(iso, radius)
 
 

@@ -1,7 +1,8 @@
 """Static checks on the source tree, run with the tests because no linter
 runs in CI: no module under ``src/`` or ``tests/`` imports a name it never
 uses, no private module-level name under ``src/`` goes unread, and the
-README lists exactly the flags the command-line parser takes."""
+README lists exactly the flags the command-line parser takes and the
+lattice kinds ``walks`` takes."""
 
 import argparse
 import ast
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from latticewalks import cli
+from latticewalks import cli, walks
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(ROOT.glob("src/**/*.py"))
@@ -129,3 +130,20 @@ def parser_flags(parser: argparse.ArgumentParser) -> set[str]:
 def test_readme_lists_the_parser_flags():
     readme = (ROOT / "README.md").read_text()
     assert readme_flags(readme) == parser_flags(cli.build_parser())
+
+
+def readme_walk_kinds(readme: str) -> list[tuple[str, tuple[str, ...]]]:
+    """(kind, flags) of each row of the README's "Lattice kinds for
+    `walks`" table, in order, from its first column, such as
+    ``| `strip` (`--n`) |``."""
+    table = readme.split("\nLattice kinds for `walks`:\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+    return [(re.search(r"`([a-z0-9-]+)`", cell).group(1),
+             tuple(re.findall(r"--[a-z]+", cell))) for cell in rows]
+
+
+def test_readme_lists_the_walk_kinds():
+    readme = (ROOT / "README.md").read_text()
+    assert readme_walk_kinds(readme) == [
+        (kind, tuple("--" + p for p in walks.lattice_kind(kind).requires))
+        for kind in walks.lattice_walk_kinds()]

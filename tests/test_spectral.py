@@ -13,6 +13,7 @@ from latticewalks.spectral import (
     MellinConv,
     NamedDensity,
     Semicircle,
+    moment_law,
     path_spectrum,
 )
 from latticewalks.walks import path_closed_walks
@@ -103,6 +104,18 @@ class TestConvolutions:
     def test_named_density_unknown_kind(self):
         with pytest.raises(ValueError):
             NamedDensity("argh")
+        with pytest.raises(ValueError, match="unknown density kind 'AA'"):
+            NamedDensity("AA")
+
+    def test_moment_laws_take_exactly_their_parameters(self):
+        assert moment_law("path", n=4).moment(8) == path_closed_walks(4, 8)
+        assert moment_law("classical-ww").moment(4) == 10
+        with pytest.raises(ValueError, match="moment kind 'path' requires parameter n"):
+            moment_law("path")
+        with pytest.raises(ValueError, match="moment kind 'arcsine' does not take parameter n"):
+            moment_law("arcsine", n=5)
+        with pytest.raises(ValueError, match="unknown moment kind 'Path'"):
+            moment_law("Path", n=4)
 
     def test_product_factors_cover_the_kernel_kinds(self):
         assert set(spectral.PRODUCT_FACTORS) == set(elliptic._KERNELS)
