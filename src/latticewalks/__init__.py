@@ -8,7 +8,7 @@ The package splits into four layers:
   coordinate-change isomorphisms.
 - :mod:`latticewalks.walks`: exact big-integer closed-walk counts, the named
   lattice registry with closed-form counting formulas, and coincidence
-  reports for pairs of rooted graphs.
+  tuples ``(m, count_a, count_b)`` for pairs of rooted graphs.
 - :mod:`latticewalks.spectral`: moment sequences, arcsine and semicircle
   laws, classical and Mellin convolutions, and finite path spectra.
 - :mod:`latticewalks.elliptic`: complete elliptic integrals via the
@@ -32,7 +32,6 @@ from .graphs import (
     ImplicitGraph,
     IsoMap,
     IsoReport,
-    LatticeDomain,
     ball,
     cartesian,
     chamber3,
@@ -65,7 +64,6 @@ from .spectral import (
     path_spectrum,
 )
 from .walks import (
-    CoincidenceReport,
     LatticeKind,
     WalkTable,
     build_lattice,
@@ -88,14 +86,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ArcSine",
     "ClassicalConv",
-    "CoincidenceReport",
     "Discrete",
     "EllipticPair",
     "FiniteGraph",
     "ImplicitGraph",
     "IsoMap",
     "IsoReport",
-    "LatticeDomain",
     "LatticeKind",
     "MellinConv",
     "NamedDensity",

@@ -136,8 +136,7 @@ def _run_density(args, params: dict) -> tuple[str, int]:
 
 
 def _run_components(args, params: dict) -> tuple[str, int]:
-    if args.kind not in ("kron", "cartesian"):
-        raise ValueError("components --kind must be 'kron' or 'cartesian'")
+    product = graphs.PRODUCT_KINDS[args.kind]
     size = args.n * args.k
     # a pair of nonpositive sizes is left to path_graph to reject
     if args.n > 0 and args.k > 0 and size > args.radius_budget:
@@ -145,8 +144,7 @@ def _run_components(args, params: dict) -> tuple[str, int]:
             f"product of P{args.n} and P{args.k} has {size} vertices, more than "
             f"the vertex budget {args.radius_budget}; raise it with "
             f"--radius-budget or {ENV_BUDGET}")
-    g1, g2 = graphs.path_graph(args.n), graphs.path_graph(args.k)
-    prod = graphs.kronecker(g1, g2) if args.kind == "kron" else graphs.cartesian(g1, g2)
+    prod = product(graphs.path_graph(args.n), graphs.path_graph(args.k))
     comps = graphs.connected_components(prod)
     if args.format == "json":
         body = {"count": len(comps),
@@ -215,7 +213,7 @@ def _suite_coincidence(budget: int, sweep_tol: float) -> list[dict]:
     g_a, o_a = walks.build_lattice("kkc3")
     g_b, o_b = walks.build_lattice("chamber3")
     rep = walks.moment_coincidence_report(g_a, o_a, g_b, o_b, 12, budget)
-    for m, ca, cb in rep.entries:
+    for m, ca, cb in rep:
         if m % 2:
             continue
         cf = walks.closed_form_walks("chamber3", m)
@@ -231,7 +229,7 @@ def _suite_coincidence(budget: int, sweep_tol: float) -> list[dict]:
     corner, corner_root = walks.build_lattice("zxzplus")
     kk = graphs.kronecker(graphs.half_line(), graphs.half_line())
     rep2 = walks.moment_coincidence_report(corner, corner_root, kk, (0, 1), 16, budget)
-    for m, ca, cb in rep2.entries:
+    for m, ca, cb in rep2:
         if m % 2:
             continue
         cf = walks.closed_form_walks("zxzplus", m)

@@ -10,7 +10,7 @@ class NumericalError(RuntimeError):
 
 
 class KindTable(dict):
-    """The named kinds of one family (lattice, fold, moment, density).
+    """The named kinds of one family (lattice, fold, moment, density, product).
 
     Kinds match exactly.  A known kind is one dict access; an unknown one
     raises ValueError naming the family and its known kinds.

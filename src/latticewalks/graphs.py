@@ -308,66 +308,17 @@ def half_line() -> ImplicitGraph:
 # lattice domains
 
 
-@dataclass(frozen=True)
-class LatticeDomain:
-    """A subset of Z^d given by a predicate on coordinate tuples."""
-
-    name: str
-    dimension: int
-    predicate: Callable[[Coords], bool]
-
-
-def full_plane() -> LatticeDomain:
-    return LatticeDomain("Z^2", 2, lambda v: True)
-
-
-def half_plane() -> LatticeDomain:
-    """Lattice points with x >= y."""
-    return LatticeDomain("x>=y", 2, lambda v: v[0] >= v[1])
-
-
-def strip(n: int) -> LatticeDomain:
-    """Diagonal strip x >= y >= x-(n-1), i.e. x-y confined to 0..n-1."""
-    if n < 2:
-        raise ValueError("strip width must be at least 2")
-    return LatticeDomain(f"x>=y>=x-{n - 1}", 2,
-                         lambda v: v[0] >= v[1] >= v[0] - (n - 1))
-
-
-def wedge() -> LatticeDomain:
-    """Wedge x >= y >= -x (an eighth of the plane, closed under reflection)."""
-    return LatticeDomain("x>=y>=-x", 2, lambda v: v[0] >= v[1] >= -v[0])
-
-
-def diamond(k: int, l: int) -> LatticeDomain:
-    """Finite diamond 0 <= x+y <= k-1, 0 <= x-y <= l-1."""
-    if k < 2 or l < 2:
-        raise ValueError("diamond side lengths must be at least 2")
-    return LatticeDomain(
-        f"0<=x+y<={k - 1},0<=x-y<={l - 1}", 2,
-        lambda v: 0 <= v[0] + v[1] <= k - 1 and 0 <= v[0] - v[1] <= l - 1)
-
-
-def quarter_plane() -> LatticeDomain:
-    return LatticeDomain("x>=0,y>=0", 2, lambda v: v[0] >= 0 and v[1] >= 0)
-
-
-def chamber3() -> LatticeDomain:
-    """Ordered chamber x >= y >= z in Z^3."""
-    return LatticeDomain("x>=y>=z", 3, lambda v: v[0] >= v[1] >= v[2])
-
-
-def restrict_lattice(domain: LatticeDomain) -> ImplicitGraph:
-    """Nearest-neighbor graph on the lattice points of a domain.
+def restrict_lattice(name: str, dimension: int,
+                     inside: Callable[[Coords], bool]) -> ImplicitGraph:
+    """Nearest-neighbor graph ``lattice[name]`` on the points of
+    Z^dimension where ``inside`` holds.
 
     Edges move +-1 in exactly one coordinate and stay inside the domain.
     """
-    d = domain.dimension
-    inside = domain.predicate
 
     def nbrs(v: Coords) -> list[Coords]:
         out = []
-        for i in range(d):
+        for i in range(dimension):
             head, x, tail = v[:i], v[i], v[i + 1:]
             for y in (x - 1, x + 1):
                 w = head + (y,) + tail
@@ -375,7 +326,47 @@ def restrict_lattice(domain: LatticeDomain) -> ImplicitGraph:
                     out.append(w)
         return out
 
-    return ImplicitGraph(d, nbrs, f"lattice[{domain.name}]", domain.predicate)
+    return ImplicitGraph(dimension, nbrs, f"lattice[{name}]", inside)
+
+
+def full_plane() -> ImplicitGraph:
+    return restrict_lattice("Z^2", 2, lambda v: True)
+
+
+def half_plane() -> ImplicitGraph:
+    """Lattice points with x >= y."""
+    return restrict_lattice("x>=y", 2, lambda v: v[0] >= v[1])
+
+
+def strip(n: int) -> ImplicitGraph:
+    """Diagonal strip x >= y >= x-(n-1), i.e. x-y confined to 0..n-1."""
+    if n < 2:
+        raise ValueError("strip width must be at least 2")
+    return restrict_lattice(f"x>=y>=x-{n - 1}", 2,
+                            lambda v: v[0] >= v[1] >= v[0] - (n - 1))
+
+
+def wedge() -> ImplicitGraph:
+    """Wedge x >= y >= -x (an eighth of the plane, closed under reflection)."""
+    return restrict_lattice("x>=y>=-x", 2, lambda v: v[0] >= v[1] >= -v[0])
+
+
+def diamond(k: int, l: int) -> ImplicitGraph:
+    """Finite diamond 0 <= x+y <= k-1, 0 <= x-y <= l-1."""
+    if k < 2 or l < 2:
+        raise ValueError("diamond side lengths must be at least 2")
+    return restrict_lattice(
+        f"0<=x+y<={k - 1},0<=x-y<={l - 1}", 2,
+        lambda v: 0 <= v[0] + v[1] <= k - 1 and 0 <= v[0] - v[1] <= l - 1)
+
+
+def quarter_plane() -> ImplicitGraph:
+    return restrict_lattice("x>=0,y>=0", 2, lambda v: v[0] >= 0 and v[1] >= 0)
+
+
+def chamber3() -> ImplicitGraph:
+    """Ordered chamber x >= y >= z in Z^3."""
+    return restrict_lattice("x>=y>=z", 3, lambda v: v[0] >= v[1] >= v[2])
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +408,14 @@ def kronecker(g1: Graph, g2: Graph) -> Graph:
 def cartesian(g1: Graph, g2: Graph) -> Graph:
     """Cartesian (box) product: adjacent iff exactly one coordinate moves."""
     return _product(g1, g2, "cart")
+
+
+# The two products by name.  The entries look the constructors up at call
+# time, so a wrapped kronecker or cartesian sees every product built here.
+PRODUCT_KINDS = KindTable("product", {
+    "kron": lambda g1, g2: kronecker(g1, g2),
+    "cartesian": lambda g1, g2: cartesian(g1, g2),
+})
 
 
 # ---------------------------------------------------------------------------
@@ -729,16 +728,16 @@ FOLD_KINDS = KindTable("fold", {
         cartesian(integer_line(), integer_line()),
         kronecker(integer_line(), integer_line()), "plane-to-kron")),
     "strip": FoldKind(("n",), 6, lambda n: (
-        restrict_lattice(strip(n)),
+        strip(n),
         kronecker(integer_line(), path_graph(n)), f"strip{n}-to-kron")),
     "halfplane": FoldKind((), 6, lambda: (
-        restrict_lattice(half_plane()),
+        half_plane(),
         kronecker(integer_line(), half_line()), "halfplane-to-kron")),
     "wedge": FoldKind((), 6, lambda: (
-        restrict_lattice(wedge()),
+        wedge(),
         kronecker(half_line(), half_line()), "wedge-to-kron")),
     "diamond": FoldKind(("k", "l"), 6, lambda k, l: (
-        restrict_lattice(diamond(k, l)),
+        diamond(k, l),
         kronecker(path_graph(k), path_graph(l)), f"diamond{k}x{l}-to-kron")),
 })
 

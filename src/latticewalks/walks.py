@@ -269,26 +269,21 @@ class LatticeKind:
     key: str
     dimension: int
     requires: tuple[str, ...]
-    summary: str
     build_fn: Callable[..., tuple[Graph, Coords]]
     closed_fn: Callable[..., int]
 
 
-def _quarterplane(h: int) -> int:
-    return sum(comb(2 * h, 2 * k) * catalan(k) * catalan(h - k)
-               for k in range(h + 1))
+def _cartesian(a: str, b: str) -> Callable[[int], int]:
+    # The closed form of the Cartesian product of the parameterless kinds
+    # a and b: a closed 2h-walk interleaves a closed 2k-walk in a with a
+    # closed (2h-2k)-walk in b, so h -> sum_k binom(2h,2k) f(k) g(h-k) in
+    # half-step indexing, where f and g, the closed forms of a and b, are
+    # looked up per call: the table that holds them is built after this.
+    def closed(h: int) -> int:
+        f, g = _KINDS[a].closed_fn, _KINDS[b].closed_fn
+        return sum(comb(2 * h, 2 * k) * f(k) * g(h - k) for k in range(h + 1))
 
-
-def _z3cartesian(h: int) -> int:
-    # sum_k binom(2h,2k) binom(2k,k)^2 binom(2h-2k,h-k)
-    # (equivalently (2h)!(2k)! / ((h-k)!^2 k!^4) per term)
-    return sum(comb(2 * h, 2 * k) * comb(2 * k, k) ** 2 * comb(2 * h - 2 * k, h - k)
-               for k in range(h + 1))
-
-
-def _chamber3(h: int) -> int:
-    return sum(comb(2 * h, 2 * k) * catalan(k) ** 2 * catalan(h - k)
-               for k in range(h + 1))
+    return closed
 
 
 def _signed(g: Graph) -> Graph:
@@ -317,72 +312,62 @@ def _antidiagonal(v: Coords) -> Coords:
 # carry their signed-permutation symmetry, and the other restricted kinds
 # but the half line and the diamond a mirror that fixes the root;
 # walk_table lumps by either.  Under the fold a mirror reflects one
-# Kronecker factor or swaps two equal ones.
+# Kronecker factor or swaps two equal ones.  README's kind table states
+# each kind and its closed form in words.
 _KINDS = KindTable("lattice", {lk.key: lk for lk in (
-    LatticeKind("z", 1, (), "integer line at 0; binom(2h,h)",
+    LatticeKind("z", 1, (),
                 lambda: (_signed(graphs.integer_line()), (0,)),
                 central_binomial),
-    LatticeKind("zplus", 1, (), "half line at 0; Catalan C_h",
+    LatticeKind("zplus", 1, (),
                 lambda: (graphs.half_line(), (0,)),
                 catalan),
-    LatticeKind("zplus-at-1", 1, (), "half line at 1; C_{h+1}",
+    LatticeKind("zplus-at-1", 1, (),
                 lambda: (graphs.half_line(), (1,)),
                 lambda h: catalan(h + 1)),
-    LatticeKind("z2", 2, (), "square lattice at the origin; binom(2h,h)^2",
-                lambda: (_signed(graphs.restrict_lattice(graphs.full_plane())), (0, 0)),
+    LatticeKind("z2", 2, (),
+                lambda: (_signed(graphs.full_plane()), (0, 0)),
                 lambda h: comb(2 * h, h) ** 2),
     LatticeKind("halfplane", 2, (),
-                "half plane x>=y at the origin; C_h*binom(2h,h)",
-                lambda: (_mirrored(graphs.restrict_lattice(graphs.half_plane()),
-                                   _antidiagonal), (0, 0)),
+                lambda: (_mirrored(graphs.half_plane(), _antidiagonal), (0, 0)),
                 lambda h: catalan(h) * comb(2 * h, h)),
-    LatticeKind("wedge", 2, (), "wedge x>=y>=-x at the origin; C_h^2",
-                lambda: (_mirrored(graphs.restrict_lattice(graphs.wedge()),
-                                   lambda v: (v[0], -v[1])), (0, 0)),
+    LatticeKind("wedge", 2, (),
+                lambda: (_mirrored(graphs.wedge(), lambda v: (v[0], -v[1])), (0, 0)),
                 lambda h: catalan(h) ** 2),
     LatticeKind("quarterplane", 2, (),
-                "quarter plane at the corner; sum_k binom(2h,2k) C_k C_{h-k}",
-                lambda: (_mirrored(graphs.restrict_lattice(graphs.quarter_plane()),
-                                   _swap), (0, 0)),
-                _quarterplane),
+                lambda: (_mirrored(graphs.quarter_plane(), _swap), (0, 0)),
+                _cartesian("zplus", "zplus")),
     # the quarter plane again, built as a Cartesian product of two
     # half-lines; its closed form is the product form of the same count
     LatticeKind("zxzplus", 2, (),
-                "corner-rooted product of two half-lines (the quarter plane); "
-                "product form C_h*C_{h+1}",
                 lambda: (_mirrored(graphs.cartesian(graphs.half_line(),
                                                     graphs.half_line()), _swap),
                          (0, 0)),
                 lambda h: catalan(h) * catalan(h + 1)),
     LatticeKind("strip", 2, ("n",),
-                "diagonal strip of width n; binom(2h,h)*walks(P_n)",
-                lambda n: (_mirrored(graphs.restrict_lattice(graphs.strip(n)),
-                                     _antidiagonal), (0, 0)),
+                lambda n: (_mirrored(graphs.strip(n), _antidiagonal), (0, 0)),
                 lambda h, n: comb(2 * h, h) * path_closed_walks(n, 2 * h)),
-    LatticeKind("diamond", 2, ("k", "l"), "finite diamond; walks(P_k)*walks(P_l)",
-                lambda k, l: (graphs.restrict_lattice(graphs.diamond(k, l)), (0, 0)),
+    LatticeKind("diamond", 2, ("k", "l"),
+                lambda k, l: (graphs.diamond(k, l), (0, 0)),
                 lambda h, k, l: path_closed_walks(k, 2 * h) * path_closed_walks(l, 2 * h)),
     LatticeKind("bcc3", 3, (),
-                "Kronecker cube of the line at the origin; binom(2h,h)^3",
                 lambda: (_signed(reduce(graphs.kronecker, [graphs.integer_line()] * 3)),
                          (0, 0, 0)),
                 lambda h: comb(2 * h, h) ** 3),
-    LatticeKind("z3cartesian", 3, (), "cubic lattice at the origin; "
-                "sum_k binom(2h,2k) binom(2k,k)^2 binom(2h-2k,h-k)",
+    LatticeKind("z3cartesian", 3, (),
                 lambda: (_signed(reduce(graphs.cartesian, [graphs.integer_line()] * 3)),
                          (0, 0, 0)),
-                _z3cartesian),
-    LatticeKind("chamber3", 3, (), "chamber x>=y>=z at the origin; "
-                "sum_k binom(2h,2k) C_k^2 C_{h-k}",
-                lambda: (_mirrored(graphs.restrict_lattice(graphs.chamber3()),
-                                   lambda v: (-v[2], -v[1], -v[0])), (0, 0, 0)),
-                _chamber3),
-    LatticeKind("kkc3", 3, (), "Cartesian product of a Kronecker square of "
-                "half-lines with a half-line, at the origin; same sum as chamber3",
+                _cartesian("z2", "z")),
+    # the chamber and kkc3 count as the Cartesian product of the wedge (the
+    # Kronecker square of the half line, folded) with the half line
+    LatticeKind("chamber3", 3, (),
+                lambda: (_mirrored(graphs.chamber3(), lambda v: (-v[2], -v[1], -v[0])),
+                         (0, 0, 0)),
+                _cartesian("wedge", "zplus")),
+    LatticeKind("kkc3", 3, (),
                 lambda: (_mirrored(graphs.cartesian(
                     graphs.kronecker(graphs.half_line(), graphs.half_line()),
                     graphs.half_line()), lambda v: (v[1], v[0], v[2])), (0, 0, 0)),
-                _chamber3),
+                _cartesian("wedge", "zplus")),
 )})
 
 
@@ -433,27 +418,18 @@ def verify_binomial_identity(m: int) -> bool:
 
 
 def _binomial_identity_sides(m: int) -> tuple[int, int]:
-    # both sides of verify_binomial_identity, for reports that print them
-    lhs = sum(comb(2 * m, 2 * k) * comb(2 * k, k) * comb(2 * m - 2 * k, m - k)
-              for k in range(m + 1))
-    return lhs, comb(2 * m, m) ** 2
-
-
-@dataclass(frozen=True)
-class CoincidenceReport:
-    """Side-by-side walk tables for two rooted graphs."""
-
-    name_a: str
-    root_a: Coords
-    name_b: str
-    root_b: Coords
-    entries: tuple[tuple[int, int, int], ...]  # (m, count_a, count_b)
+    # both sides of verify_binomial_identity, for reports that print them:
+    # the square lattice counted as the Cartesian square of the line, and
+    # as the Kronecker square of the line
+    return _cartesian("z", "z")(m), comb(2 * m, m) ** 2
 
 
 def moment_coincidence_report(g_a: Graph, o_a, g_b: Graph, o_b,
                               m_max: int,
-                              budget: int = DEFAULT_VERTEX_BUDGET) -> CoincidenceReport:
-    """Compare closed-walk counts of two rooted graphs for all m <= m_max.
+                              budget: int = DEFAULT_VERTEX_BUDGET
+                              ) -> tuple[tuple[int, int, int], ...]:
+    """Compare closed-walk counts of two rooted graphs for all m <= m_max,
+    as one ``(m, count_a, count_b)`` tuple per length.
 
     Equal tables mean the two roots share all spectral moments up to
     m_max, which is weaker than the graphs being isomorphic; pairing this
@@ -461,5 +437,4 @@ def moment_coincidence_report(g_a: Graph, o_a, g_b: Graph, o_b,
     """
     ta = walk_table(g_a, o_a, m_max, budget)
     tb = walk_table(g_b, o_b, m_max, budget)
-    entries = tuple((m, ta.counts[m], tb.counts[m]) for m in range(m_max + 1))
-    return CoincidenceReport(ta.graph_name, ta.root, tb.graph_name, tb.root, entries)
+    return tuple((m, ta.counts[m], tb.counts[m]) for m in range(m_max + 1))

@@ -255,7 +255,8 @@ class TestIsoCommand:
 _KNOWN = {"lattice": ", ".join(walks.lattice_walk_kinds()),
           "moment": "arcsine, semicircle, aa, wa, ww, classical-aa, classical-ww, path",
           "fold": "plane, strip, halfplane, wedge, diamond",
-          "density": "aa, wa, ww"}
+          "density": "aa, wa, ww",
+          "product": "kron, cartesian"}
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -271,6 +272,7 @@ _KNOWN = {"lattice": ", ".join(walks.lattice_walk_kinds()),
     ("iso --kind plane --n 3", "fold kind 'plane' does not take parameter n"),
     ("density --kind hexagon --grid 5", f"unknown density kind 'hexagon'; known: {_KNOWN['density']}"),
     ("density --kind AA --grid 5", f"unknown density kind 'AA'; known: {_KNOWN['density']}"),
+    ("components --kind hexagon", f"unknown product kind 'hexagon'; known: {_KNOWN['product']}"),
 ])
 def test_one_kind_rule_for_every_command(capsys, argv, message):
     # a kind matches exactly, and a parameter it does not take is an error

@@ -21,7 +21,6 @@ from latticewalks.errors import ResourceLimitError
 from latticewalks.graphs import (
     FiniteGraph,
     IsoMap,
-    LatticeDomain,
     ball,
     cartesian,
     chamber3,
@@ -130,17 +129,17 @@ class TestBuiltinGraphs:
 class TestDomains:
     # membership probes double as the definition record for each region
     def test_half_plane(self):
-        d = restrict_lattice(half_plane())
+        d = half_plane()
         assert (0, 0) in d and (3, -1) in d
         assert (1, 2) not in d
 
     def test_wedge(self):
-        d = restrict_lattice(wedge())
+        d = wedge()
         assert (2, 1) in d and (2, -2) in d
         assert (2, 3) not in d and (2, -3) not in d
 
     def test_strip_width(self):
-        d = restrict_lattice(strip(3))
+        d = strip(3)
         assert (0, 0) in d and (2, 0) in d
         assert (0, 1) not in d and (3, 0) not in d
 
@@ -149,35 +148,36 @@ class TestDomains:
             strip(1)
 
     def test_diamond_bounds(self):
-        d = restrict_lattice(diamond(3, 4))
+        d = diamond(3, 4)
         assert (0, 0) in d and (2, 0) in d
         assert (2, 1) not in d  # x+y = 3 is outside 0..2
         assert (-1, 0) not in d
 
     def test_quarter_plane(self):
-        d = restrict_lattice(quarter_plane())
+        d = quarter_plane()
         assert (0, 0) in d and (-1, 0) not in d
 
     def test_chamber_ordering(self):
-        d = restrict_lattice(chamber3())
+        d = chamber3()
         assert (2, 1, 0) in d and (1, 1, 1) in d
         assert (0, 1, 0) not in d
 
     def test_custom_domain_predicate_hook(self):
-        g = restrict_lattice(LatticeDomain("even-x", 2, lambda v: v[0] % 2 == 0))
+        g = restrict_lattice("even-x", 2, lambda v: v[0] % 2 == 0)
         assert g.neighbors((0, 0)) == ((0, -1), (0, 1))
         assert (0, 3) in g and (1, 0) not in g and (0, 0, 0) not in g
 
+    # each id is the domain inside the graph's name lattice[...]
     @pytest.mark.parametrize("domain", [
         full_plane(), half_plane(), strip(2), wedge(), diamond(2, 2),
-        quarter_plane(), chamber3()], ids=lambda d: d.name)
+        quarter_plane(), chamber3()], ids=lambda d: d.name[len("lattice["):-1])
     def test_named_domains_contain_their_origin(self, domain):
         # every named domain is rooted at the origin, down to its smallest
         # valid parameters
-        assert (0,) * domain.dimension in restrict_lattice(domain)
+        assert (0,) * domain.dimension in domain
 
     def test_restrict_lattice_neighbors(self):
-        g = restrict_lattice(half_plane())
+        g = half_plane()
         assert g.neighbors((0, 0)) == ((0, -1), (1, 0))
         assert g.neighbors((2, 0)) == ((1, 0), (2, -1), (2, 1), (3, 0))
 
@@ -216,7 +216,7 @@ class TestProducts:
         assert g.root_coords == (0, 0)
 
     def test_mixed_product_dimension(self):
-        g = kronecker(restrict_lattice(full_plane()), integer_line())
+        g = kronecker(full_plane(), integer_line())
         assert g.dimension == 3
 
 
@@ -270,7 +270,7 @@ class TestBall:
         assert b.depths == [0, 1, 1, 2, 2, 3, 3]
 
     def test_ball_respects_domain(self):
-        b = ball(restrict_lattice(wedge()), (0, 0), 2)
+        b = ball(wedge(), (0, 0), 2)
         assert (1, 1) in b and (1, -1) in b
         assert (0, 1) not in b
 
@@ -278,7 +278,7 @@ class TestBall:
         # layers of the plane hold 1, 4, 8, ... vertices: the budget of 5
         # admits layers 0 and 1 and is exceeded by layer 2
         with pytest.raises(ResourceLimitError) as info:
-            ball(restrict_lattice(full_plane()), (0, 0), 10, budget=5)
+            ball(full_plane(), (0, 0), 10, budget=5)
         msg = str(info.value)
         assert "vertex budget 5" in msg
         assert "layer 2 would add 8 vertices" in msg
@@ -422,7 +422,7 @@ class TestOrbitBall:
             with pytest.raises(ValueError, match="not fixed"):
                 orbit_ball(g, root, 3)
         with pytest.raises(ValueError, match="not fixed"):
-            orbit_ball(restrict_lattice(full_plane()), (0, 0), 3)
+            orbit_ball(full_plane(), (0, 0), 3)
 
 
 # (kind, root, radius, budget, start of the message)
@@ -502,7 +502,7 @@ class TestComponentsAndSubgraphs:
                 _assert_same_graph(c, induced_subgraph(h, c.vertices, name=c.name))
 
     def test_degree_histogram_interior_only(self):
-        b = ball(restrict_lattice(full_plane()), (0, 0), 4)
+        b = ball(full_plane(), (0, 0), 4)
         hist = degree_histogram(b, 2)
         assert hist == {4: 13}  # interior of the diagonal plane is 4-regular
 
@@ -703,7 +703,7 @@ class TestProductAlgebra:
                 assert mids and v not in cart_g.neighbors(u)
 
     def test_ball_monotone_in_radius(self):
-        g = restrict_lattice(wedge())
+        g = wedge()
         inner = ball(g, (0, 0), 3)
         outer = ball(g, (0, 0), 4)
         assert set(inner.vertices) <= set(outer.vertices)

@@ -1,7 +1,7 @@
 """Static checks on the source tree, run with the tests because no linter
 runs in CI: no module under ``src/`` or ``tests/`` imports a name it never
-uses, no private module-level name under ``src/`` goes unread, and the
-README lists exactly the flags the command-line parser takes and the
+uses, no private module-level name under ``src/`` goes unread, no field of
+a record class under ``src/`` goes unread, and the README lists exactly the flags the command-line parser takes and the
 lattice kinds ``walks`` takes."""
 
 import argparse
@@ -109,6 +109,54 @@ def test_scan_finds_dead_private_names():
 def test_no_dead_private_names():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
     assert dead_private_names(sources) == []
+
+
+def unread_fields(declared: dict[str, str], readers: list[str]) -> list[str]:
+    """Fields of the dataclasses and ``NamedTuple`` classes that a module
+    of ``declared`` defines and that no source of ``readers`` loads as an
+    attribute, as ``"module:line: Class.field"``.  A class is such a record
+    when a decorator is named ``dataclass`` or a base ``NamedTuple``, called
+    or dotted or not; its fields are the annotated names of its body."""
+    read = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for module, source in declared.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            marks = {ast.unparse(node).partition("(")[0].rpartition(".")[2]
+                     for node in [*cls.decorator_list, *cls.bases]}
+            if marks & {"dataclass", "NamedTuple"}:
+                out += [f"{module}:{node.lineno}: {cls.name}.{node.target.id}"
+                        for node in cls.body if isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)
+                        and node.target.id not in read]
+    return out
+
+
+def test_scan_finds_unread_fields():
+    declared = {"a": ("import dataclasses, typing\n"
+                      "@dataclasses.dataclass(frozen=True)\n"
+                      "class Point:\n"
+                      "    x: int\n"
+                      "    y: int\n"
+                      "    def norm(self):\n"
+                      "        return abs(self.x)\n"
+                      "class Pair(typing.NamedTuple):\n"
+                      "    left: int\n"
+                      "    right: int = 0\n"
+                      "class Plain:\n"
+                      "    tag: str\n")}
+    readers = [*declared.values(), "def f(p):\n    p.right = 1\n    return p.tag\n"]
+    # p.right is a store, not a read
+    assert unread_fields(declared, readers) == ["a:5: Point.y", "a:9: Pair.left",
+                                                "a:10: Pair.right"]
+
+
+def test_no_unread_fields():
+    declared = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    readers = [p.read_text() for p in [*MODULES, *ROOT.glob("bench/**/*.py")]]
+    assert unread_fields(declared, readers) == []
 
 
 def readme_flags(readme: str) -> set[str]:

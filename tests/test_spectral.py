@@ -208,6 +208,14 @@ class TestLatticeCorrespondence:
         ("halfplane", {}, lambda: MellinConv(Semicircle(), ArcSine())),
         ("wedge", {}, lambda: MellinConv(Semicircle(), Semicircle())),
         ("quarterplane", {}, lambda: ClassicalConv(Semicircle(), Semicircle())),
+        ("zxzplus", {}, lambda: ClassicalConv(Semicircle(), Semicircle())),
+        ("bcc3", {}, lambda: MellinConv(MellinConv(ArcSine(), ArcSine()), ArcSine())),
+        ("z3cartesian", {},
+         lambda: ClassicalConv(MellinConv(ArcSine(), ArcSine()), ArcSine())),
+        ("chamber3", {},
+         lambda: ClassicalConv(MellinConv(Semicircle(), Semicircle()), Semicircle())),
+        ("kkc3", {},
+         lambda: ClassicalConv(MellinConv(Semicircle(), Semicircle()), Semicircle())),
     ]
 
     @pytest.mark.parametrize("kind,params,law", EXACT_ROWS,

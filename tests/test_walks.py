@@ -451,15 +451,15 @@ class TestIdentityAndCoincidence:
         g_a, o_a = build_lattice("kkc3")
         g_b, o_b = build_lattice("chamber3")
         rep = moment_coincidence_report(g_a, o_a, g_b, o_b, 10)
-        assert all(a == b for _, a, b in rep.entries)
-        assert [c for m, c, _ in rep.entries if m % 2 == 0] == \
+        assert all(a == b for _, a, b in rep)
+        assert [c for m, c, _ in rep if m % 2 == 0] == \
             [1, 2, 12, 120, 1610, 25956]
 
     def test_mismatch_is_reported(self):
         g_a, o_a = build_lattice("halfplane")
         g_b, o_b = build_lattice("wedge")
         rep = moment_coincidence_report(g_a, o_a, g_b, o_b, 6)
-        mismatches = [e for e in rep.entries if e[1] != e[2]]
+        mismatches = [e for e in rep if e[1] != e[2]]
         assert mismatches[0] == (2, 2, 1)  # first divergence at m = 2
 
     def test_diagonal_plane_component_counts(self):
