@@ -8,9 +8,11 @@ The package splits into four layers:
   coordinate-change isomorphisms.
 - :mod:`latticewalks.walks`: exact big-integer closed-walk counts, the named
   lattice registry with closed-form counting formulas, and coincidence
-  tuples ``(m, count_a, count_b)`` for pairs of rooted graphs.
+  tuples ``(m, count_a, count_b)`` for pairs of rooted graphs.  A walk
+  table is a moment sequence, a law of :mod:`latticewalks.spectral`.
 - :mod:`latticewalks.spectral`: moment sequences, arcsine and semicircle
-  laws, classical and Mellin convolutions, and finite path spectra.
+  laws, classical and Mellin convolutions, which are the Cartesian and
+  Kronecker product rules for walk tables too, and finite path spectra.
 - :mod:`latticewalks.elliptic`: complete elliptic integrals via the
   arithmetic-geometric mean, product density kernels on [-4, 4], and
   adaptive quadrature for their moments.
@@ -67,11 +69,9 @@ from .walks import (
     LatticeKind,
     WalkTable,
     build_lattice,
-    cartesian_walk_convolution,
     catalan,
     central_binomial,
     closed_form_walks,
-    kronecker_walk_product,
     lattice_kind,
     lattice_walk_kinds,
     moment_coincidence_report,
@@ -105,7 +105,6 @@ __all__ = [
     "ball",
     "build_lattice",
     "cartesian",
-    "cartesian_walk_convolution",
     "catalan",
     "central_binomial",
     "chamber3",
@@ -123,7 +122,6 @@ __all__ = [
     "induced_subgraph",
     "integer_line",
     "kronecker",
-    "kronecker_walk_product",
     "lattice_kind",
     "lattice_walk_kinds",
     "mellin_density_convolve",

@@ -41,11 +41,12 @@ def _fmt(v) -> str:
 
 
 def _jsonable(v):
+    # v as JSON values: tuples as lists, non-finite floats as _fmt spells them
     if isinstance(v, float) and not math.isfinite(v):
-        return _fmt(v) if v == v else "nan"
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, list):
+        return _fmt(v)
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return v
 
@@ -73,9 +74,7 @@ def _csv(params: dict, header: str, rows: list[str]) -> str:
 
 
 def _json_doc(params: dict, body: dict) -> str:
-    doc = {"params": {k: _jsonable(v) for k, v in params.items()}}
-    doc.update(body)
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(_jsonable({"params": params, **body}), indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +168,7 @@ def _run_iso(args, params: dict) -> tuple[str, int]:
                     [line]), code
     body = {"name": iso.name, "radius": radius, "ok": report.ok,
             "detail": report.detail,
-            "witness": _jsonable(report.witness),
+            "witness": report.witness,
             "source_size": report.source_size,
             "target_size": report.target_size}
     return _json_doc(params, body), code
@@ -189,9 +188,11 @@ def _check(name, expected, actual, tol, ok) -> dict:
 
 
 def _suite_identity(budget: int, sweep_tol: float) -> list[dict]:
+    # Z^2 as the Cartesian square of Z (lhs) and as its Kronecker square
+    cartesian, kronecker = spectral.moment_law("classical-aa"), spectral.moment_law("aa")
     checks = []
     for m in range(31):
-        lhs, rhs = walks._binomial_identity_sides(m)
+        lhs, rhs = cartesian.moment(2 * m), kronecker.moment(2 * m)
         checks.append(_check(f"binomial-identity m={m}", rhs, lhs, 0, lhs == rhs))
     return checks
 
@@ -321,7 +322,7 @@ def _run_verify(args, params: dict) -> tuple[str, int]:
                            _fmt(c["tol"]), _fmt(c["pass"])]) for c in checks]
         return _csv(params, "name,expected,actual,tol,pass", lines), code
     body = {"suite": args.suite,
-            "checks": [{k: _jsonable(v) for k, v in c.items()} for c in checks],
+            "checks": checks,
             "pass": all_pass}
     return _json_doc(params, body), code
 

@@ -192,7 +192,8 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     the summed estimate meets max(abs_tol, rel_tol * |integral|).
     Integrable endpoint singularities are handled by the geometric panel
     refinement itself.  Raises NumericalError when the panel budget is
-    exhausted first.
+    exhausted first, or when the integral or its error estimate is not
+    finite.
     """
     if b <= a:
         return 0.0
@@ -220,6 +221,11 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
         heapq.heappush(heap, (-le, seq, pa, mid, lv, le))
         heapq.heappush(heap, (-re, seq + 1, mid, pb, rv, re))
         seq += 2
+    # a NaN estimate ends the loop as if it had converged
+    if not (math.isfinite(total_val) and math.isfinite(total_err)):
+        raise NumericalError(
+            f"quadrature on [{a}, {b}] produced a non-finite value {total_val!r} "
+            f"(error estimate {total_err!r})")
     return total_val
 
 
@@ -252,7 +258,7 @@ def mellin_density_convolve(f: Callable[[float], float],
     rounding to stay below tol ((2 - x/2) * tol < 1e-14), NumericalError
     is raised instead of returning an inaccurate value.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("convolution point must be positive; use symmetry for x < 0")
     if x >= 4.0:
         return 0.0

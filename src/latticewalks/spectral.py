@@ -1,13 +1,18 @@
 """Spectral distributions of rooted graphs, handled at the moment level.
 
 A symmetric probability distribution is represented by whatever computes
-its moments: the arcsine and semicircle laws have exact integer even
-moments (central binomials and Catalan numbers), finite graphs have
-discrete eigenvalue distributions, and products of graphs correspond to
-products of distributions:
+its moments, an object with a ``moment(m)`` method: the arcsine and
+semicircle laws have exact integer even moments (central binomials and
+Catalan numbers), finite graphs have discrete eigenvalue distributions,
+and a walk table (:class:`latticewalks.walks.WalkTable`) holds the
+moments of a root's law up to its length.  Products of graphs correspond
+to products of distributions:
 
 * Cartesian product  ->  classical convolution (binomial moment convolution)
 * Kronecker product  ->  Mellin convolution (momentwise product)
+
+Both act on any two laws, walk tables included, so ``MellinConv`` and
+``ClassicalConv`` of two walk tables are the product graphs' tables.
 
 Distributions here are compactly supported, so equality of all moments is
 equality of distributions.
@@ -16,7 +21,8 @@ equality of distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, cos, pi, sin
+from itertools import chain
+from math import comb, cos, isfinite, pi, sin
 
 from . import elliptic
 from .errors import KindTable
@@ -30,26 +36,13 @@ def _check_order(m: int) -> None:
         raise ValueError("moment order must be nonnegative")
 
 
-class SpectralDistribution:
-    """Base type: anything exposing exact or high-precision moments."""
-
-    name = "distribution"
-
-    def moment(self, m: int) -> Number:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.name})"
-
-
-class ArcSine(SpectralDistribution):
+class ArcSine:
     """Arcsine law on (-2, 2): density 1/(pi sqrt(4-x^2)).
 
     Even moments are central binomials; this is the spectral distribution
     of the integer line at any vertex.
     """
 
-    name = "arcsine"
     density = staticmethod(elliptic.arcsine_density)
 
     def moment(self, m: int) -> int:
@@ -57,14 +50,13 @@ class ArcSine(SpectralDistribution):
         return 0 if m % 2 else comb(m, m // 2)
 
 
-class Semicircle(SpectralDistribution):
+class Semicircle:
     """Semicircle law on [-2, 2]: density sqrt(4-x^2)/(2 pi).
 
     Even moments are Catalan numbers; this is the spectral distribution of
     the half line at its endpoint.
     """
 
-    name = "semicircle"
     density = staticmethod(elliptic.semicircle_density)
 
     def moment(self, m: int) -> int:
@@ -72,21 +64,21 @@ class Semicircle(SpectralDistribution):
         return 0 if m % 2 else catalan(m // 2)
 
 
-class Discrete(SpectralDistribution):
+class Discrete:
     """Finitely supported symmetric distribution given by (atom, weight) pairs.
 
-    Validated on construction: weights sum to 1 within 1e-12, no weight
-    below -1e-10 (tiny negatives absorb rounding in computed weights), and
-    atoms come in +-lambda pairs of equal weight (atoms at 0 may be
-    unpaired).
+    Validated on construction: atoms and weights are finite, weights sum
+    to 1 within 1e-12, no weight below -1e-10 (tiny negatives absorb
+    rounding in computed weights), and atoms come in +-lambda pairs of
+    equal weight (atoms at 0 may be unpaired).
     """
-
-    name = "discrete"
 
     def __init__(self, atoms):
         pairs = sorted((float(a), float(w)) for a, w in atoms)
         if not pairs:
             raise ValueError("discrete distribution needs at least one atom")
+        if not all(map(isfinite, chain.from_iterable(pairs))):
+            raise ValueError("atoms and weights must be finite")
         total = sum(w for _, w in pairs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom weights sum to {total!r}, not 1")
@@ -107,10 +99,8 @@ class Discrete(SpectralDistribution):
         return sum(w * a ** m for a, w in self.atoms)
 
 
-class ClassicalConv(SpectralDistribution):
+class ClassicalConv:
     """Classical convolution: moments obey the binomial convolution."""
-
-    name = "classical-convolution"
 
     def __init__(self, left, right):
         self.left = left
@@ -122,10 +112,8 @@ class ClassicalConv(SpectralDistribution):
                    for k in range(m + 1))
 
 
-class MellinConv(SpectralDistribution):
+class MellinConv:
     """Multiplicative (Mellin) convolution: moments multiply entrywise."""
-
-    name = "mellin-convolution"
 
     def __init__(self, left, right):
         self.left = left
@@ -145,7 +133,7 @@ PRODUCT_FACTORS = KindTable("density", {
 })
 
 
-class NamedDensity(SpectralDistribution):
+class NamedDensity:
     """One of the three product densities on [-4, 4]:
 
     aa = arcsine (x)M arcsine, wa = semicircle (x)M arcsine,
@@ -156,8 +144,6 @@ class NamedDensity(SpectralDistribution):
 
     def __init__(self, kind: str):
         fl, fr = PRODUCT_FACTORS[kind]
-        self.kind = kind
-        self.name = f"density-{kind}"
         self._inner = MellinConv(fl(), fr())
 
     def moment(self, m: int) -> Number:
@@ -215,7 +201,7 @@ MOMENT_LAWS = KindTable("moment", {
 })
 
 
-def moment_law(kind: str, n: int | None = None) -> SpectralDistribution | PathSpectrum:
+def moment_law(kind: str, n: int | None = None):
     """The law of a named kind in :data:`MOMENT_LAWS`; ``path`` requires
     the path's vertex count ``n``, and no other kind takes it."""
     requires, build = MOMENT_LAWS[kind]

@@ -48,6 +48,12 @@ coordinate permutations, and seven a mirror through the corner root,
 Any other graph or root takes the ball: zplus and zplus-at-1 have no
 mirror that fixes the root, and the diamond is finite and small.
 
+A walk table is the moment sequence of the root's spectral law, so the
+product theorems are the laws' convolutions: ``spectral.MellinConv`` of
+two tables multiplies them into the Kronecker product's table, and
+``spectral.ClassicalConv`` convolves them binomially into the Cartesian
+product's.
+
 Closed forms use half-step indexing internally: a walk of even length
 m = 2h on a bipartite lattice decomposes into h up/down or in/out pairs,
 which is where central binomials and Catalan numbers enter.
@@ -193,10 +199,14 @@ def walk_count(g: Graph, o, m: int,
 
 @dataclass(frozen=True)
 class WalkTable:
-    """Closed-walk counts at one root for every length 0..m_max."""
+    """Closed-walk counts at one root for every length 0..m_max.
 
-    graph_name: str
-    root: Coords
+    The counts are the moments of the root's spectral law, so a table is
+    a law of :mod:`latticewalks.spectral` over its range: the
+    ``MellinConv`` and ``ClassicalConv`` of two tables are the tables of
+    the Kronecker and the Cartesian product at the paired root.
+    """
+
     counts: tuple[int, ...]
 
     @property
@@ -207,6 +217,8 @@ class WalkTable:
         if not 0 <= m <= self.m_max:
             raise ValueError(f"walk length {m} outside table range 0..{self.m_max}")
         return self.counts[m]
+
+    moment = __getitem__
 
 
 def walk_table(g: Graph, o, m_max: int,
@@ -232,30 +244,7 @@ def walk_table(g: Graph, o, m_max: int,
         [(list(map(scatter.__getitem__, cls)), list(map(depths.__getitem__, cls)),
           None if sizes is None else list(map(sizes.__getitem__, cls)))
          for cls in classes], m_max)
-    return WalkTable(g.name or "graph", tuple(o), tuple(counts))
-
-
-def kronecker_walk_product(w1: WalkTable, w2: WalkTable) -> WalkTable:
-    """Entrywise product table: counts in a Kronecker product factorize."""
-    if w1.m_max != w2.m_max:
-        raise ValueError("walk tables cover different ranges")
-    counts = tuple(a * b for a, b in zip(w1.counts, w2.counts))
-    return WalkTable(f"kron({w1.graph_name},{w2.graph_name})",
-                     w1.root + w2.root, counts)
-
-
-def cartesian_walk_convolution(w1: WalkTable, w2: WalkTable, m: int) -> int:
-    """Binomial convolution sum_k C(m,k) w1[k] w2[m-k].
-
-    This is the closed-walk count at the paired root of the Cartesian
-    product: each walk interleaves k steps in the first factor with m-k
-    steps in the second.
-    """
-    if m < 0:
-        raise ValueError("walk length must be nonnegative")
-    if w1.m_max < m or w2.m_max < m:
-        raise ValueError(f"walk tables must cover lengths 0..{m}")
-    return sum(comb(m, k) * w1.counts[k] * w2.counts[m - k] for k in range(m + 1))
+    return WalkTable(tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +398,13 @@ def verify_binomial_identity(m: int) -> bool:
     """sum_k binom(2m,2k) binom(2k,k) binom(2m-2k,m-k) == binom(2m,m)^2,
 
     checked with exact integers.  Combinatorially: splitting the square
-    lattice count by the number of diagonal-pair steps of each type.
+    lattice count by the number of diagonal-pair steps of each type.  The
+    left side counts Z^2 as the Cartesian square of the line, the right
+    side as its Kronecker square.
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
-    lhs, rhs = _binomial_identity_sides(m)
-    return lhs == rhs
-
-
-def _binomial_identity_sides(m: int) -> tuple[int, int]:
-    # both sides of verify_binomial_identity, for reports that print them:
-    # the square lattice counted as the Cartesian square of the line, and
-    # as the Kronecker square of the line
-    return _cartesian("z", "z")(m), comb(2 * m, m) ** 2
+    return _cartesian("z", "z")(m) == comb(2 * m, m) ** 2
 
 
 def moment_coincidence_report(g_a: Graph, o_a, g_b: Graph, o_b,

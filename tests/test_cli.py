@@ -273,9 +273,13 @@ _KNOWN = {"lattice": ", ".join(walks.lattice_walk_kinds()),
     ("density --kind hexagon --grid 5", f"unknown density kind 'hexagon'; known: {_KNOWN['density']}"),
     ("density --kind AA --grid 5", f"unknown density kind 'AA'; known: {_KNOWN['density']}"),
     ("components --kind hexagon", f"unknown product kind 'hexagon'; known: {_KNOWN['product']}"),
+    ("walks --kind z --mmax -1", "--mmax must be nonnegative"),
+    ("moments --kind arcsine --mmax -1", "--mmax must be nonnegative"),
+    ("walks --kind diamond --k 1 --l 3 --mmax 4", "diamond side lengths must be at least 2"),
 ])
 def test_one_kind_rule_for_every_command(capsys, argv, message):
-    # a kind matches exactly, and a parameter it does not take is an error
+    # a kind matches exactly, and a parameter it does not take or out of
+    # its range is an error
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"

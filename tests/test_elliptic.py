@@ -226,6 +226,12 @@ class TestAdaptiveQuadrature:
             adaptive_quadrature(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0,
                                 abs_tol=1e-14, rel_tol=1e-14, panel_budget=8)
 
+    def test_nan_result_raises(self):
+        # a NaN integrand, and a single NaN at the central node 0.5
+        for f in (lambda x: math.nan, lambda x: math.nan if x == 0.5 else x):
+            with pytest.raises(NumericalError, match=r"\[0.0, 1.0\]"):
+                adaptive_quadrature(f, 0.0, 1.0)
+
 
 KERNEL_PAIRS = [
     ("aa", arcsine_density, arcsine_density),
@@ -240,6 +246,8 @@ class TestMellinDensityConvolution:
             mellin_density_convolve(arcsine_density, arcsine_density, 0.0)
         with pytest.raises(ValueError):
             mellin_density_convolve(arcsine_density, arcsine_density, -1.0)
+        with pytest.raises(ValueError, match="positive"):
+            mellin_density_convolve(arcsine_density, arcsine_density, math.nan)
 
     def test_outside_support(self):
         assert mellin_density_convolve(arcsine_density, arcsine_density, 4.0) == 0.0

@@ -2,7 +2,7 @@
 runs in CI: no module under ``src/`` or ``tests/`` imports a name it never
 uses, no private module-level name under ``src/`` goes unread, no field of
 a record class under ``src/`` goes unread, and the README lists exactly the flags the command-line parser takes and the
-lattice kinds ``walks`` takes."""
+lattice kinds ``walks`` takes, and its ``python`` examples run."""
 
 import argparse
 import ast
@@ -195,3 +195,17 @@ def test_readme_lists_the_walk_kinds():
     assert readme_walk_kinds(readme) == [
         (kind, tuple("--" + p for p in walks.lattice_kind(kind).requires))
         for kind in walks.lattice_walk_kinds()]
+
+
+README_EXAMPLES = re.findall(r"\n```python\n(.*?)\n```\n", (ROOT / "README.md").read_text(),
+                             re.DOTALL)
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize("code", README_EXAMPLES,
+                         ids=[f"example{i}" for i in range(len(README_EXAMPLES))])
+def test_readme_example_runs(code):
+    exec(compile(code, "README.md", "exec"), {})

@@ -66,6 +66,15 @@ class TestDiscrete:
         with pytest.raises(ValueError, match="mirror"):
             Discrete([(1.0, 0.5), (-2.0, 0.5)])
 
+    @pytest.mark.parametrize("atoms", [
+        [(1.0, math.nan), (-1.0, math.nan)],
+        [(math.nan, 0.5), (-1.0, 0.5)],
+        [(math.inf, 0.5), (-math.inf, 0.5)],
+    ], ids=["nan-weights", "nan-atom", "infinite-atoms"])
+    def test_non_finite_rejected(self, atoms):
+        with pytest.raises(ValueError, match="finite"):
+            Discrete(atoms)
+
 
 class TestConvolutions:
     def test_classical_is_binomial_convolution(self):

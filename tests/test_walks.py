@@ -23,13 +23,12 @@ from helpers import (
 from latticewalks import graphs
 from latticewalks.cli import CAP_3D, CAP_12D
 from latticewalks.errors import ResourceLimitError
+from latticewalks.spectral import ClassicalConv, MellinConv
 from latticewalks.walks import (
     build_lattice,
-    cartesian_walk_convolution,
     catalan,
     central_binomial,
     closed_form_walks,
-    kronecker_walk_product,
     lattice_kind,
     lattice_walk_kinds,
     moment_coincidence_report,
@@ -122,8 +121,11 @@ class TestWalkTable:
         t = walk_table(g, o, 6)
         assert t[0] == 1 and t[2] == 2 and t[6] == 20
         assert t.m_max == 6
+        assert [t.moment(m) for m in (0, 2, 6)] == [1, 2, 20]
         with pytest.raises(ValueError):
             t[7]
+        with pytest.raises(ValueError):
+            t.moment(7)
 
 
 class TestProductTheorems:
@@ -134,10 +136,10 @@ class TestProductTheorems:
             t1 = walk_table(g1, (0,), 8)
             t2 = walk_table(g2, (0,), 8)
             prod = graphs.kronecker(g1, g2)
-            combined = kronecker_walk_product(t1, t2)
+            combined = MellinConv(t1, t2)
             for m in range(9):
-                assert combined[m] == t1[m] * t2[m]
-                assert walk_count(prod, (0, 0), m) == combined[m]
+                assert combined.moment(m) == t1[m] * t2[m]
+                assert walk_count(prod, (0, 0), m) == combined.moment(m)
 
     def test_cartesian_convolution_on_random_pairs(self):
         rng = random.Random(65536)
@@ -148,7 +150,7 @@ class TestProductTheorems:
             prod = graphs.cartesian(g1, g2)
             for m in range(9):
                 expected = sum(comb(m, j) * t1[j] * t2[m - j] for j in range(m + 1))
-                assert cartesian_walk_convolution(t1, t2, m) == expected
+                assert ClassicalConv(t1, t2).moment(m) == expected
                 assert walk_count(prod, (0, 0), m) == expected
 
     def test_kronecker_component_count_of_connected_pairs(self):
@@ -164,15 +166,15 @@ class TestProductTheorems:
         t = walk_table(g, o, 8)
         unit = walk_table(graphs.path_graph(1), (0,), 8)
         for m in range(9):
-            assert cartesian_walk_convolution(t, unit, m) == t[m]
+            assert ClassicalConv(t, unit).moment(m) == t[m]
 
     def test_table_range_mismatch_rejected(self):
         g, o = build_lattice("z")
         t1, t2 = walk_table(g, o, 4), walk_table(g, o, 6)
         with pytest.raises(ValueError):
-            kronecker_walk_product(t1, t2)
+            MellinConv(t1, t2).moment(6)
         with pytest.raises(ValueError):
-            cartesian_walk_convolution(t1, t2, 6)
+            ClassicalConv(t1, t2).moment(6)
 
 
 class TestWalkCountProperties:
