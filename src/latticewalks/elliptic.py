@@ -6,7 +6,9 @@ started from the complementary modulus.  The three product densities on
 [-4, 4] (arcsine x arcsine, semicircle x arcsine, semicircle x semicircle
 under multiplicative convolution) are expressed through K and E of
 xi(x) = sqrt(1 - x^2/16); note that xi's complementary modulus is exactly
-|x|/4, so no cancellation occurs near the singular center.
+|x|/4, so no cancellation occurs near the singular center.  Each kind has
+one pointwise evaluator, built once, with the AGM loop inlined: aa needs
+K alone and skips the E tail, wa and ww carry it.
 
 A small adaptive Gauss-Kronrod integrator (7/15 pair, bisection, global
 error heap) backs the numerical Mellin convolution and the moment checks.
@@ -22,20 +24,24 @@ NumericalError instead of returning an inaccurate value.
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass
-from typing import Callable
+from math import cos, exp, inf, isfinite, isinf, log, pi, sin, sqrt
+from typing import Callable, NamedTuple
 
 from .errors import KindTable, NumericalError
 
 # a few ulps: the AGM gap stalls near half an ulp of a and never hits 0
 _EPS = 4.0e-16
 _MAX_AGM_ITER = 60
+# the evaluators' step budget, one range shared by every call
+_AGM_STEPS = range(_MAX_AGM_ITER)
 
 
-@dataclass(frozen=True)
-class EllipticPair:
-    """K(k) and E(k) with the AGM iteration count that produced them."""
+class EllipticPair(NamedTuple):
+    """K(k) and E(k) with the AGM iteration count that produced them.
+
+    A NamedTuple, so it compares equal to the plain tuple
+    (modulus, K, E, iterations).
+    """
 
     modulus: float
     K: float
@@ -43,60 +49,99 @@ class EllipticPair:
     iterations: int
 
 
-def _agm(kp: float) -> tuple[float, float, float, int]:
-    """(K, head, tail, iterations) from the complementary modulus
-    kp = sqrt(1-k^2), with E = K (1 - head - tail) (Abramowitz & Stegun
-    17.6): head = k^2/2 and tail = sum_{n>=1} 2^(n-1) c_n^2.
-
-    Both parts are sums of positive terms, so K - E = K (head + tail) and
-    (2 - k^2) K - 2E = 2 K tail need no subtraction.  Relative accuracy is
-    ~1e-15 for kp in (0, 1]; kp = 0 diverges.
-    """
-    if kp <= 0.0:
-        raise ValueError("complete elliptic integrals diverge at modulus 1")
-    head = 0.5 * (1.0 - kp) * (1.0 + kp)
-    a, b = 1.0, kp
-    tail = 0.0
-    power = 0.5
-    it = 0
-    # at least one step: c_1 = (1 - kp)/2 is exact, and for kp within a
-    # few ulps of 1 it is all of the tail
-    while True:
-        c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        it += 1
-        power *= 2.0
-        tail += power * c * c
-        if abs(a - b) <= _EPS * a or it >= _MAX_AGM_ITER:
-            return math.pi / (2.0 * a), head, tail, it
-
-
 def elliptic_KE(k: float) -> EllipticPair:
     """Complete elliptic integrals of the first and second kind.
 
     Domain 0 <= k < 1 (K diverges at k = 1).  Relative error is below
-    1e-13 across the domain.
+    1e-13 across the domain.  The AGM starts from the complementary
+    modulus kp = sqrt(1-k^2), and E = K (1 - head - tail) (Abramowitz &
+    Stegun 17.6) with head = k^2/2 and tail = sum_{n>=1} 2^(n-1) c_n^2.
     """
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k!r}")
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    big_k, head, tail, it = _agm(kp)
+    kp = sqrt((1.0 - k) * (1.0 + k))
+    a, b = 1.0, kp
+    tail, power = 0.0, 0.5
+    # at least one step: c_1 = (1 - kp)/2 is exact, and for kp within a
+    # few ulps of 1 it is all of the tail
+    for it in range(1, _MAX_AGM_ITER + 1):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), sqrt(a * b)
+        power *= 2.0
+        tail += power * c * c
+        if abs(a - b) <= _EPS * a:
+            break
+    big_k = pi / (2.0 * a)
+    head = 0.5 * (1.0 - kp) * (1.0 + kp)
     return EllipticPair(k, big_k, big_k * (1.0 - head - tail), it)
 
 
 # ---------------------------------------------------------------------------
 # product densities on [-4, 4]
 
-_PI2 = math.pi * math.pi
+_PI2 = pi * pi
+_TWO_PI2 = 2.0 * _PI2
+_LOG16 = log(16.0)
 
-# kind: (c, d, value).  Near x = 0 the kernel behaves like
+
+def _evaluator(kind: str, c: float, d: float) -> Callable[[float], float]:
+    """The pointwise density of one kind, with the AGM of K(xi(x)) inlined.
+
+    The complementary modulus of xi(x) is exactly kp = |x|/4.  aa is
+    K / (2 pi^2) and runs the AGM for K alone.  wa and ww also sum
+    tail = sum_{n>=1} 2^(n-1) c_n^2 of 1 - E/K = head + tail with
+    head = (1 - kp^2)/2 (Abramowitz & Stegun 17.6): wa = K (head + tail)
+    / pi^2 and ww = 4 K tail / pi^2 are K - E and (1 + x^2/16) K - 2E as
+    sums of positive terms, so nothing cancels as they tend to 0 at x = 4.
+    """
+    k_only = kind == "aa"
+    with_head = kind == "wa"
+
+    def value(x: float) -> float:
+        ax = abs(float(x))
+        if not ax <= 4.0:
+            if ax != ax:
+                raise ValueError(f"density point x must not be NaN, got x={x!r}")
+            return 0.0
+        if ax == 0.0:
+            return inf
+        kp = ax / 4.0
+        if kp == 0.0:
+            # |x|/4 underflows for the smallest subnormal x, where the head
+            # asymptotics c (log(16/|x|) + d) are exact to rounding
+            return c * (_LOG16 - log(ax) + d)
+        # the loops take at least one step, as elliptic_KE's do
+        a, b = 1.0, kp
+        if k_only:
+            for _ in _AGM_STEPS:
+                a, b = 0.5 * (a + b), sqrt(a * b)
+                if abs(a - b) <= _EPS * a:
+                    break
+            return pi / (2.0 * a) / _TWO_PI2
+        tail, power = 0.0, 0.5
+        for _ in _AGM_STEPS:
+            cn = 0.5 * (a - b)
+            a, b = 0.5 * (a + b), sqrt(a * b)
+            power *= 2.0
+            tail += power * cn * cn
+            if abs(a - b) <= _EPS * a:
+                break
+        big_k = pi / (2.0 * a)
+        if with_head:
+            return big_k * (0.5 * (1.0 - kp) * (1.0 + kp) + tail) / _PI2
+        return 4.0 * big_k * tail / _PI2
+
+    return value
+
+
+# kind: (c, d, evaluator).  Near x = 0 the kernel behaves like
 # c * (log(16/|x|) + d), which feeds the analytic value of the singular
-# head panel [0, eps] and the underflow case of density; value(K, head,
-# tail) is the kernel from the output of _agm.
+# head panel [0, eps] and the underflow case of the evaluator.
 _KERNELS = KindTable("density", {
-    "aa": (1.0 / (2.0 * _PI2), 0.0, lambda big_k, head, tail: big_k / (2.0 * _PI2)),
-    "wa": (1.0 / _PI2, -1.0, lambda big_k, head, tail: big_k * (head + tail) / _PI2),
-    "ww": (2.0 / _PI2, -2.0, lambda big_k, head, tail: 4.0 * big_k * tail / _PI2),
+    kind: (c, d, _evaluator(kind, c, d))
+    for kind, c, d in (("aa", 1.0 / _TWO_PI2, 0.0),
+                       ("wa", 1.0 / _PI2, -1.0),
+                       ("ww", 2.0 / _PI2, -2.0))
 })
 
 
@@ -105,25 +150,11 @@ def density(kind: str, x: float) -> float:
 
     All three kinds diverge logarithmically at x = 0 (K(xi) blows up as
     log(16/|x|)); the exact center returns +inf as an explicit marker.
-    Outside [-4, 4] the value is 0.  On 0 < |x| < 4 the relative error is
-    below 2e-15 for every kind, also near |x| = 4 where wa and ww tend to 0:
-    their closed forms K - E and (1 + x^2/16) K - 2E come from
-    :func:`_agm` without a subtraction.
+    Outside [-4, 4] the value is 0, and a NaN x raises ValueError.  On
+    0 < |x| < 4 the relative error is below 2e-15 for every kind, also
+    near |x| = 4 where wa and ww tend to 0 (see :func:`_evaluator`).
     """
-    c, d, value = _KERNELS[kind]
-    ax = abs(float(x))
-    if ax > 4.0:
-        return 0.0
-    if ax == 0.0:
-        return math.inf
-    # complementary modulus of xi(x) is exactly |x|/4
-    kp = ax / 4.0
-    if kp == 0.0:
-        # |x|/4 underflows for the smallest subnormal x, where the head
-        # asymptotics c (log(16/|x|) + d) are exact to rounding
-        return c * (math.log(16.0) - math.log(ax) + d)
-    big_k, head, tail, _ = _agm(kp)
-    return value(big_k, head, tail)
+    return _KERNELS[kind][2](x)
 
 
 def arcsine_density(x: float) -> float:
@@ -132,8 +163,8 @@ def arcsine_density(x: float) -> float:
     if t < 0.0:
         return 0.0
     if t == 0.0:
-        return math.inf
-    return 1.0 / (math.pi * math.sqrt(t))
+        return inf
+    return 1.0 / (pi * sqrt(t))
 
 
 def semicircle_density(x: float) -> float:
@@ -141,26 +172,25 @@ def semicircle_density(x: float) -> float:
     t = 4.0 - x * x
     if t <= 0.0:
         return 0.0
-    return math.sqrt(t) / (2.0 * math.pi)
+    return sqrt(t) / (2.0 * pi)
 
 
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Kronrod quadrature
 
-# 15-point Kronrod nodes on [-1, 1] (positive half plus center) and the
-# matching weights; odd-index nodes form the embedded 7-point Gauss rule.
-_XGK = (
-    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-    0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
-    0.2077849550078985, 0.0,
+# 15-point Kronrod rule on [-1, 1]: (node, Kronrod weight, Gauss weight)
+# for the positive nodes, whose Gauss weight is None off the embedded
+# 7-point Gauss rule, and the two weights of the center node.
+_GK_NODES = (
+    (0.9914553711208126, 0.02293532201052922, None),
+    (0.9491079123427585, 0.06309209262997855, 0.1294849661688697),
+    (0.8648644233597691, 0.1047900103222502, None),
+    (0.7415311855993944, 0.1406532597155259, 0.2797053914892767),
+    (0.5860872354676911, 0.1690047266392679, None),
+    (0.4058451513773972, 0.1903505780647854, 0.3818300505051189),
+    (0.2077849550078985, 0.2044329400752989, None),
 )
-_WGK = (
-    0.02293532201052922, 0.06309209262997855, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278,
-)
-_WG = (0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-       0.4179591836734694)
+_GK_CENTER = (0.2094821410847278, 0.4179591836734694)
 
 DEFAULT_PANEL_BUDGET = 100_000
 
@@ -170,17 +200,22 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     fc = f(mid)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for j in range(7):
-        x = half * _XGK[j]
+    resk = _GK_CENTER[0] * fc
+    resg = _GK_CENTER[1] * fc
+    for node, wk, wg in _GK_NODES:
+        x = half * node
         pair = f(mid - x) + f(mid + x)
-        resk += _WGK[j] * pair
-        if j % 2 == 1:
-            resg += _WG[j // 2] * pair
+        resk += wk * pair
+        if wg is not None:
+            resg += wg * pair
     resk *= half
     resg *= half
     return resk, abs(resk - resg)
+
+
+def _check_tol(name: str, tol: float) -> None:
+    if not 0.0 < tol < inf:
+        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
 
 
 def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
@@ -193,8 +228,10 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     Integrable endpoint singularities are handled by the geometric panel
     refinement itself.  Raises NumericalError when the panel budget is
     exhausted first, or when the integral or its error estimate is not
-    finite.
+    finite.  abs_tol and rel_tol must be finite and > 0.
     """
+    _check_tol("abs_tol", abs_tol)
+    _check_tol("rel_tol", rel_tol)
     if b <= a:
         return 0.0
     val, err = _gk_panel(f, a, b)
@@ -222,7 +259,7 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
         heapq.heappush(heap, (-re, seq + 1, mid, pb, rv, re))
         seq += 2
     # a NaN estimate ends the loop as if it had converged
-    if not (math.isfinite(total_val) and math.isfinite(total_err)):
+    if not (isfinite(total_val) and isfinite(total_err)):
         raise NumericalError(
             f"quadrature on [{a}, {b}] produced a non-finite value {total_val!r} "
             f"(error estimate {total_err!r})")
@@ -256,31 +293,33 @@ def mellin_density_convolve(f: Callable[[float], float],
     The kernels see y rounded to a fixed absolute precision.  When a
     kernel is infinite at its edge 2 and [x/2, 2] is too narrow for that
     rounding to stay below tol ((2 - x/2) * tol < 1e-14), NumericalError
-    is raised instead of returning an inaccurate value.
+    is raised instead of returning an inaccurate value.  tol must be
+    finite and > 0.
     """
+    _check_tol("tol", tol)
     if not x > 0.0:
         raise ValueError("convolution point must be positive; use symmetry for x < 0")
     if x >= 4.0:
         return 0.0
     if ((2.0 - 0.5 * x) * tol < _EDGE_RESOLUTION
-            and (math.isinf(f(2.0)) or math.isinf(g(2.0)))):
+            and (isinf(f(2.0)) or isinf(g(2.0)))):
         raise NumericalError(
             f"Mellin convolution at x={x!r} is too close to the support edge 4 "
             f"to reach tol={tol!r}: [x/2, 2] is narrower than rounding at a "
             f"singular kernel edge allows; use a larger tol or a smaller x")
-    hi = math.log(2.0)
-    lo = math.log(x) - hi
+    hi = log(2.0)
+    lo = log(x) - hi
     c, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def integrand(t: float) -> float:
-        y = math.exp(c - r * math.cos(t))
-        v = f(x / y) * g(y) * r * math.sin(t)
+        y = exp(c - r * cos(t))
+        v = f(x / y) * g(y) * r * sin(t)
         # y can round onto a factor's edge singularity (x/y or y landing
         # exactly on 2.0); the true contribution of that measure-zero point
         # is finite, so drop it rather than poison the sum
-        return v if math.isfinite(v) else 0.0
+        return v if isfinite(v) else 0.0
 
-    val = adaptive_quadrature(integrand, 0.0, math.pi,
+    val = adaptive_quadrature(integrand, 0.0, pi,
                               abs_tol=0.5 * tol, rel_tol=0.5 * tol)
     return 2.0 * val
 
@@ -294,16 +333,18 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     Only even orders are meaningful for these symmetric kernels; odd m is
     rejected.  The logarithmic singularity at 0 is integrated analytically
     on [0, 1e-6] from the leading asymptotics; the rest is adaptive
-    quadrature.  Absolute error is below tol * max(1, result).
+    quadrature.  Absolute error is below tol * max(1, result), for a
+    finite tol > 0.
     """
-    c, d, _ = _KERNELS[kind]
+    c, d, value = _KERNELS[kind]
     if m < 0 or m % 2:
         raise ValueError("moment order must be even and nonnegative")
+    _check_tol("tol", tol)
     eps = _HEAD_EPS
-    head = c * eps ** (m + 1) / (m + 1) * (math.log(16.0 / eps) + 1.0 / (m + 1) + d)
+    head = c * eps ** (m + 1) / (m + 1) * (log(16.0 / eps) + 1.0 / (m + 1) + d)
 
     def integrand(x: float) -> float:
-        return x ** m * density(kind, x)
+        return x ** m * value(x)
 
     tail = adaptive_quadrature(integrand, eps, 4.0,
                                abs_tol=0.25 * tol, rel_tol=0.25 * tol)

@@ -108,8 +108,14 @@ class ClassicalConv:
 
     def moment(self, m: int) -> Number:
         _check_order(m)
-        return sum(comb(m, k) * self.left.moment(k) * self.right.moment(m - k)
-                   for k in range(m + 1))
+        # a symmetric left law's odd moments are exact zeros: skip their terms
+        left, right = self.left.moment, self.right.moment
+        total = 0
+        for k in range(m + 1):
+            lk = left(k)
+            if lk:
+                total += comb(m, k) * lk * right(m - k)
+        return total
 
 
 class MellinConv:

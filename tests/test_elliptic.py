@@ -1,10 +1,13 @@
+import hashlib
 import math
+import struct
 from math import comb
 
 import pytest
 from scipy.special import ellipe, ellipk
 
 from latticewalks.elliptic import (
+    EllipticPair,
     adaptive_quadrature,
     arcsine_density,
     density,
@@ -101,6 +104,11 @@ class TestEllipticIntegrals:
                                    - math.pi / 2.0))
         assert worst < 1e-11
 
+    def test_pair_equals_its_plain_tuple(self):
+        p = elliptic_KE(0.5)
+        assert isinstance(p, EllipticPair)
+        assert p == (0.5, p.K, p.E, p.iterations)
+
     def test_monotonicity(self):
         ks = [i / 50.0 for i in range(50)]
         ps = [elliptic_KE(k) for k in ks]
@@ -174,6 +182,11 @@ class TestDensityKernels:
         with pytest.raises(ValueError):
             density("xx", 1.0)
 
+    @pytest.mark.parametrize("kind", ["aa", "wa", "ww"])
+    def test_nan_point_rejected(self, kind):
+        with pytest.raises(ValueError, match="x=nan"):
+            density(kind, math.nan)
+
     def test_kinds_match_exactly(self):
         with pytest.raises(ValueError, match="unknown density kind 'AA'"):
             density("AA", 1.0)
@@ -231,6 +244,45 @@ class TestAdaptiveQuadrature:
         for f in (lambda x: math.nan, lambda x: math.nan if x == 0.5 else x):
             with pytest.raises(NumericalError, match=r"\[0.0, 1.0\]"):
                 adaptive_quadrature(f, 0.0, 1.0)
+
+
+class TestToleranceContract:
+    """Every tolerance of the quadrature entry points is finite and > 0,
+    checked before any work, and a bad one is a ValueError naming it."""
+
+    BAD = [math.nan, 0.0, -1.0, math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+    def test_adaptive_quadrature(self, name, bad):
+        for a, b in ((0.0, 1.0), (1.0, 1.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+                adaptive_quadrature(math.sin, a, b, **{name: bad})
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_density_moment(self, bad):
+        with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+            density_moment("ww", 2, tol=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_mellin_density_convolve(self, bad):
+        for x in (1.0, 9.0):
+            with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+                mellin_density_convolve(semicircle_density, semicircle_density, x, tol=bad)
+
+    def test_former_silent_or_misleading_results(self):
+        # a NaN tolerance ended the quadrature loop as converged (1.9543
+        # for 2, and 3.99999999495 for the exact second moment 4); a
+        # negative or zero tol raised a stall or support-edge error
+        with pytest.raises(ValueError, match="^abs_tol"):
+            adaptive_quadrature(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0,
+                                abs_tol=math.nan, rel_tol=math.nan)
+        with pytest.raises(ValueError, match="got nan"):
+            density_moment("aa", 2, tol=math.nan)
+        with pytest.raises(ValueError, match="got -1.0"):
+            density_moment("aa", 2, tol=-1.0)
+        with pytest.raises(ValueError, match="got 0.0"):
+            mellin_density_convolve(arcsine_density, arcsine_density, 1.0, tol=0.0)
 
 
 KERNEL_PAIRS = [
@@ -322,3 +374,43 @@ class TestDensityMoments:
             density_moment("aa", 3)
         with pytest.raises(ValueError):
             density_moment("aa", -2)
+
+
+# SHA-256 over the little-endian float64 bits of each value, recorded from
+# the shared-AGM implementation that the per-kind evaluators replaced: any
+# change to the arithmetic of the elliptic layer changes a digest
+_GRID_DIGESTS = {
+    "aa": "7a2f6cd3827aecace259b6062365f875589259a9fae976b6681df593e5fea21d",
+    "wa": "c0dc23d456e804b8d78ceabc1fcac60273f0687d1558fb45e90cd3295895e1b5",
+    "ww": "c43fbf7f74eedbb37313d74245ed5d52b8c7cb07c448d5498f31e888125b7304",
+}
+_MOMENT_DIGESTS = {
+    "aa": "b2c21548c89a93f56fa123fc5e781631e078f8df6e0e3897fb6e401936a90e77",
+    "wa": "03dcf6b89c8faf2b9e84ffadccad69c20cf8d49c05711aca076247fd7a62fc37",
+    "ww": "391f34b27e0e497a40892efa6704afce571c1b45ee41511a0471361e4a21679e",
+}
+_KE_DIGEST = "b69ead53b75e627532ac0f91f8dbc1d914f71c1d30e40ce477d5583ff74d9a0b"
+
+
+def bits_digest(values) -> str:
+    h = hashlib.sha256()
+    for v in values:
+        h.update(struct.pack("<d", v))
+    return h.hexdigest()
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("kind", ["aa", "wa", "ww"])
+    def test_density_grid(self, kind):
+        xs = [-4.0 + 8.0 * i / 10000 for i in range(10001)]
+        assert bits_digest(density(kind, x) for x in xs) == _GRID_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", ["aa", "wa", "ww"])
+    def test_density_moments(self, kind):
+        values = (density_moment(kind, m, tol=1e-11) for m in range(0, 41, 2))
+        assert bits_digest(values) == _MOMENT_DIGESTS[kind]
+
+    def test_elliptic_integrals(self):
+        pairs = (elliptic_KE(i / 1000) for i in range(1000))
+        assert bits_digest(v for p in pairs for v in (p.K, p.E, p.iterations)) \
+            == _KE_DIGEST

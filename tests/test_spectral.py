@@ -85,6 +85,33 @@ class TestConvolutions:
                          for j in range(m + 1))
             assert conv.moment(m) == direct
 
+    @pytest.mark.parametrize("left,right", [
+        (ArcSine(), Semicircle()),
+        (Discrete([(1.5, 0.25), (-1.5, 0.25), (0.0, 0.5)]), ArcSine()),
+        (Semicircle(), path_spectrum(5).to_discrete()),
+        (path_spectrum(4), MellinConv(ArcSine(), Semicircle())),
+    ])
+    def test_classical_keeps_value_and_type_of_the_full_sum(self, left, right):
+        conv = ClassicalConv(left, right)
+        for m in range(17):
+            direct = sum(comb(m, j) * left.moment(j) * right.moment(m - j)
+                         for j in range(m + 1))
+            got = conv.moment(m)
+            assert got == direct and type(got) is type(direct), m
+
+    def test_classical_skips_terms_of_zero_left_moments(self):
+        asked = []
+
+        class Recording(Semicircle):
+            def moment(self, m):
+                asked.append(m)
+                return super().moment(m)
+
+        # sum over even k of comb(8, k) comb(k, k/2) catalan((8 - k)/2)
+        assert ClassicalConv(ArcSine(), Recording()).moment(8) == \
+            14 + 28 * 2 * 5 + 70 * 6 * 2 + 28 * 20 + 70
+        assert asked == [8, 6, 4, 2, 0]
+
     def test_mellin_multiplies_moments(self):
         w = Semicircle()
         conv = MellinConv(w, w)
