@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import elliptic, graphs, spectral, walks
 from .errors import NumericalError, ResourceLimitError
@@ -24,6 +24,8 @@ from .errors import NumericalError, ResourceLimitError
 #: walk-length caps by lattice dimension
 CAP_3D = 24
 CAP_12D = 40
+#: most sample points of a density grid
+CAP_GRID = 100_001
 
 ENV_BUDGET = "LATTICE_WALKS_BUDGET"
 
@@ -38,17 +40,6 @@ def _fmt(v) -> str:
     if v is None:
         return "none"
     return str(v)
-
-
-def _jsonable(v):
-    # v as JSON values: tuples as lists, non-finite floats as _fmt spells them
-    if isinstance(v, float) and not math.isfinite(v):
-        return _fmt(v)
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def _resolve_budget(args) -> int:
@@ -73,8 +64,68 @@ def _csv(params: dict, header: str, rows: list[str]) -> str:
     return "\n".join([f"# params: {echo}", header] + rows) + "\n"
 
 
+def _json_float(v: float) -> str:
+    # a non-finite float is written as the string _fmt spells it
+    return float.__repr__(v) if math.isfinite(v) else _json_str(_fmt(v))
+
+
+#: exact type -> JSON text of a scalar, as ``json.dumps`` writes it
+_JSON_SCALARS = {
+    str: _json_str,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
+
+
+def _json_write(v, pad: str, out: list[str]) -> None:
+    """Append the JSON text of v to out, laid out as ``json.dumps(v,
+    indent=2)`` lays it out; pad indents the line on which v starts.
+
+    Dicts (with str keys), lists and tuples nest; a subclass of str, int
+    or float is written as its base, as ``json.dumps`` does; anything
+    else is a TypeError.
+    """
+    scalar = _JSON_SCALARS.get(type(v))
+    if scalar is not None:
+        out.append(scalar(v))
+        return
+    inner = pad + "  "
+    if isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        sep = "{\n" + inner
+        for key, x in v.items():
+            out.append(f"{sep}{_json_str(key)}: ")
+            _json_write(x, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{pad}}}")
+        return
+    if isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        sep = "[\n" + inner
+        for x in v:
+            out.append(sep)
+            _json_write(x, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{pad}]")
+        return
+    for base in (str, int, float):
+        if isinstance(v, base):
+            out.append(_JSON_SCALARS[base](v))
+            return
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
 def _json_doc(params: dict, body: dict) -> str:
-    return json.dumps(_jsonable({"params": params, **body}), indent=2) + "\n"
+    out: list[str] = []
+    _json_write({"params": params, **body}, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +174,12 @@ def _run_moments(args, params: dict) -> tuple[str, int]:
 def _run_density(args, params: dict) -> tuple[str, int]:
     if args.grid < 2:
         raise ValueError("--grid needs at least 2 points")
+    if args.grid > CAP_GRID:
+        raise ValueError(f"grid {args.grid} exceeds the density-grid cap {CAP_GRID}")
     xs = [-4.0 + 8.0 * i / (args.grid - 1) for i in range(args.grid)]
     vals = [elliptic.density(args.kind, x) for x in xs]
     if args.format == "json":
-        body = {"rows": [{"x": float(f"{x:.15g}"),
-                          "density": "inf" if math.isinf(v) else float(f"{v:.15g}")}
+        body = {"rows": [{"x": float(f"{x:.15g}"), "density": float(f"{v:.15g}")}
                          for x, v in zip(xs, vals)]}
         return _json_doc(params, body), 0
     lines = [f"{x:.15g},{v:.15g}" for x, v in zip(xs, vals)]

@@ -213,8 +213,13 @@ def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, f
     return resk, abs(resk - resg)
 
 
-def _check_tol(name: str, tol: float) -> None:
-    if not 0.0 < tol < inf:
+def _check_tol(name: str, tol: float, share: float = 1.0) -> None:
+    # share * tol is the tolerance handed to adaptive_quadrature, which a
+    # subnormal tol can round to 0
+    if not 0.0 < share * tol < inf:
+        if 0.0 < tol < inf:
+            raise ValueError(f"{name} is too small, got {tol!r}: "
+                             f"{share} * {name} rounds to 0")
         raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
 
 
@@ -294,9 +299,9 @@ def mellin_density_convolve(f: Callable[[float], float],
     kernel is infinite at its edge 2 and [x/2, 2] is too narrow for that
     rounding to stay below tol ((2 - x/2) * tol < 1e-14), NumericalError
     is raised instead of returning an inaccurate value.  tol must be
-    finite and > 0.
+    finite and > 0, and 0.5 * tol must not round to 0.
     """
-    _check_tol("tol", tol)
+    _check_tol("tol", tol, 0.5)
     if not x > 0.0:
         raise ValueError("convolution point must be positive; use symmetry for x < 0")
     if x >= 4.0:
@@ -334,12 +339,12 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     rejected.  The logarithmic singularity at 0 is integrated analytically
     on [0, 1e-6] from the leading asymptotics; the rest is adaptive
     quadrature.  Absolute error is below tol * max(1, result), for a
-    finite tol > 0.
+    finite tol > 0 whose quarter does not round to 0.
     """
     c, d, value = _KERNELS[kind]
     if m < 0 or m % 2:
         raise ValueError("moment order must be even and nonnegative")
-    _check_tol("tol", tol)
+    _check_tol("tol", tol, 0.25)
     eps = _HEAD_EPS
     head = c * eps ** (m + 1) / (m + 1) * (log(16.0 / eps) + 1.0 / (m + 1) + d)
 

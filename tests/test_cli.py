@@ -1,14 +1,20 @@
 import argparse
+import collections
+import dataclasses
+import enum
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from latticewalks import walks
+from latticewalks import cli, graphs, walks
 from latticewalks.cli import build_parser, main
 
 
@@ -189,6 +195,11 @@ class TestDensityCommand:
         code, _, err = run(capsys, "density", "--kind", "aa", "--grid", "1")
         assert code == 1
         assert "grid" in err
+
+    def test_grid_cap(self, capsys):
+        code, out, err = run(capsys, "density", "--kind", "aa", "--grid", "100002")
+        assert (code, out) == (1, "")
+        assert err == "error: grid 100002 exceeds the density-grid cap 100001\n"
 
 
 class TestComponentsCommand:
@@ -576,6 +587,90 @@ def test_parameter_echo(capsys, monkeypatch, argv, env_budget, csv_line, json_pa
     code, out, _ = run(capsys, *argv.split(), "--format", "json")
     assert code == 0
     assert list(json.loads(out)["params"].items()) == list(json_params.items())
+
+
+# The CLI writes JSON itself, in the layout of json.dumps(indent=2).
+
+
+def _written(v) -> str:
+    out = []
+    cli._json_write(v, "", out)
+    return "".join(out)
+
+
+_CHARS = st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                   st.characters())
+_TEXT = st.text(_CHARS, max_size=8)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _TEXT,
+    st.integers(), st.integers(-10 ** 400, 10 ** 400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, 1e16, 0.1]))
+_DOCS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestJsonWriter:
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(doc=_DOCS)
+    def test_matches_json_dumps(self, doc):
+        assert _written(doc) == json.dumps(doc, indent=2)
+
+    def test_non_finite_floats_as_fmt_spells_them(self):
+        assert _written({"v": [math.inf, -math.inf, math.nan]}) == (
+            '{\n  "v": [\n    "inf",\n    "-inf",\n    "nan"\n  ]\n}')
+
+    def test_subclasses_are_written_as_their_base(self):
+        class Text(str):
+            pass
+
+        class Count(int):
+            def __repr__(self):
+                return "Count()"
+
+        class Real(float):
+            pass
+
+        doc = collections.OrderedDict(
+            a=[Text('q"\u00e9'), Count(7), Real(2.5), enum.IntEnum("E", "A B").B],
+            b=collections.OrderedDict())
+        assert _written(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, {"a": [b"x"]}, [object()]])
+    def test_other_types_raise_type_error(self, bad):
+        with pytest.raises(TypeError):
+            _written(bad)
+
+
+@pytest.mark.parametrize("argv", [
+    "density --kind aa --grid 5",
+    "moments --kind path --n 5 --mmax 12",
+    "verify --suite density",
+    "verify --suite path-spectrum",
+    "iso --kind strip --n 5",
+])
+def test_unpinned_json_round_trips_through_the_stdlib(capsys, argv):
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_iso_witness_tuple_is_a_json_list(capsys, monkeypatch):
+    fold_map = graphs.fold_map
+
+    def broken(kind, **params):
+        return dataclasses.replace(fold_map(kind, **params), matrix=((1, 0), (0, 1)))
+
+    monkeypatch.setattr(graphs, "fold_map", broken)
+    code, out, _ = run(capsys, "iso", "--kind", "halfplane")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["witness"] == [[0, -1]]
+    assert json.dumps(doc, indent=2) + "\n" == out
 
 
 def test_import_does_not_load_numpy():

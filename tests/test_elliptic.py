@@ -284,6 +284,15 @@ class TestToleranceContract:
         with pytest.raises(ValueError, match="got 0.0"):
             mellin_density_convolve(arcsine_density, arcsine_density, 1.0, tol=0.0)
 
+    def test_subnormal_tol_names_the_callers_argument(self):
+        # 0.5 * tol and 0.25 * tol round to 0, which adaptive_quadrature
+        # rejected as an abs_tol the caller never passed
+        with pytest.raises(ValueError, match=r"^tol is too small, got 5e-324: 0.5 \*"):
+            mellin_density_convolve(semicircle_density, semicircle_density, 1.0,
+                                    tol=5e-324)
+        with pytest.raises(ValueError, match=r"^tol is too small, got 1e-323: 0.25 \*"):
+            density_moment("ww", 2, tol=1e-323)
+
 
 KERNEL_PAIRS = [
     ("aa", arcsine_density, arcsine_density),
