@@ -62,20 +62,20 @@ from .spectral import (
     NamedDensity,
     PathSpectrum,
     Semicircle,
+    catalan,
+    central_binomial,
     moment_law,
+    path_closed_walks,
     path_spectrum,
 )
 from .walks import (
     LatticeKind,
     WalkTable,
     build_lattice,
-    catalan,
-    central_binomial,
     closed_form_walks,
     lattice_kind,
     lattice_walk_kinds,
     moment_coincidence_report,
-    path_closed_walks,
     verify_binomial_identity,
     walk_count,
     walk_table,

@@ -14,6 +14,16 @@ to products of distributions:
 Both act on any two laws, walk tables included, so ``MellinConv`` and
 ``ClassicalConv`` of two walk tables are the product graphs' tables.
 
+The laws of the paper's three 1-D factors keep their exact even moments
+M_{2h} in per-process columns (:class:`EvenMoments`), filled lazily by
+exact recurrences: ``ArcSine.even`` (the line Z) by c_h = c_{h-1}
+(4h-2)/h, ``Semicircle.even`` (the half line Z+) by C_h = C_{h-1}
+(4h-2)/(h+1), and ``path_even_moments(n)`` (the path P_n), one column per
+n, by :func:`path_closed_walks`.  A column grows only to lengths asked for
+in turn: a lone request more than twice past its end is computed directly
+and not cached.  It grows by rebinding a longer tuple, never in place, so
+a concurrent reader always sees a valid prefix.
+
 Distributions here are compactly supported, so equality of all moments is
 equality of distributions.
 """
@@ -22,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import comb, cos, isfinite, pi, sin
+from math import comb, cos, isfinite, perm, pi, sin
+from typing import Callable
 
 from . import elliptic
 from .errors import KindTable
-from .walks import catalan, path_closed_walks
 
 Number = int | float
 
@@ -34,6 +44,33 @@ Number = int | float
 def _check_order(m: int) -> None:
     if m < 0:
         raise ValueError("moment order must be nonnegative")
+
+
+class EvenMoments:
+    """The even moments of one law, a column whose entry h is M_{2h}:
+    ``direct(h)`` computes it alone, ``step(h, entry h-1)`` from the one
+    before, and ``values`` holds the cached prefix."""
+
+    def __init__(self, direct: Callable[[int], int], step: Callable[[int, int], int]):
+        self.direct, self.step, self.values = direct, step, (1,)
+
+    def __getitem__(self, h: int) -> int:
+        values = self.values
+        if 0 <= h < len(values):
+            return values[h]
+        _check_order(h)
+        return self.direct(h) if h > 2 * len(values) else self.upto(h)[h]
+
+    def upto(self, h: int) -> tuple[int, ...]:
+        """The column through entry h at least, extended to it if shorter."""
+        values = self.values
+        if h >= len(values):
+            new, last = [], values[-1]
+            for i in range(len(values), h + 1):
+                last = self.step(i, last)
+                new.append(last)
+            self.values = values = values + tuple(new)
+        return values
 
 
 class ArcSine:
@@ -44,10 +81,11 @@ class ArcSine:
     """
 
     density = staticmethod(elliptic.arcsine_density)
+    even = EvenMoments(lambda h: comb(2 * h, h), lambda h, c: c * (4 * h - 2) // h)
 
     def moment(self, m: int) -> int:
         _check_order(m)
-        return 0 if m % 2 else comb(m, m // 2)
+        return 0 if m % 2 else ArcSine.even[m // 2]
 
 
 class Semicircle:
@@ -58,10 +96,75 @@ class Semicircle:
     """
 
     density = staticmethod(elliptic.semicircle_density)
+    even = EvenMoments(lambda h: comb(2 * h, h) // (h + 1),
+                       lambda h, c: c * (4 * h - 2) // (h + 1))
 
     def moment(self, m: int) -> int:
         _check_order(m)
-        return 0 if m % 2 else catalan(m // 2)
+        return 0 if m % 2 else Semicircle.even[m // 2]
+
+
+def central_binomial(m: int) -> int:
+    """binomial(2m, m), the closed-walk count at any vertex of the line."""
+    return ArcSine.even[m]
+
+
+def catalan(m: int) -> int:
+    """The m-th Catalan number, the closed-walk count at the end of a ray."""
+    return Semicircle.even[m]
+
+
+def path_closed_walks(n: int, m: int) -> int:
+    """Closed m-walks at the first vertex of the n-vertex path, exactly.
+
+    By the reflection principle for walks confined between two absorbing
+    barriers p = n+1 apart, the count for m = 2h is
+
+        sum_j [B(h + jp) - B(h + jp - 1)],    B = binom(m, .).
+
+    B is symmetric about h, so the terms j and -j pair up:
+
+        B(h) - B(h-1) + sum_{k = h+p, h+2p, ...} [2B(k) - B(k-1) - B(k+1)],
+
+    and B(k-1), B(k+1) are B(k) times k/(m-k+1) and (m-k)/(k+1), so a
+    pair costs one binomial: B(k) (m + 2 - (2k-m)^2) / ((k+1)(m-k+1)),
+    an exact division.  The first term is the Catalan number C_h, and
+    k = m+1 contributes -B(m) = -1.  The binomials step from
+    B(h) by B(k) = B(k-p) (m-k+p)!/(m-k)! / (k!/(k-p)!).  This
+    is deliberately independent of the ball machinery so it can serve as
+    the 1-D factor in product closed forms.
+    """
+    if n < 1:
+        raise ValueError("path needs at least one vertex")
+    if m < 0:
+        raise ValueError("walk length must be nonnegative")
+    if m % 2:
+        return 0
+    h, p = m // 2, n + 1
+    b = comb(m, h)
+    total = b // (h + 1)
+    for k in range(h + p, m + 1, p):
+        b = b * perm(m - k + p, p) // perm(k, p)
+        total += b * (m + 2 - (2 * k - m) ** 2) // ((k + 1) * (m - k + 1))
+    if (h + 1) % p == 0:
+        total -= 1
+    return total
+
+
+_PATH_COLUMNS: dict[int, EvenMoments] = {}
+
+
+def path_even_moments(n: int) -> EvenMoments:
+    """The even-moment column of the n-vertex path at an end vertex."""
+    if n not in _PATH_COLUMNS:
+        if n < 1:
+            raise ValueError("path needs at least one vertex")
+
+        def entry(h: int, _=None) -> int:
+            return path_closed_walks(n, 2 * h)
+
+        _PATH_COLUMNS.setdefault(n, EvenMoments(entry, entry))
+    return _PATH_COLUMNS[n]
 
 
 class Discrete:
@@ -167,8 +270,8 @@ class PathSpectrum:
     Eigenvalues are 2 cos(k pi / (n+1)), k = 1..n; the weight of each is
     the squared end-vertex entry of its normalized eigenvector,
     2/(n+1) sin^2(k pi / (n+1)).  Moments are the exact closed-walk
-    counts at the end vertex; the eigen data reproduce them in floating
-    point (see :meth:`to_discrete`).
+    counts at the end vertex, read from :func:`path_even_moments`; the
+    eigen data reproduce them in floating point (see :meth:`to_discrete`).
     """
 
     n: int
@@ -177,7 +280,7 @@ class PathSpectrum:
 
     def moment(self, m: int) -> int:
         _check_order(m)
-        return path_closed_walks(self.n, m)
+        return 0 if m % 2 else path_even_moments(self.n)[m // 2]
 
     def to_discrete(self) -> Discrete:
         return Discrete(zip(self.eigenvalues, self.weights))

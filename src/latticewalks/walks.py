@@ -54,18 +54,25 @@ two tables multiplies them into the Kronecker product's table, and
 ``spectral.ClassicalConv`` convolves them binomially into the Cartesian
 product's.
 
-Closed forms use half-step indexing internally: a walk of even length
-m = 2h on a bipartite lattice decomposes into h up/down or in/out pairs,
-which is where central binomials and Catalan numbers enter.
+Each named kind is declared once by its row of the paper's table: a
+Kronecker product of the 1-D factors Z, Z+ and P_n, or the Cartesian
+product of two such.  Its closed form reads the factor laws' even-moment
+columns, which :mod:`latticewalks.spectral` fills once per process by
+exact recurrences (a lone request far past a column's end is computed
+directly and not cached): a Kronecker kind costs one product of cached
+entries, and a Cartesian kind a binomial sum over the cached columns.
+Half-step indexing skips the odd moments, which are exactly 0: a walk of
+even length m = 2h on a bipartite lattice decomposes into h up/down or
+in/out pairs, which is where central binomials and Catalan numbers enter.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain
-from math import comb
+from math import prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -73,54 +80,13 @@ from . import graphs
 from .errors import KindTable
 from .graphs import (DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph,
                      ball, reflection)
+from .spectral import (ArcSine, EvenMoments, Semicircle, catalan, central_binomial,
+                       path_closed_walks, path_even_moments)
 
-
-def central_binomial(m: int) -> int:
-    """binomial(2m, m), the closed-walk count at any vertex of the line."""
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    return comb(2 * m, m)
-
-
-def catalan(m: int) -> int:
-    """The m-th Catalan number, the closed-walk count at the end of a ray."""
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    return comb(2 * m, m) // (m + 1)
-
-
-def path_closed_walks(n: int, m: int) -> int:
-    """Closed m-walks at the first vertex of the n-vertex path, exactly.
-
-    By the reflection principle for walks confined between two absorbing
-    barriers p = n+1 apart, the count for m = 2h is
-
-        sum_j [B(h + jp) - B(h + jp - 1)],    B = binom(m, .).
-
-    B is symmetric about h, so the terms j and -j pair up:
-
-        B(h) - B(h-1) + sum_{k = h+p, h+2p, ...} [2B(k) - B(k-1) - B(k+1)],
-
-    and B(k-1), B(k+1) are B(k) times k/(m-k+1) and (m-k)/(k+1), so a
-    pair costs one binomial: B(k) (m + 2 - (2k-m)^2) / ((k+1)(m-k+1)),
-    an exact division.  The first term is the Catalan number C_h, and
-    k = m+1 contributes -B(m) = -1.  This is deliberately independent of
-    the ball machinery so it can serve as the 1-D factor in product
-    closed forms.
-    """
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
-    if m < 0:
-        raise ValueError("walk length must be nonnegative")
-    if m % 2:
-        return 0
-    h, p = m // 2, n + 1
-    total = catalan(h)
-    for k in range(h + p, m + 1, p):
-        total += comb(m, k) * (m + 2 - (2 * k - m) ** 2) // ((k + 1) * (m - k + 1))
-    if (h + 1) % p == 0:
-        total -= 1
-    return total
+__all__ = ["LatticeKind", "WalkTable", "build_lattice", "catalan", "central_binomial",
+           "closed_form_walks", "lattice_kind", "lattice_walk_kinds",
+           "moment_coincidence_report", "path_closed_walks", "verify_binomial_identity",
+           "walk_count", "walk_table"]
 
 
 # ---------------------------------------------------------------------------
@@ -253,26 +219,56 @@ def walk_table(g: Graph, o, m_max: int,
 
 @dataclass(frozen=True)
 class LatticeKind:
-    """A rooted lattice or product graph with an exact closed form."""
+    """A rooted lattice or product graph with an exact closed form: the
+    even moments of ``product``, its row of the paper's table, a Kronecker
+    product (``⊗``) of Z, Z+ and P_p (the path on parameter p's vertices)
+    or the Cartesian product (``□``) of two such; or, with no product,
+    ``own_form(h)`` = count[2h].  Parameters are at least 2, else the
+    error is ``too_small``."""
 
     key: str
     dimension: int
     requires: tuple[str, ...]
     build_fn: Callable[..., tuple[Graph, Coords]]
-    closed_fn: Callable[..., int]
+    product: str
+    own_form: Callable[[int], int] | None = None
+    too_small: str = ""
+    factors: tuple[tuple[str, ...], ...] = field(init=False)
+
+    def __post_init__(self):
+        # the Cartesian terms of product, each a tuple of Kronecker factors
+        object.__setattr__(self, "factors", tuple(
+            tuple(f.strip(" ()") for f in term.split("⊗"))
+            for term in self.product.split("□")) if self.product else ())
+
+    def params(self, n: int | None, k: int | None, l: int | None) -> dict[str, int]:
+        """The kind's parameters among n, k and l, checked: it needs every
+        one it requires, takes no other, and each is at least 2."""
+        if not self.requires and n is None and k is None and l is None:
+            return {}
+        params = _KINDS.params(self.key, self.requires, n=n, k=k, l=l)
+        if params and min(params.values()) < 2:
+            raise ValueError(self.too_small)
+        return params
 
 
-def _cartesian(a: str, b: str) -> Callable[[int], int]:
-    # The closed form of the Cartesian product of the parameterless kinds
-    # a and b: a closed 2h-walk interleaves a closed 2k-walk in a with a
-    # closed (2h-2k)-walk in b, so h -> sum_k binom(2h,2k) f(k) g(h-k) in
-    # half-step indexing, where f and g, the closed forms of a and b, are
-    # looked up per call: the table that holds them is built after this.
-    def closed(h: int) -> int:
-        f, g = _KINDS[a].closed_fn, _KINDS[b].closed_fn
-        return sum(comb(2 * h, 2 * k) * f(k) * g(h - k) for k in range(h + 1))
+def _column(factor: str, params: dict[str, int]) -> EvenMoments:
+    # the even-moment column of a 1-D factor: Z, Z+ or the path P_p
+    if factor[0] == "P":
+        return path_even_moments(params[factor[2:]])
+    return ArcSine.even if factor == "Z" else Semicircle.even
 
-    return closed
+
+def _binomial_sum(a: Sequence[int], b: Sequence[int], h: int) -> int:
+    # sum_j binom(2h, 2j) a[j] b[h-j]: a closed 2h-walk in a Cartesian
+    # product interleaves a closed 2j-walk in one factor with a closed
+    # (2h-2j)-walk in the other; the odd-length terms are exactly 0.  The
+    # binomials run along the row: binom(2h, 2j+2) from binom(2h, 2j).
+    m, c, total = 2 * h, 1, 0
+    for j in range(h + 1):
+        total += c * a[j] * b[h - j]
+        c = c * (m - 2 * j) * (m - 2 * j - 1) // ((2 * j + 1) * (2 * j + 2))
+    return total
 
 
 def _signed(g: Graph) -> Graph:
@@ -302,61 +298,49 @@ def _antidiagonal(v: Coords) -> Coords:
 # but the half line and the diamond a mirror that fixes the root;
 # walk_table lumps by either.  Under the fold a mirror reflects one
 # Kronecker factor or swaps two equal ones.  README's kind table states
-# each kind and its closed form in words.
+# each kind, its product and its closed form in words.
 _KINDS = KindTable("lattice", {lk.key: lk for lk in (
-    LatticeKind("z", 1, (),
-                lambda: (_signed(graphs.integer_line()), (0,)),
-                central_binomial),
-    LatticeKind("zplus", 1, (),
-                lambda: (graphs.half_line(), (0,)),
-                catalan),
-    LatticeKind("zplus-at-1", 1, (),
-                lambda: (graphs.half_line(), (1,)),
+    LatticeKind("z", 1, (), lambda: (_signed(graphs.integer_line()), (0,)), "Z"),
+    LatticeKind("zplus", 1, (), lambda: (graphs.half_line(), (0,)), "Z+"),
+    LatticeKind("zplus-at-1", 1, (), lambda: (graphs.half_line(), (1,)), "",
                 lambda h: catalan(h + 1)),
-    LatticeKind("z2", 2, (),
-                lambda: (_signed(graphs.full_plane()), (0, 0)),
-                lambda h: comb(2 * h, h) ** 2),
+    LatticeKind("z2", 2, (), lambda: (_signed(graphs.full_plane()), (0, 0)), "Z ⊗ Z"),
     LatticeKind("halfplane", 2, (),
-                lambda: (_mirrored(graphs.half_plane(), _antidiagonal), (0, 0)),
-                lambda h: catalan(h) * comb(2 * h, h)),
+                lambda: (_mirrored(graphs.half_plane(), _antidiagonal), (0, 0)), "Z+ ⊗ Z"),
     LatticeKind("wedge", 2, (),
                 lambda: (_mirrored(graphs.wedge(), lambda v: (v[0], -v[1])), (0, 0)),
-                lambda h: catalan(h) ** 2),
+                "Z+ ⊗ Z+"),
     LatticeKind("quarterplane", 2, (),
-                lambda: (_mirrored(graphs.quarter_plane(), _swap), (0, 0)),
-                _cartesian("zplus", "zplus")),
+                lambda: (_mirrored(graphs.quarter_plane(), _swap), (0, 0)), "Z+ □ Z+"),
     # the quarter plane again, built as a Cartesian product of two
     # half-lines; its closed form is the product form of the same count
     LatticeKind("zxzplus", 2, (),
                 lambda: (_mirrored(graphs.cartesian(graphs.half_line(),
                                                     graphs.half_line()), _swap),
-                         (0, 0)),
+                         (0, 0)), "",
                 lambda h: catalan(h) * catalan(h + 1)),
     LatticeKind("strip", 2, ("n",),
-                lambda n: (_mirrored(graphs.strip(n), _antidiagonal), (0, 0)),
-                lambda h, n: comb(2 * h, h) * path_closed_walks(n, 2 * h)),
+                lambda n: (_mirrored(graphs.strip(n), _antidiagonal), (0, 0)), "Z ⊗ P_n",
+                too_small="strip width must be at least 2"),
     LatticeKind("diamond", 2, ("k", "l"),
-                lambda k, l: (graphs.diamond(k, l), (0, 0)),
-                lambda h, k, l: path_closed_walks(k, 2 * h) * path_closed_walks(l, 2 * h)),
+                lambda k, l: (graphs.diamond(k, l), (0, 0)), "P_k ⊗ P_l",
+                too_small="diamond side lengths must be at least 2"),
     LatticeKind("bcc3", 3, (),
                 lambda: (_signed(reduce(graphs.kronecker, [graphs.integer_line()] * 3)),
-                         (0, 0, 0)),
-                lambda h: comb(2 * h, h) ** 3),
+                         (0, 0, 0)), "Z ⊗ Z ⊗ Z"),
     LatticeKind("z3cartesian", 3, (),
                 lambda: (_signed(reduce(graphs.cartesian, [graphs.integer_line()] * 3)),
-                         (0, 0, 0)),
-                _cartesian("z2", "z")),
+                         (0, 0, 0)), "(Z ⊗ Z) □ Z"),
     # the chamber and kkc3 count as the Cartesian product of the wedge (the
     # Kronecker square of the half line, folded) with the half line
     LatticeKind("chamber3", 3, (),
                 lambda: (_mirrored(graphs.chamber3(), lambda v: (-v[2], -v[1], -v[0])),
-                         (0, 0, 0)),
-                _cartesian("wedge", "zplus")),
+                         (0, 0, 0)), "(Z+ ⊗ Z+) □ Z+"),
     LatticeKind("kkc3", 3, (),
                 lambda: (_mirrored(graphs.cartesian(
                     graphs.kronecker(graphs.half_line(), graphs.half_line()),
                     graphs.half_line()), lambda v: (v[1], v[0], v[2])), (0, 0, 0)),
-                _cartesian("wedge", "zplus")),
+                "(Z+ ⊗ Z+) □ Z+"),
 )})
 
 
@@ -372,7 +356,7 @@ def build_lattice(kind: str, n: int | None = None, k: int | None = None,
                   l: int | None = None) -> tuple[Graph, Coords]:
     """The rooted graph behind a named kind: (graph, root coordinates)."""
     lk = _KINDS[kind]
-    return lk.build_fn(**_KINDS.params(kind, lk.requires, n=n, k=k, l=l))
+    return lk.build_fn(**lk.params(n, k, l))
 
 
 def closed_form_walks(kind: str, m: int, n: int | None = None,
@@ -382,12 +366,22 @@ def closed_form_walks(kind: str, m: int, n: int | None = None,
     All named kinds are bipartite, so odd lengths return 0.
     """
     lk = _KINDS[kind]
-    params = _KINDS.params(kind, lk.requires, n=n, k=k, l=l)
+    params = lk.params(n, k, l)
     if m < 0:
         raise ValueError("walk length must be nonnegative")
     if m % 2:
         return 0
-    return lk.closed_fn(m // 2, **params)
+    h = m // 2
+    if lk.own_form is not None:
+        return lk.own_form(h)
+    terms = lk.factors
+    if len(terms) == 1:
+        # a lone factor's count is its column's own entry, not a copy
+        return reduce(mul, [_column(f, params)[h] for f in terms[0]])
+    # entries 0..h of each Cartesian term's law, a product of factor columns
+    a, b = ([prod(entries) for entries in zip(*(_column(f, params).upto(h)[:h + 1]
+                                                for f in term))] for term in terms)
+    return _binomial_sum(a, b, h)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +398,8 @@ def verify_binomial_identity(m: int) -> bool:
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
-    return _cartesian("z", "z")(m) == comb(2 * m, m) ** 2
+    c = ArcSine.even.upto(m)
+    return _binomial_sum(c, c, m) == c[m] ** 2
 
 
 def moment_coincidence_report(g_a: Graph, o_a, g_b: Graph, o_b,

@@ -11,14 +11,20 @@ of it take the lazy path.  `reference_iso_report` checks an affine map
 the way the coordinate edge-set algorithm does, on `naive_ball`s.
 `SIGNED_KINDS`, `MIRRORS` and `LUMPED` name the lattice kinds whose graphs
 carry a symmetry, with each mirror written out here rather than taken
-from the builders.
+from the builders.  `REFERENCE_FORMS` restates every kind's closed form
+with ``math.comb`` and `reference_path_walks`, the unpaired reflection
+sum, so the library's cached moment columns are checked, not echoed;
+`cold_columns` runs a block on fresh, empty columns.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from contextlib import contextmanager
+from math import comb
 
+from latticewalks import spectral
 from latticewalks.graphs import FiniteGraph, ImplicitGraph
 
 
@@ -209,3 +215,67 @@ LUMPED = [(kind, params) for kind in (*SIGNED_KINDS, *MIRRORS)
 def kind_id(kind: str, params: dict) -> str:
     """A test id for a kind and its build parameters, e.g. ``strip-n3``."""
     return kind + "".join(f"-{a}{v}" for a, v in params.items())
+
+
+def reference_catalan(h: int) -> int:
+    return comb(2 * h, h) // (h + 1)
+
+
+def reference_path_walks(n: int, m: int) -> int:
+    """Closed m-walks at the end of the n-vertex path by the reflection
+    principle, one term per barrier image: sum_j B(h + jp) - B(h + jp - 1)
+    with B = binom(m, .), h = m/2 and p = n + 1."""
+    if m % 2:
+        return 0
+    h, p = m // 2, n + 1
+
+    def b(k: int) -> int:
+        return comb(m, k) if 0 <= k <= m else 0
+
+    return sum(b(h + j * p) - b(h + j * p - 1) for j in range(-m // p - 1, m // p + 2))
+
+
+def _reference_cartesian(f, g, h: int) -> int:
+    return sum(comb(2 * h, 2 * j) * f(j) * g(h - j) for j in range(h + 1))
+
+
+#: kind -> count[2h] as a function of h and the kind's parameters
+REFERENCE_FORMS = {
+    "z": lambda h: comb(2 * h, h),
+    "zplus": reference_catalan,
+    "zplus-at-1": lambda h: reference_catalan(h + 1),
+    "z2": lambda h: comb(2 * h, h) ** 2,
+    "halfplane": lambda h: reference_catalan(h) * comb(2 * h, h),
+    "wedge": lambda h: reference_catalan(h) ** 2,
+    "quarterplane": lambda h: _reference_cartesian(reference_catalan,
+                                                   reference_catalan, h),
+    "zxzplus": lambda h: reference_catalan(h) * reference_catalan(h + 1),
+    "strip": lambda h, n: comb(2 * h, h) * reference_path_walks(n, 2 * h),
+    "diamond": lambda h, k, l: reference_path_walks(k, 2 * h) * reference_path_walks(l, 2 * h),
+    "bcc3": lambda h: comb(2 * h, h) ** 3,
+    "z3cartesian": lambda h: _reference_cartesian(lambda j: comb(2 * j, j) ** 2,
+                                                  lambda j: comb(2 * j, j), h),
+    "chamber3": lambda h: _reference_cartesian(lambda j: reference_catalan(j) ** 2,
+                                               reference_catalan, h),
+    "kkc3": lambda h: _reference_cartesian(lambda j: reference_catalan(j) ** 2,
+                                           reference_catalan, h),
+}
+
+
+def reference_closed_form(kind: str, m: int, **params) -> int:
+    """The length-m closed-walk count of a named kind from REFERENCE_FORMS."""
+    return 0 if m % 2 else REFERENCE_FORMS[kind](m // 2, **params)
+
+
+@contextmanager
+def cold_columns():
+    """Fresh, empty moment columns for the duration of the block: the
+    laws' recurrences, none of the process's cached entries."""
+    saved = spectral.ArcSine.even, spectral.Semicircle.even, spectral._PATH_COLUMNS
+    spectral.ArcSine.even, spectral.Semicircle.even = (
+        spectral.EvenMoments(c.direct, c.step) for c in saved[:2])
+    spectral._PATH_COLUMNS = {}
+    try:
+        yield
+    finally:
+        spectral.ArcSine.even, spectral.Semicircle.even, spectral._PATH_COLUMNS = saved

@@ -180,20 +180,23 @@ def test_readme_lists_the_parser_flags():
     assert readme_flags(readme) == parser_flags(cli.build_parser())
 
 
-def readme_walk_kinds(readme: str) -> list[tuple[str, tuple[str, ...]]]:
-    """(kind, flags) of each row of the README's "Lattice kinds for
-    `walks`" table, in order, from its first column, such as
-    ``| `strip` (`--n`) |``."""
+def readme_walk_kinds(readme: str) -> list[tuple[str, tuple[str, ...], str]]:
+    """(kind, flags, product) of each row of the README's "Lattice kinds
+    for `walks`" table, in order, from its first two columns, such as
+    ``| `strip` (`--n`) | `Z ⊗ P_n` |``; a product cell without a
+    backquoted product reads as ``""``."""
     table = readme.split("\nLattice kinds for `walks`:\n\n", 1)[1].split("\n\n", 1)[0]
-    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
-    return [(re.search(r"`([a-z0-9-]+)`", cell).group(1),
-             tuple(re.findall(r"--[a-z]+", cell))) for cell in rows]
+    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    return [(re.search(r"`([a-z0-9-]+)`", kind).group(1),
+             tuple(re.findall(r"--[a-z]+", kind)),
+             "".join(re.findall(r"`([^`]+)`", product))) for kind, product in rows]
 
 
 def test_readme_lists_the_walk_kinds():
     readme = (ROOT / "README.md").read_text()
     assert readme_walk_kinds(readme) == [
-        (kind, tuple("--" + p for p in walks.lattice_kind(kind).requires))
+        (kind, tuple("--" + p for p in walks.lattice_kind(kind).requires),
+         walks.lattice_kind(kind).product)
         for kind in walks.lattice_walk_kinds()]
 
 

@@ -1,10 +1,23 @@
+import ast
 import math
+import sys
+import threading
 import warnings
+from contextlib import nullcontext
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import int_matrix_power_diag, path_adjacency
+from helpers import (
+    cold_columns,
+    int_matrix_power_diag,
+    path_adjacency,
+    reference_closed_form,
+    reference_path_walks,
+)
 from latticewalks import elliptic, spectral
 from latticewalks.spectral import (
     ArcSine,
@@ -12,11 +25,13 @@ from latticewalks.spectral import (
     Discrete,
     MellinConv,
     NamedDensity,
+    PathSpectrum,
     Semicircle,
     moment_law,
+    path_even_moments,
     path_spectrum,
 )
-from latticewalks.walks import path_closed_walks
+from latticewalks.walks import closed_form_walks, path_closed_walks
 
 
 def cat(m: int) -> int:
@@ -41,6 +56,83 @@ class TestBaseLaws:
             ArcSine().moment(-1)
         with pytest.raises(ValueError):
             Semicircle().moment(-3)
+
+
+class TestMomentColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(orders=st.lists(st.integers(0, 800), min_size=1, max_size=25),
+           n=st.integers(1, 12), cold=st.booleans())
+    def test_columns_match_comb_in_any_order(self, orders, n, cold):
+        with cold_columns() if cold else nullcontext():
+            for m in orders:
+                assert ArcSine().moment(m) == (0 if m % 2 else comb(m, m // 2))
+                assert Semicircle().moment(m) == (0 if m % 2 else comb(m, m // 2) // (m // 2 + 1))
+                path = PathSpectrum(n, (), ()).moment(m)
+                assert path == path_closed_walks(n, m) == reference_path_walks(n, m)
+
+    def test_a_lone_far_request_is_not_cached(self):
+        with cold_columns():
+            assert ArcSine().moment(400_000) == comb(400_000, 200_000)
+            assert ArcSine.even.values == (1,)
+            assert [ArcSine().moment(2 * h) for h in range(5)] == [1, 2, 6, 20, 70]
+            assert ArcSine.even.values == (1, 2, 6, 20, 70)
+            # within twice the cached end, a request extends the column
+            assert Semicircle().moment(4) == 2 and Semicircle.even.values == (1, 1, 2)
+
+    def test_columns_grow_by_rebinding(self):
+        with cold_columns():
+            column = path_even_moments(6)
+            before = column.upto(3)
+            assert column.upto(9) is column.values and len(column.values) == 10
+            assert before == column.values[:4] and len(before) == 4
+
+    def test_threads_read_valid_columns(self):
+        # 8 threads ask for interleaved lengths of the same cold columns
+        kinds = [("z", {}), ("zplus", {}), ("zplus-at-1", {}), ("strip", {"n": 5}),
+                 ("diamond", {"k": 3, "l": 9}), ("quarterplane", {}), ("chamber3", {})]
+        wrong, start = [], threading.Barrier(8)
+
+        def ask(t):
+            start.wait(timeout=60)
+            for m in range(2 * t, 320, 16):
+                for kind, params in kinds:
+                    if closed_form_walks(kind, m, **params) != \
+                            reference_closed_form(kind, m, **params):
+                        wrong.append((kind, m))
+                if ArcSine().moment(m) != comb(m, m // 2):
+                    wrong.append(("arcsine", m))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with cold_columns():
+                threads = [threading.Thread(target=ask, args=(t,)) for t in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                # every cached column is a valid prefix
+                columns = [(ArcSine.even, lambda h: comb(2 * h, h)),
+                           (Semicircle.even, lambda h: comb(2 * h, h) // (h + 1)),
+                           *((c, lambda h, n=n: reference_path_walks(n, 2 * h))
+                             for n, c in spectral._PATH_COLUMNS.items())]
+                for column, entry in columns:
+                    assert column.values == tuple(map(entry, range(len(column.values))))
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
+    def test_path_column_rejects_an_empty_path(self):
+        with pytest.raises(ValueError, match="path needs at least one vertex"):
+            path_even_moments(0)
+
+    def test_spectral_does_not_import_walks(self):
+        tree = ast.parse(Path(spectral.__file__).read_text())
+        imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     for a in node.names}
+        assert "walks" not in imported
 
 
 class TestDiscrete:

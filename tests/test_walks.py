@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+from contextlib import nullcontext
 from math import comb
 
 import pytest
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 from helpers import (
     LUMPED,
     MIRRORS,
+    REFERENCE_FORMS,
     SIGNED_KINDS,
     as_implicit,
+    cold_columns,
     dp_closed_walks,
     int_matrix_power_diag,
     kind_id,
@@ -18,6 +22,7 @@ from helpers import (
     path_walk_counts,
     random_connected_graph,
     random_graph,
+    reference_closed_form,
     vector_walk_counts,
 )
 from latticewalks import graphs
@@ -37,11 +42,6 @@ from latticewalks.walks import (
     walk_count,
     walk_table,
 )
-
-
-def cat(m: int) -> int:
-    # local Catalan, so frozen tables below do not lean on the library
-    return comb(2 * m, m) // (m + 1)
 
 
 class TestSmallCombinatorics:
@@ -385,25 +385,13 @@ class TestLatticeRegistry:
         assert lattice_kind("kkc3").dimension == 3
 
 
-# frozen even-order tables; every entry recomputed here from first
-# principles so the library closed forms are checked, not echoed
-FROZEN_EVEN_TABLES = {
-    "z": [comb(2 * h, h) for h in range(8)],
-    "zplus": [cat(h) for h in range(8)],
-    "zplus-at-1": [cat(h + 1) for h in range(8)],
-    "z2": [comb(2 * h, h) ** 2 for h in range(6)],
-    "halfplane": [cat(h) * comb(2 * h, h) for h in range(6)],
-    "wedge": [cat(h) ** 2 for h in range(6)],
-    "quarterplane": [sum(comb(2 * h, 2 * j) * cat(j) * cat(h - j)
-                         for j in range(h + 1)) for h in range(6)],
-    "zxzplus": [cat(h) * cat(h + 1) for h in range(6)],
-    "bcc3": [comb(2 * h, h) ** 3 for h in range(5)],
-    "z3cartesian": [sum(comb(2 * h, 2 * j) * comb(2 * j, j) ** 2
-                        * comb(2 * h - 2 * j, h - j) for j in range(h + 1))
-                    for h in range(5)],
-    "chamber3": [sum(comb(2 * h, 2 * j) * cat(j) ** 2 * cat(h - j)
-                     for j in range(h + 1)) for h in range(5)],
-}
+# frozen even-order tables; every entry recomputed from first principles
+# (helpers.REFERENCE_FORMS) so the library closed forms are checked, not echoed
+FROZEN_EVEN_TABLES = {kind: [REFERENCE_FORMS[kind](h) for h in range(size)]
+                      for kind, size in (("z", 8), ("zplus", 8), ("zplus-at-1", 8),
+                                         ("z2", 6), ("halfplane", 6), ("wedge", 6),
+                                         ("quarterplane", 6), ("zxzplus", 6), ("bcc3", 5),
+                                         ("z3cartesian", 5), ("chamber3", 5))}
 
 
 class TestClosedForms:
@@ -438,6 +426,39 @@ class TestClosedForms:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             closed_form_walks("z", -2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_comb_references_in_any_order(self, data):
+        kind = data.draw(st.sampled_from(lattice_walk_kinds()), label="kind")
+        params = {p: data.draw(st.integers(2, 12), label=p)
+                  for p in lattice_kind(kind).requires}
+        mmax = 160 if lattice_kind(kind).dimension == 3 else 400
+        lengths = data.draw(st.lists(st.integers(0, mmax), min_size=1, max_size=12),
+                            label="lengths")
+        with cold_columns() if data.draw(st.booleans(), label="cold") else nullcontext():
+            for m in lengths:
+                assert closed_form_walks(kind, m, **params) == \
+                    reference_closed_form(kind, m, **params), (kind, params, m)
+
+    @pytest.mark.parametrize("kind", [k for k in lattice_walk_kinds()
+                                      if lattice_kind(k).requires])
+    def test_parameters_checked_alike(self, kind):
+        # build_lattice and closed_form_walks accept the same values and
+        # reject the others with the same message
+        requires = lattice_kind(kind).requires
+        for values in itertools.product([-1, 0, 1, 2, 3], repeat=len(requires)):
+            params = dict(zip(requires, values))
+            outcomes = []
+            for call in (lambda: build_lattice(kind, **params),
+                         lambda: closed_form_walks(kind, 4, **params)):
+                try:
+                    call()
+                    outcomes.append(None)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], params
+            assert (outcomes[0] is None) == (min(values) >= 2), params
 
 
 class TestIdentityAndCoincidence:
