@@ -7,9 +7,9 @@ The package splits into four layers:
   and Cartesian products, lattice restrictions, balls, and checked
   coordinate-change isomorphisms.
 - :mod:`latticewalks.walks`: exact big-integer closed-walk counts, the named
-  lattice registry with closed-form counting formulas, and coincidence
-  tuples ``(m, count_a, count_b)`` for pairs of rooted graphs.  A walk
-  table is a moment sequence, a law of :mod:`latticewalks.spectral`.
+  lattice registry with closed forms and folds onto Kronecker products, and
+  coincidence tuples ``(m, count_a, count_b)`` for pairs of rooted graphs.  A
+  walk table is a moment sequence, a law of :mod:`latticewalks.spectral`.
 - :mod:`latticewalks.spectral`: moment sequences, arcsine and semicircle
   laws, classical and Mellin convolutions, which are the Cartesian and
   Kronecker product rules for walk tables too, and finite path spectra.
@@ -40,7 +40,6 @@ from .graphs import (
     connected_components,
     degree_histogram,
     diamond,
-    fold_map,
     full_plane,
     half_line,
     half_plane,
@@ -73,6 +72,7 @@ from .walks import (
     WalkTable,
     build_lattice,
     closed_form_walks,
+    fold_map,
     lattice_kind,
     lattice_walk_kinds,
     moment_coincidence_report,

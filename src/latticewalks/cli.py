@@ -209,8 +209,8 @@ def _run_components(args, params: dict) -> tuple[str, int]:
 
 
 def _run_iso(args, params: dict) -> tuple[str, int]:
-    iso = graphs.fold_map(args.kind, n=args.n, k=args.k, l=args.l)
-    radius = graphs.FOLD_KINDS[args.kind].radius
+    iso = walks.fold_map(args.kind, n=args.n, k=args.k, l=args.l)
+    _, radius = walks.FOLD_KINDS[args.kind]
     report = graphs.verify_isomorphism(iso, radius, args.radius_budget)
     code = 0 if report.ok else 1
     if args.format == "csv":
@@ -254,7 +254,7 @@ def _suite_iso(budget: int, sweep_tol: float) -> list[dict]:
              ("halfplane", {}), ("wedge", {}), ("diamond", {"k": 4, "l": 4})]
     checks = []
     for kind, params in cases:
-        iso, radius = graphs.fold_map(kind, **params), graphs.FOLD_KINDS[kind].radius
+        iso, (_, radius) = walks.fold_map(kind, **params), walks.FOLD_KINDS[kind]
         rep = graphs.verify_isomorphism(iso, radius, budget)
         actual = "ok" if rep.ok else f"fail: {rep.detail}"
         checks.append(_check(f"{iso.name} r={radius}", "ok", actual, 0, rep.ok))

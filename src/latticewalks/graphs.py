@@ -706,48 +706,3 @@ def verify_isomorphism(iso: IsoMap, ball_radius: int,
                                       for e in diff))
     return IsoReport(True, "edge-preserving bijection on balls", None, n, n)
 
-
-_FOLD = ((1, 1), (1, -1))  # (x, y) |-> (x + y, x - y)
-
-
-class FoldKind(NamedTuple):
-    """A named fold: the parameters its builder takes, the ball radius it
-    is checked at, and the builder of (source, target, map name)."""
-
-    params: tuple[str, ...]
-    radius: int
-    build: Callable[..., tuple[Graph, Graph, str]]
-
-
-# The fold carries each lattice onto the origin component of a Kronecker
-# product of its two diagonal factors.  Builders look the
-# product constructors up at call time, so a wrapped kronecker or
-# cartesian sees every product they build.
-FOLD_KINDS = KindTable("fold", {
-    "plane": FoldKind((), 8, lambda: (
-        cartesian(integer_line(), integer_line()),
-        kronecker(integer_line(), integer_line()), "plane-to-kron")),
-    "strip": FoldKind(("n",), 6, lambda n: (
-        strip(n),
-        kronecker(integer_line(), path_graph(n)), f"strip{n}-to-kron")),
-    "halfplane": FoldKind((), 6, lambda: (
-        half_plane(),
-        kronecker(integer_line(), half_line()), "halfplane-to-kron")),
-    "wedge": FoldKind((), 6, lambda: (
-        wedge(),
-        kronecker(half_line(), half_line()), "wedge-to-kron")),
-    "diamond": FoldKind(("k", "l"), 6, lambda k, l: (
-        diamond(k, l),
-        kronecker(path_graph(k), path_graph(l)), f"diamond{k}x{l}-to-kron")),
-})
-
-
-def fold_map(kind: str, n: int | None = None, k: int | None = None,
-             l: int | None = None) -> IsoMap:
-    """The fold (x, y) |-> (x + y, x - y) of a named kind in
-    :data:`FOLD_KINDS`, rooted at the origin on both sides; the kind takes
-    exactly the parameters its ``params`` names."""
-    fold = FOLD_KINDS[kind]
-    source, target, name = fold.build(**FOLD_KINDS.params(kind, fold.params,
-                                                          n=n, k=k, l=l))
-    return IsoMap(_FOLD, (0, 0), source, (0, 0), target, (0, 0), name)

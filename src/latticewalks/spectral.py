@@ -270,13 +270,20 @@ class PathSpectrum:
     Eigenvalues are 2 cos(k pi / (n+1)), k = 1..n; the weight of each is
     the squared end-vertex entry of its normalized eigenvector,
     2/(n+1) sin^2(k pi / (n+1)).  Moments are the exact closed-walk
-    counts at the end vertex, read from :func:`path_even_moments`; the
-    eigen data reproduce them in floating point (see :meth:`to_discrete`).
+    counts at the end vertex, read from :func:`path_even_moments` at O(m)
+    cost; the eigen data, built when read, reproduce them in floating point.
     """
 
     n: int
-    eigenvalues: tuple[float, ...]
-    weights: tuple[float, ...]
+
+    @property
+    def eigenvalues(self) -> tuple[float, ...]:
+        return tuple(2.0 * cos(k * pi / (self.n + 1)) for k in range(1, self.n + 1))
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(2.0 / (self.n + 1) * sin(k * pi / (self.n + 1)) ** 2
+                     for k in range(1, self.n + 1))
 
     def moment(self, m: int) -> int:
         _check_order(m)
@@ -287,13 +294,10 @@ class PathSpectrum:
 
 
 def path_spectrum(n: int) -> PathSpectrum:
-    """Eigenvalues and end-vertex weights of the n-vertex path, in closed form."""
+    """The spectral law of the n-vertex path at an end vertex."""
     if n < 2:
         raise ValueError("path spectrum needs n >= 2")
-    angles = [k * pi / (n + 1) for k in range(1, n + 1)]
-    lams = tuple(2.0 * cos(a) for a in angles)
-    weights = tuple(2.0 / (n + 1) * sin(a) ** 2 for a in angles)
-    return PathSpectrum(n, lams, weights)
+    return PathSpectrum(n)
 
 
 #: The laws whose moment tables the CLI's ``moments`` command prints:

@@ -56,11 +56,13 @@ product's.
 
 Each named kind is declared once by its row of the paper's table: a
 Kronecker product of the 1-D factors Z, Z+ and P_n, or the Cartesian
-product of two such.  Its closed form reads the factor laws' even-moment
-columns, which :mod:`latticewalks.spectral` fills once per process by
-exact recurrences (a lone request far past a column's end is computed
+product of two such, and each factor once by its graph and the
+even-moment column of its root's law.  A closed form reads the columns,
+which :mod:`latticewalks.spectral` fills once per process by exact
+recurrences (a lone request far past a column's end is computed
 directly and not cached): a Kronecker kind costs one product of cached
 entries, and a Cartesian kind a binomial sum over the cached columns.
+:func:`fold_map` folds a 2-D Kronecker kind onto its factors' graphs.
 Half-step indexing skips the odd moments, which are exactly 0: a walk of
 even length m = 2h on a bipartite lattice decomposes into h up/down or
 in/out pairs, which is where central binomials and Catalan numbers enter.
@@ -79,14 +81,14 @@ from typing import Callable, Sequence
 from . import graphs
 from .errors import KindTable
 from .graphs import (DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph,
-                     ball, reflection)
-from .spectral import (ArcSine, EvenMoments, Semicircle, catalan, central_binomial,
-                       path_closed_walks, path_even_moments)
+                     IsoMap, ball, reflection)
+from .spectral import (ArcSine, Semicircle, catalan, central_binomial, path_closed_walks,
+                       path_even_moments)
 
-__all__ = ["LatticeKind", "WalkTable", "build_lattice", "catalan", "central_binomial",
-           "closed_form_walks", "lattice_kind", "lattice_walk_kinds",
-           "moment_coincidence_report", "path_closed_walks", "verify_binomial_identity",
-           "walk_count", "walk_table"]
+__all__ = ["FOLD_KINDS", "LatticeKind", "WalkTable", "build_lattice", "catalan",
+           "central_binomial", "closed_form_walks", "fold_map", "lattice_kind",
+           "lattice_walk_kinds", "moment_coincidence_report", "path_closed_walks",
+           "verify_binomial_identity", "walk_count", "walk_table"]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +219,18 @@ def walk_table(g: Graph, o, m_max: int,
 # named lattices and their closed forms
 
 
+#: The 1-D factors of the paper's table, each declared once: factor ->
+#: (its graph, the even-moment column of its root's law), both built from
+#: p, the path's vertex count, which Z and Z+ ignore.  The path is an
+#: implicit graph, so a fold check builds only the ball it reads.
+_FACTORS = {
+    "Z": (lambda p: graphs.integer_line(), lambda p: ArcSine.even),
+    "Z+": (lambda p: graphs.half_line(), lambda p: Semicircle.even),
+    "P": (lambda p: graphs.restrict_lattice(f"P{p}", 1, lambda v: 0 <= v[0] < p),
+          path_even_moments),
+}
+
+
 @dataclass(frozen=True)
 class LatticeKind:
     """A rooted lattice or product graph with an exact closed form: the
@@ -233,12 +247,15 @@ class LatticeKind:
     product: str
     own_form: Callable[[int], int] | None = None
     too_small: str = ""
-    factors: tuple[tuple[str, ...], ...] = field(init=False)
+    factors: tuple[tuple[tuple[Callable, Callable, str], ...], ...] = field(init=False)
 
     def __post_init__(self):
-        # the Cartesian terms of product, each a tuple of Kronecker factors
+        # the Cartesian terms of product, each a tuple of its Kronecker
+        # factors, each as (graph, column, parameter) from _FACTORS: P_n
+        # reads parameter n, and Z and Z+ read "", which no kind has
         object.__setattr__(self, "factors", tuple(
-            tuple(f.strip(" ()") for f in term.split("⊗"))
+            tuple((*_FACTORS[name], p) for name, _, p in
+                  (f.strip(" ()").partition("_") for f in term.split("⊗")))
             for term in self.product.split("□")) if self.product else ())
 
     def params(self, n: int | None, k: int | None, l: int | None) -> dict[str, int]:
@@ -250,13 +267,6 @@ class LatticeKind:
         if params and min(params.values()) < 2:
             raise ValueError(self.too_small)
         return params
-
-
-def _column(factor: str, params: dict[str, int]) -> EvenMoments:
-    # the even-moment column of a 1-D factor: Z, Z+ or the path P_p
-    if factor[0] == "P":
-        return path_even_moments(params[factor[2:]])
-    return ArcSine.even if factor == "Z" else Semicircle.even
 
 
 def _binomial_sum(a: Sequence[int], b: Sequence[int], h: int) -> int:
@@ -306,7 +316,7 @@ _KINDS = KindTable("lattice", {lk.key: lk for lk in (
                 lambda h: catalan(h + 1)),
     LatticeKind("z2", 2, (), lambda: (_signed(graphs.full_plane()), (0, 0)), "Z ⊗ Z"),
     LatticeKind("halfplane", 2, (),
-                lambda: (_mirrored(graphs.half_plane(), _antidiagonal), (0, 0)), "Z+ ⊗ Z"),
+                lambda: (_mirrored(graphs.half_plane(), _antidiagonal), (0, 0)), "Z ⊗ Z+"),
     LatticeKind("wedge", 2, (),
                 lambda: (_mirrored(graphs.wedge(), lambda v: (v[0], -v[1])), (0, 0)),
                 "Z+ ⊗ Z+"),
@@ -377,11 +387,41 @@ def closed_form_walks(kind: str, m: int, n: int | None = None,
     terms = lk.factors
     if len(terms) == 1:
         # a lone factor's count is its column's own entry, not a copy
-        return reduce(mul, [_column(f, params)[h] for f in terms[0]])
+        return reduce(mul, [column(params.get(p))[h] for _, column, p in terms[0]])
     # entries 0..h of each Cartesian term's law, a product of factor columns
-    a, b = ([prod(entries) for entries in zip(*(_column(f, params).upto(h)[:h + 1]
-                                                for f in term))] for term in terms)
+    a, b = ([prod(entries) for entries in zip(*(column(params.get(p)).upto(h)[:h + 1]
+                                                for _, column, p in term))]
+            for term in terms)
     return _binomial_sum(a, b, h)
+
+
+# ---------------------------------------------------------------------------
+# folds onto Kronecker products
+
+
+_FOLD = ((1, 1), (1, -1))  # (x, y) |-> (x + y, x - y)
+
+#: The named folds: fold -> (the 2-D Kronecker lattice kind it folds, the
+#: ball radius it is checked at).  Each fold but plane is named by its kind.
+FOLD_KINDS = KindTable("fold", {"plane": ("z2", 8), **{
+    kind: (kind, 6) for kind in ("strip", "halfplane", "wedge", "diamond")}})
+
+
+def fold_map(kind: str, n: int | None = None, k: int | None = None,
+             l: int | None = None) -> IsoMap:
+    """The fold (x, y) |-> (x + y, x - y) of a named kind in
+    :data:`FOLD_KINDS`, from its lattice onto the origin component of the
+    Kronecker product of the lattice's two factors, rooted at the origin
+    on both sides; the kind takes exactly its lattice's parameters."""
+    lattice, _ = FOLD_KINDS[kind]
+    lk = _KINDS[lattice]
+    params = FOLD_KINDS.params(kind, lk.requires, n=n, k=k, l=l)
+    source, root = build_lattice(lattice, **params)
+    # graphs.kronecker is looked up here, so a wrapped one sees the product
+    target = reduce(graphs.kronecker,
+                    [graph(params.get(p)) for graph, _, p in lk.factors[0]])
+    name = f"{kind}{'x'.join(map(str, params.values()))}-to-kron"
+    return IsoMap(_FOLD, (0, 0), source, root, target, (0, 0), name)
 
 
 # ---------------------------------------------------------------------------

@@ -102,11 +102,11 @@ def test_2_binomial_identity():
 
 def test_3_isomorphism_suite():
     """The coordinate fold is an edge bijection on balls, origin fixed."""
-    cases = [(graphs.fold_map("plane"), 8),
-             (graphs.fold_map("strip", 3), 6),
-             (graphs.fold_map("strip", 4), 6),
-             (graphs.fold_map("halfplane"), 6),
-             (graphs.fold_map("diamond", k=4, l=4), 6)]
+    cases = [(walks.fold_map("plane"), 8),
+             (walks.fold_map("strip", 3), 6),
+             (walks.fold_map("strip", 4), 6),
+             (walks.fold_map("halfplane"), 6),
+             (walks.fold_map("diamond", k=4, l=4), 6)]
     for iso, radius in cases:
         rep = graphs.verify_isomorphism(iso, radius)
         if not rep.ok:

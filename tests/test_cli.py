@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewalks import cli, graphs, walks
+from latticewalks import cli, walks
 from latticewalks.cli import build_parser, main
 
 
@@ -660,12 +660,12 @@ def test_unpinned_json_round_trips_through_the_stdlib(capsys, argv):
 
 
 def test_iso_witness_tuple_is_a_json_list(capsys, monkeypatch):
-    fold_map = graphs.fold_map
+    fold_map = walks.fold_map
 
     def broken(kind, **params):
         return dataclasses.replace(fold_map(kind, **params), matrix=((1, 0), (0, 1)))
 
-    monkeypatch.setattr(graphs, "fold_map", broken)
+    monkeypatch.setattr(walks, "fold_map", broken)
     code, out, _ = run(capsys, "iso", "--kind", "halfplane")
     assert code == 1
     doc = json.loads(out)

@@ -16,7 +16,7 @@ from helpers import (
     random_graph,
     reference_iso_report,
 )
-from latticewalks import graphs, walks
+from latticewalks import walks
 from latticewalks.errors import ResourceLimitError
 from latticewalks.graphs import (
     FiniteGraph,
@@ -27,7 +27,6 @@ from latticewalks.graphs import (
     connected_components,
     degree_histogram,
     diamond,
-    fold_map,
     full_plane,
     half_line,
     half_plane,
@@ -42,6 +41,7 @@ from latticewalks.graphs import (
     verify_isomorphism,
     wedge,
 )
+from latticewalks.walks import fold_map
 
 
 class TestFiniteGraph:
@@ -515,7 +515,12 @@ class TestComponentsAndSubgraphs:
 
 
 _FOLD_PARAMS = {"strip": [(2,), (3,), (5,)], "diamond": [(2, 2), (3, 3), (4, 4)]}
-_FOLDS = [(kind, p) for kind in graphs.FOLD_KINDS for p in _FOLD_PARAMS.get(kind, [()])]
+_FOLDS = [(kind, p) for kind in walks.FOLD_KINDS for p in _FOLD_PARAMS.get(kind, [()])]
+
+
+def _fold_params(kind):
+    """The parameter names of a fold kind: those of the lattice it folds."""
+    return walks.lattice_kind(walks.FOLD_KINDS[kind][0]).requires
 
 
 def _remap(good, matrix=None, offset=None, target=None):
@@ -561,8 +566,8 @@ class TestIsomorphisms:
     @pytest.mark.parametrize("kind,params", _FOLDS,
                              ids=[k + "".join(f"-{v}" for v in p) for k, p in _FOLDS])
     def test_builtin_folds_verify_at_table_radius(self, kind, params):
-        fold = graphs.FOLD_KINDS[kind]
-        rep = verify_isomorphism(fold_map(kind, **dict(zip(fold.params, params))), fold.radius)
+        _, radius = walks.FOLD_KINDS[kind]
+        rep = verify_isomorphism(fold_map(kind, **dict(zip(_fold_params(kind), params))), radius)
         assert rep.ok, rep.detail
         assert rep.source_size == rep.target_size
 
@@ -626,13 +631,13 @@ class TestIsomorphisms:
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(data=st.data())
     def test_reports_match_coordinate_reference(self, data):
-        kind = data.draw(st.sampled_from(sorted(graphs.FOLD_KINDS)))
-        params = data.draw(st.tuples(*[st.integers(2, 6)] * len(graphs.FOLD_KINDS[kind].params)))
+        kind = data.draw(st.sampled_from(sorted(walks.FOLD_KINDS)))
+        params = data.draw(st.tuples(*[st.integers(2, 6)] * len(_fold_params(kind))))
         entry = st.integers(-2, 2)
         matrix = data.draw(st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)))
         offset = data.draw(st.one_of(st.just((0, 0)), st.tuples(entry, entry)))
         radius = data.draw(st.integers(1, 4))
-        iso = _remap(fold_map(kind, **dict(zip(graphs.FOLD_KINDS[kind].params, params))),
+        iso = _remap(fold_map(kind, **dict(zip(_fold_params(kind), params))),
                      matrix=matrix, offset=offset)
         assert _report(iso, radius) == reference_iso_report(iso, radius)
 

@@ -2,7 +2,8 @@
 runs in CI: no module under ``src/`` or ``tests/`` imports a name it never
 uses, no private module-level name under ``src/`` goes unread, no field of
 a record class under ``src/`` goes unread, and the README lists exactly the flags the command-line parser takes and the
-lattice kinds ``walks`` takes, and its ``python`` examples run."""
+lattice kinds ``walks`` takes, with their products and folds, and its ``python``
+examples run."""
 
 import argparse
 import ast
@@ -180,23 +181,28 @@ def test_readme_lists_the_parser_flags():
     assert readme_flags(readme) == parser_flags(cli.build_parser())
 
 
-def readme_walk_kinds(readme: str) -> list[tuple[str, tuple[str, ...], str]]:
-    """(kind, flags, product) of each row of the README's "Lattice kinds
-    for `walks`" table, in order, from its first two columns, such as
-    ``| `strip` (`--n`) | `Z ⊗ P_n` |``; a product cell without a
-    backquoted product reads as ``""``."""
+def readme_walk_kinds(readme: str) -> list[tuple[str, tuple[str, ...], str, str]]:
+    """(kind, flags, product, fold) of each row of the README's "Lattice
+    kinds for `walks`" table, in order, from its first three columns, such
+    as ``| `strip` (`--n`) | `Z ⊗ P_n` | `strip` r=6 |``; a product or
+    fold cell without a backquoted name reads as ``""``, and a fold reads
+    as its name and radius, such as ``"strip r=6"``."""
     table = readme.split("\nLattice kinds for `walks`:\n\n", 1)[1].split("\n\n", 1)[0]
-    rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
+    rows = [line.split("|")[1:4] for line in table.splitlines()[2:]]
     return [(re.search(r"`([a-z0-9-]+)`", kind).group(1),
              tuple(re.findall(r"--[a-z]+", kind)),
-             "".join(re.findall(r"`([^`]+)`", product))) for kind, product in rows]
+             "".join(re.findall(r"`([^`]+)`", product)),
+             " ".join(re.findall(r"`[a-z]+` r=[0-9]+", fold)).replace("`", ""))
+            for kind, product, fold in rows]
 
 
 def test_readme_lists_the_walk_kinds():
     readme = (ROOT / "README.md").read_text()
+    folds = {lattice: f"{fold} r={radius}"
+             for fold, (lattice, radius) in walks.FOLD_KINDS.items()}
     assert readme_walk_kinds(readme) == [
         (kind, tuple("--" + p for p in walks.lattice_kind(kind).requires),
-         walks.lattice_kind(kind).product)
+         walks.lattice_kind(kind).product, folds.get(kind, ""))
         for kind in walks.lattice_walk_kinds()]
 
 

@@ -67,7 +67,7 @@ class TestMomentColumns:
             for m in orders:
                 assert ArcSine().moment(m) == (0 if m % 2 else comb(m, m // 2))
                 assert Semicircle().moment(m) == (0 if m % 2 else comb(m, m // 2) // (m // 2 + 1))
-                path = PathSpectrum(n, (), ()).moment(m)
+                path = PathSpectrum(n).moment(m)
                 assert path == path_closed_walks(n, m) == reference_path_walks(n, m)
 
     def test_a_lone_far_request_is_not_cached(self):

@@ -30,10 +30,12 @@ from latticewalks.cli import CAP_3D, CAP_12D
 from latticewalks.errors import ResourceLimitError
 from latticewalks.spectral import ClassicalConv, MellinConv
 from latticewalks.walks import (
+    FOLD_KINDS,
     build_lattice,
     catalan,
     central_binomial,
     closed_form_walks,
+    fold_map,
     lattice_kind,
     lattice_walk_kinds,
     moment_coincidence_report,
@@ -444,21 +446,46 @@ class TestClosedForms:
     @pytest.mark.parametrize("kind", [k for k in lattice_walk_kinds()
                                       if lattice_kind(k).requires])
     def test_parameters_checked_alike(self, kind):
-        # build_lattice and closed_form_walks accept the same values and
-        # reject the others with the same message
+        # build_lattice, closed_form_walks and the kind's fold accept the
+        # same values and reject the others with the same message
         requires = lattice_kind(kind).requires
         for values in itertools.product([-1, 0, 1, 2, 3], repeat=len(requires)):
             params = dict(zip(requires, values))
             outcomes = []
             for call in (lambda: build_lattice(kind, **params),
-                         lambda: closed_form_walks(kind, 4, **params)):
+                         lambda: closed_form_walks(kind, 4, **params),
+                         lambda: fold_map(kind, **params)):
                 try:
                     call()
                     outcomes.append(None)
                 except ValueError as exc:
                     outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], params
+            assert outcomes[0] == outcomes[1] == outcomes[2], params
             assert (outcomes[0] is None) == (min(values) >= 2), params
+
+
+#: every fold with the parameters it is tested at
+_FOLD_CASES = [(fold, params) for fold, (lattice, _) in FOLD_KINDS.items()
+               for params in ([{"n": n} for n in range(2, 7)] if lattice == "strip" else
+                              [{"k": k, "l": l} for k in range(2, 6) for l in range(2, 6)]
+                              if lattice == "diamond" else [{}])]
+
+
+class TestFolds:
+    @pytest.mark.parametrize("fold,params", _FOLD_CASES,
+                             ids=[f + "".join(f"-{v}" for v in p.values())
+                                  for f, p in _FOLD_CASES])
+    def test_target_counts_are_the_folded_kinds_closed_form(self, fold, params):
+        lattice, _ = FOLD_KINDS[fold]
+        table = walk_table(fold_map(fold, **params).target, (0, 0), 16)
+        assert table.counts == tuple(closed_form_walks(lattice, m, **params)
+                                     for m in range(17))
+
+    def test_targets_are_implicit(self):
+        # a fold builds only the balls it checks, never a whole finite factor
+        for fold, params in _FOLD_CASES:
+            assert isinstance(fold_map(fold, **params).target, graphs.ImplicitGraph), \
+                (fold, params)
 
 
 class TestIdentityAndCoincidence:
