@@ -187,24 +187,21 @@ def _run_density(args, params: dict) -> tuple[str, int]:
 
 
 def _run_components(args, params: dict) -> tuple[str, int]:
-    product = graphs.PRODUCT_KINDS[args.kind]
+    components = graphs.PRODUCT_KINDS[args.kind]
     size = args.n * args.k
-    # a pair of nonpositive sizes is left to path_graph to reject
+    # a pair of nonpositive sizes is left to the kind's rule to reject
     if args.n > 0 and args.k > 0 and size > args.radius_budget:
         raise ResourceLimitError(
             f"product of P{args.n} and P{args.k} has {size} vertices, more than "
             f"the vertex budget {args.radius_budget}; raise it with "
             f"--radius-budget or {ENV_BUDGET}")
-    prod = product(graphs.path_graph(args.n), graphs.path_graph(args.k))
-    comps = graphs.connected_components(prod)
+    comps = components(args.n, args.k)
     if args.format == "json":
         body = {"count": len(comps),
-                "components": [{"index": i, "size": len(c),
-                                "smallest_vertex": list(c.vertices[0])}
-                               for i, c in enumerate(comps)]}
+                "components": [{"index": i, "size": s, "smallest_vertex": list(v)}
+                               for i, (s, v) in enumerate(comps)]}
         return _json_doc(params, body), 0
-    lines = [f"{i},{len(c)},\"{','.join(map(str, c.vertices[0]))}\""
-             for i, c in enumerate(comps)]
+    lines = [f"{i},{s},\"{','.join(map(str, v))}\"" for i, (s, v) in enumerate(comps)]
     return _csv(params, "component,size,smallest_vertex", lines), 0
 
 

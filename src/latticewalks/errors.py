@@ -1,4 +1,4 @@
-"""Shared exception types, and the one rule for looking up named kinds."""
+"""Shared exception types, and the one rule each for named kinds and path sizes."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -7,6 +7,13 @@ class ResourceLimitError(RuntimeError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or missed its tolerance."""
+
+
+def check_path(n: int) -> int:
+    """n, checked to be the vertex count of a path."""
+    if n < 1:
+        raise ValueError("path needs at least one vertex")
+    return n
 
 
 class KindTable(dict):

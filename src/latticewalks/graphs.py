@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import KindTable, ResourceLimitError
+from .errors import KindTable, ResourceLimitError, check_path
 
 Coords = tuple[int, ...]
 
@@ -277,8 +277,7 @@ def _neighbor_fn(g: Graph) -> Callable[[Coords], Iterable[Coords]]:
 
 def path_graph(n: int) -> FiniteGraph:
     """Path on vertices (0,), ..., (n-1,), rooted at (0,)."""
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
+    check_path(n)
     verts = [(i,) for i in range(n)]
     adj = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
     return FiniteGraph(verts, adj, root=0, name=f"P{n}")
@@ -410,11 +409,16 @@ def cartesian(g1: Graph, g2: Graph) -> Graph:
     return _product(g1, g2, "cart")
 
 
-# The two products by name.  The entries look the constructors up at call
-# time, so a wrapped kronecker or cartesian sees every product built here.
+# Each product's components of P_n and P_k, as (size, smallest vertex) pairs by
+# smallest vertex, from n and k alone.  By Weichsel's theorem (Proc. AMS 13 (1962)
+# 47-52) a Kronecker product of connected bipartite graphs with an edge each has
+# two components, split by the parity of i + j; with the edgeless P_1 as a factor
+# it has no edge at all.  A Cartesian product of connected graphs is connected.
 PRODUCT_KINDS = KindTable("product", {
-    "kron": lambda g1, g2: kronecker(g1, g2),
-    "cartesian": lambda g1, g2: cartesian(g1, g2),
+    "kron": lambda n, k: ([(1, (i, j)) for i in range(n) for j in range(k)]
+                          if min(check_path(n), check_path(k)) == 1 else
+                          [((n * k + 1) // 2, (0, 0)), (n * k // 2, (0, 1))]),
+    "cartesian": lambda n, k: [(check_path(n) * check_path(k), (0, 0))],
 })
 
 
@@ -548,9 +552,6 @@ def induced_subgraph(g: FiniteGraph, keep: Iterable[Sequence[int]],
 def connected_components(g: FiniteGraph) -> list[FiniteGraph]:
     """Connected components as induced subgraphs, ordered by smallest vertex."""
     verts, adj = g.vertices, g.adjacency
-    # on a coordinate-sorted vertex list, index order is coordinate order
-    # and relabelled rows stay sorted
-    in_order = verts == sorted(verts)
     seen = [False] * len(g)
     comps = []
     for start in range(len(g)):
@@ -566,7 +567,7 @@ def connected_components(g: FiniteGraph) -> list[FiniteGraph]:
                 if not seen[j]:
                     seen[j] = True
                     stack.append(j)
-        comp.sort(key=None if in_order else verts.__getitem__)
+        comp.sort(key=verts.__getitem__)
         comps.append(comp)
     comps.sort(key=lambda comp: verts[comp[0]])
 
@@ -578,10 +579,7 @@ def connected_components(g: FiniteGraph) -> list[FiniteGraph]:
         for k, i in enumerate(comp):
             local[i] = k
         vs = [verts[i] for i in comp]
-        rows = [[local[j] for j in adj[i]] for i in comp]
-        if not in_order:
-            for row in rows:
-                row.sort()
+        rows = [sorted(local[j] for j in adj[i]) for i in comp]
         root = local[g.root] if g.root is not None and g.root in comp else None
         out.append(FiniteGraph._trusted(vs, dict(zip(vs, range(len(vs)))), rows,
                                         root, f"{g.name or 'graph'}[comp{c}]"))

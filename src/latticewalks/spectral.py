@@ -22,7 +22,10 @@ exact recurrences: ``ArcSine.even`` (the line Z) by c_h = c_{h-1}
 n, by :func:`path_closed_walks`.  A column grows only to lengths asked for
 in turn: a lone request more than twice past its end is computed directly
 and not cached.  It grows by rebinding a longer tuple, never in place, so
-a concurrent reader always sees a valid prefix.
+a concurrent reader always sees a valid prefix.  The process keeps at most
+``_PATH_COLUMN_CAP`` (64) path columns: the column of a new n first drops
+the oldest, so the path columns hold the memory of at most 64 columns,
+however many n were asked for.
 
 Distributions here are compactly supported, so equality of all moments is
 equality of distributions.
@@ -36,7 +39,7 @@ from math import comb, cos, isfinite, perm, pi, sin
 from typing import Callable
 
 from . import elliptic
-from .errors import KindTable
+from .errors import KindTable, check_path
 
 Number = int | float
 
@@ -134,8 +137,7 @@ def path_closed_walks(n: int, m: int) -> int:
     is deliberately independent of the ball machinery so it can serve as
     the 1-D factor in product closed forms.
     """
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
+    check_path(n)
     if m < 0:
         raise ValueError("walk length must be nonnegative")
     if m % 2:
@@ -151,20 +153,24 @@ def path_closed_walks(n: int, m: int) -> int:
     return total
 
 
+_PATH_COLUMN_CAP = 64
 _PATH_COLUMNS: dict[int, EvenMoments] = {}
 
 
 def path_even_moments(n: int) -> EvenMoments:
     """The even-moment column of the n-vertex path at an end vertex."""
-    if n not in _PATH_COLUMNS:
-        if n < 1:
-            raise ValueError("path needs at least one vertex")
+    column = _PATH_COLUMNS.get(n)
+    if column is None:
+        check_path(n)
 
         def entry(h: int, _=None) -> int:
             return path_closed_walks(n, 2 * h)
 
-        _PATH_COLUMNS.setdefault(n, EvenMoments(entry, entry))
-    return _PATH_COLUMNS[n]
+        cached = list(_PATH_COLUMNS)
+        for old in cached[:max(0, len(cached) + 1 - _PATH_COLUMN_CAP)]:
+            _PATH_COLUMNS.pop(old, None)
+        column = _PATH_COLUMNS.setdefault(n, EvenMoments(entry, entry))
+    return column
 
 
 class Discrete:

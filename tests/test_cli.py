@@ -6,15 +6,17 @@ import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewalks import cli, walks
+from latticewalks import cli, graphs, walks
 from latticewalks.cli import build_parser, main
 
 
@@ -242,6 +244,37 @@ class TestComponentsCommand:
         code, _, err = run(capsys, "components", "--n", "-3000", "--k", "-3000")
         assert code == 1
         assert err == "error: path needs at least one vertex\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind", ["kron", "cartesian"])
+    def test_builds_no_graph(self, capsys, monkeypatch, kind, fmt):
+        # the components follow from n and k; no path, product or search runs
+        def refuse(*args):
+            raise AssertionError("components built a graph")
+
+        for name in ("path_graph", "kronecker", "cartesian", "connected_components"):
+            monkeypatch.setattr(graphs, name, refuse)
+        code, out, err = run(capsys, "components", "--kind", kind, "--n", "2000",
+                             "--k", "2000", "--format", fmt)
+        assert (code, err) == (0, "")
+        sizes = [2_000_000, 2_000_000] if kind == "kron" else [4_000_000]
+        if fmt == "json":
+            assert [c["size"] for c in json.loads(out)["components"]] == sizes
+        else:
+            assert [int(row.split(",")[1]) for row in out.splitlines()[2:]] == sizes
+
+    @pytest.mark.parametrize("argv,message", [
+        ("--radius-budget 0", "--radius-budget must be positive"),
+        ("--radius-budget -5", "--radius-budget must be positive"),
+    ])
+    def test_flag_budget_must_be_positive(self, capsys, argv, message):
+        code, out, err = run(capsys, "components", *argv.split())
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_env_budget_must_be_positive(self, capsys, monkeypatch):
+        monkeypatch.setenv("LATTICE_WALKS_BUDGET", "0")
+        code, out, err = run(capsys, "components")
+        assert (code, out, err) == (1, "", "error: LATTICE_WALKS_BUDGET must be positive\n")
 
 
 class TestIsoCommand:
@@ -696,3 +729,17 @@ def test_import_builds_no_parser():
                             capture_output=True, text=True, timeout=60,
                             check=True)
     assert result.stdout.strip() == "0"
+
+
+@pytest.mark.parametrize("module", ["latticewalks", "latticewalks.cli"])
+def test_entry_points_exit_with_main_code(capsys, monkeypatch, module):
+    # python -m latticewalks and python -m latticewalks.cli both run main
+    monkeypatch.setattr(sys, "argv", [module, "components", "--n", "2", "--k", "3"])
+    with warnings.catch_warnings():
+        # running the already imported cli module again as __main__
+        warnings.filterwarnings("ignore", "'latticewalks.cli' found in sys.modules",
+                                RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module(module, run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[2:] == ['0,3,"0,0"', '1,3,"0,1"']

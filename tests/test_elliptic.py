@@ -239,6 +239,12 @@ class TestAdaptiveQuadrature:
             adaptive_quadrature(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0,
                                 abs_tol=1e-14, rel_tol=1e-14, panel_budget=8)
 
+    def test_zero_width_panel_stalls(self):
+        # a pole at 0.3, inside the interval, is split down to adjacent floats
+        with pytest.raises(NumericalError, match="zero-width panel"):
+            adaptive_quadrature(lambda x: 1.0 / (abs(x - 0.3) + 1e-300), 0.0, 1.0,
+                                panel_budget=100_000)
+
     def test_nan_result_raises(self):
         # a NaN integrand, and a single NaN at the central node 0.5
         for f in (lambda x: math.nan, lambda x: math.nan if x == 0.5 else x):

@@ -19,6 +19,7 @@ from helpers import (
 from latticewalks import walks
 from latticewalks.errors import ResourceLimitError
 from latticewalks.graphs import (
+    PRODUCT_KINDS,
     FiniteGraph,
     IsoMap,
     ball,
@@ -98,6 +99,23 @@ class TestFiniteGraph:
         with pytest.raises(ValueError, match=r"root \(5,\) is not a vertex"):
             FiniteGraph([(0,), (1,)], [[1], [0]], root=(5,))
 
+    @pytest.mark.parametrize("vertices,adjacency,root,message", [
+        ([], [], None, "graph needs at least one vertex"),
+        ([(0,), (0,)], [[], []], None, "duplicate vertices"),
+        ([(0,)], [[], []], None, "adjacency list length must match vertex count"),
+        ([(0,), (1,)], [[5], [0]], None, "neighbor index 5 out of range"),
+        ([(0,)], [[]], 3, "root index out of range"),
+    ])
+    def test_rejects_malformed_structure(self, vertices, adjacency, root, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteGraph(vertices, adjacency, root=root)
+
+    def test_bare_int_is_no_vertex(self):
+        g = path_graph(3)
+        assert 1 not in g and (0.5,) not in g
+        with pytest.raises(ValueError, match="bare int"):
+            g.neighbors(1)
+
     def test_from_edges_rejects_edge_outside_vertices(self):
         with pytest.raises(ValueError, match=r"edge \(\(0,\), \(7,\)\)"):
             FiniteGraph.from_edges([(0,), (1,)], [((0,), (7,))])
@@ -153,9 +171,16 @@ class TestDomains:
         assert (2, 1) not in d  # x+y = 3 is outside 0..2
         assert (-1, 0) not in d
 
+    @pytest.mark.parametrize("k,l", [(1, 4), (4, 1)])
+    def test_diamond_needs_sides_of_two(self, k, l):
+        with pytest.raises(ValueError, match="diamond side lengths must be at least 2"):
+            diamond(k, l)
+
     def test_quarter_plane(self):
         d = quarter_plane()
         assert (0, 0) in d and (-1, 0) not in d
+        # a bare int or a point of another dimension is no vertex
+        assert 0 not in d and (0,) not in d and (0, 0, 0) not in d
 
     def test_chamber_ordering(self):
         d = chamber3()
@@ -200,6 +225,15 @@ class TestProducts:
         comps = connected_components(kronecker(path_graph(2), path_graph(3)))
         assert [len(c) for c in comps] == [3, 3]
         assert comps[0].vertices[0] == (0, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["kron", "cartesian"]), n=st.integers(1, 12),
+           k=st.integers(1, 12))
+    def test_component_rule_matches_the_built_product(self, kind, n, k):
+        # Weichsel's theorem, checked against a search of the built product
+        product = {"kron": kronecker, "cartesian": cartesian}[kind]
+        comps = connected_components(product(path_graph(n), path_graph(k)))
+        assert PRODUCT_KINDS[kind](n, k) == [(len(c), c.vertices[0]) for c in comps]
 
     def test_implicit_product_neighbors(self):
         g = kronecker(integer_line(), half_line())
@@ -456,6 +490,13 @@ def _assert_same_graph(g, h):
 
 
 class TestComponentsAndSubgraphs:
+    def test_induced_subgraph_rejects_empty_and_foreign_vertices(self):
+        g = path_graph(5)
+        with pytest.raises(ValueError, match="graph needs at least one vertex"):
+            induced_subgraph(g, [])
+        with pytest.raises(ValueError, match=r"vertices not in graph: \[\(7,\)\]"):
+            induced_subgraph(g, [(1,), (7,)])
+
     def test_induced_subgraph_keeps_inner_edges(self):
         g = path_graph(5)
         s = induced_subgraph(g, [(0,), (1,), (3,)])
@@ -563,6 +604,12 @@ _BRANCHES = {
 
 
 class TestIsomorphisms:
+    def test_apply_rejects_another_dimension(self):
+        iso = fold_map("plane")
+        assert iso.apply((1, 0)) in iso.target
+        with pytest.raises(ValueError, match="coordinate dimension does not match map"):
+            iso.apply((1, 0, 0))
+
     @pytest.mark.parametrize("kind,params", _FOLDS,
                              ids=[k + "".join(f"-{v}" for v in p) for k, p in _FOLDS])
     def test_builtin_folds_verify_at_table_radius(self, kind, params):

@@ -72,7 +72,7 @@ class TestMomentColumns:
 
     def test_a_lone_far_request_is_not_cached(self):
         with cold_columns():
-            assert ArcSine().moment(400_000) == comb(400_000, 200_000)
+            assert ArcSine().moment(40_000) == comb(40_000, 20_000)
             assert ArcSine.even.values == (1,)
             assert [ArcSine().moment(2 * h) for h in range(5)] == [1, 2, 6, 20, 70]
             assert ArcSine.even.values == (1, 2, 6, 20, 70)
@@ -123,6 +123,46 @@ class TestMomentColumns:
             sys.setswitchinterval(interval)
         assert wrong == []
 
+    def test_path_columns_are_capped(self):
+        # a sweep over many path lengths keeps only the newest 64 columns,
+        # and a length asked for again gets a fresh, correct column
+        with cold_columns():
+            for n in range(2, 402):
+                assert PathSpectrum(n).moment(12) == reference_path_walks(n, 12)
+            assert list(spectral._PATH_COLUMNS) == list(range(338, 402))
+            for n in range(2, 402, 7):
+                assert [PathSpectrum(n).moment(m) for m in range(0, 30, 2)] == \
+                    [path_closed_walks(n, m) for m in range(0, 30, 2)]
+            assert len(spectral._PATH_COLUMNS) == spectral._PATH_COLUMN_CAP == 64
+
+    def test_threads_evicting_path_columns_read_correct_counts(self):
+        # 8 threads sweep interleaved path lengths, so columns are dropped
+        # while other threads create and read them
+        wrong, start = [], threading.Barrier(8)
+
+        def ask(t):
+            start.wait(timeout=60)
+            for n in range(2 + t, 400, 8):
+                for m in (2, 8, 14):
+                    if PathSpectrum(n).moment(m) != reference_path_walks(n, m):
+                        wrong.append((n, m))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with cold_columns():
+                threads = [threading.Thread(target=ask, args=(t,)) for t in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                # concurrent creators may each add one column past the cap
+                assert len(spectral._PATH_COLUMNS) <= spectral._PATH_COLUMN_CAP + 8
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
+
     def test_path_column_rejects_an_empty_path(self):
         with pytest.raises(ValueError, match="path needs at least one vertex"):
             path_even_moments(0)
@@ -136,6 +176,10 @@ class TestMomentColumns:
 
 
 class TestDiscrete:
+    def test_needs_an_atom(self):
+        with pytest.raises(ValueError, match="needs at least one atom"):
+            Discrete([])
+
     def test_symmetric_two_atoms(self):
         d = Discrete([(1.0, 0.5), (-1.0, 0.5)])
         assert d.moment(0) == pytest.approx(1.0)

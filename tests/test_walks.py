@@ -491,6 +491,8 @@ class TestFolds:
 class TestIdentityAndCoincidence:
     def test_binomial_identity_range(self):
         assert all(verify_binomial_identity(m) for m in range(31))
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            verify_binomial_identity(-1)
 
     def test_binomial_identity_value(self):
         lhs = sum(comb(20, 2 * k) * comb(2 * k, k) * comb(20 - 2 * k, 10 - k)
