@@ -302,8 +302,9 @@ def _suite_density(budget: int, sweep_tol: float) -> list[dict]:
             ok = abs(actual - expected) <= 1e-6 * max(1.0, abs(expected))
             checks.append(_check(f"moment {kind} m={m}", expected, actual, 1e-6, ok))
     xs = [0.2 + 3.6 * i / 19 for i in range(20)]
-    for kind, (left, right) in spectral.PRODUCT_FACTORS.items():
-        dev = max(abs(elliptic.mellin_density_convolve(left.density, right.density,
+    for kind, product in spectral.PRODUCT_FACTORS.items():
+        law = spectral.product_law(product)
+        dev = max(abs(elliptic.mellin_density_convolve(law.left.density, law.right.density,
                                                        x, tol=1e-8)
                       - elliptic.density(kind, x)) for x in xs)
         checks.append(_check(f"mellin-convolution-sweep {kind} (20 pts)", 0.0,

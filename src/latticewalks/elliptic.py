@@ -24,7 +24,7 @@ NumericalError instead of returning an inaccurate value.
 from __future__ import annotations
 
 import heapq
-from math import cos, exp, inf, isfinite, isinf, log, pi, sin, sqrt
+from math import cos, exp, fsum, inf, isfinite, isinf, log, pi, sin, sqrt
 from typing import Callable, NamedTuple
 
 from .errors import KindTable, NumericalError
@@ -231,9 +231,12 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     The worst panel (by the Kronrod-Gauss error estimate) is split until
     the summed estimate meets max(abs_tol, rel_tol * |integral|).
     Integrable endpoint singularities are handled by the geometric panel
-    refinement itself.  Raises NumericalError when the panel budget is
-    exhausted first, or when the integral or its error estimate is not
-    finite.  abs_tol and rel_tol must be finite and > 0.
+    refinement itself.  Splitting a panel that outweighs the rest cancels
+    in the running sums, so convergence is re-checked on exact sums
+    (``math.fsum``), and the loop goes on from them if it fails.  Raises
+    NumericalError when the panel budget is exhausted first, when a panel
+    shrinks to zero width, or when the integral or its error estimate is
+    not finite.  abs_tol and rel_tol must be finite and > 0.
     """
     _check_tol("abs_tol", abs_tol)
     _check_tol("rel_tol", rel_tol)
@@ -244,31 +247,36 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     heap = [(-err, 0, a, b, val, err)]
     seq = 1
     total_val, total_err = val, err
-    while total_err > max(abs_tol, rel_tol * abs(total_val)):
-        if not heap or panels + 2 > panel_budget:
+    while True:
+        while total_err > max(abs_tol, rel_tol * abs(total_val)):
+            if panels + 2 > panel_budget:
+                raise NumericalError(
+                    f"quadrature on [{a}, {b}] did not converge within "
+                    f"{panel_budget} panels (error estimate {total_err:.3e})")
+            _, _, pa, pb, pval, perr = heapq.heappop(heap)
+            if pb - pa <= _EPS * (abs(pa) + abs(pb)):
+                # panel no longer splittable in double precision
+                raise NumericalError(
+                    f"quadrature stalled on a zero-width panel at [{pa}, {pb}]")
+            mid = 0.5 * (pa + pb)
+            lv, le = _gk_panel(f, pa, mid)
+            rv, re = _gk_panel(f, mid, pb)
+            panels += 2
+            total_val += lv + rv - pval
+            total_err += le + re - perr
+            heapq.heappush(heap, (-le, seq, pa, mid, lv, le))
+            heapq.heappush(heap, (-re, seq + 1, mid, pb, rv, re))
+            seq += 2
+        # a NaN estimate ends the loop as if it had converged
+        if not (isfinite(total_val) and isfinite(total_err)):
             raise NumericalError(
-                f"quadrature on [{a}, {b}] did not converge within "
-                f"{panel_budget} panels (error estimate {total_err:.3e})")
-        _, _, pa, pb, pval, perr = heapq.heappop(heap)
-        if pb - pa <= _EPS * (abs(pa) + abs(pb)):
-            # panel no longer splittable in double precision
-            raise NumericalError(
-                f"quadrature stalled on a zero-width panel at [{pa}, {pb}]")
-        mid = 0.5 * (pa + pb)
-        lv, le = _gk_panel(f, pa, mid)
-        rv, re = _gk_panel(f, mid, pb)
-        panels += 2
-        total_val += lv + rv - pval
-        total_err += le + re - perr
-        heapq.heappush(heap, (-le, seq, pa, mid, lv, le))
-        heapq.heappush(heap, (-re, seq + 1, mid, pb, rv, re))
-        seq += 2
-    # a NaN estimate ends the loop as if it had converged
-    if not (isfinite(total_val) and isfinite(total_err)):
-        raise NumericalError(
-            f"quadrature on [{a}, {b}] produced a non-finite value {total_val!r} "
-            f"(error estimate {total_err!r})")
-    return total_val
+                f"quadrature on [{a}, {b}] produced a non-finite value {total_val!r} "
+                f"(error estimate {total_err!r})")
+        exact_val, exact_err = fsum(p[4] for p in heap), fsum(p[5] for p in heap)
+        tol = max(abs_tol, rel_tol * abs(exact_val))
+        if exact_err <= tol and abs(total_val - exact_val) <= tol:
+            return total_val
+        total_val, total_err = exact_val, exact_err
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +344,17 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     """Moment integral x^m against a product density over [-4, 4].
 
     Only even orders are meaningful for these symmetric kernels; odd m is
-    rejected.  The logarithmic singularity at 0 is integrated analytically
-    on [0, 1e-6] from the leading asymptotics; the rest is adaptive
+    rejected, and so is m > 510, where x^m overflows near 4.  The
+    logarithmic singularity at 0 is integrated analytically on
+    [0, 1e-6] from the leading asymptotics; the rest is adaptive
     quadrature.  Absolute error is below tol * max(1, result), for a
     finite tol > 0 whose quarter does not round to 0.
     """
     c, d, value = _KERNELS[kind]
     if m < 0 or m % 2:
         raise ValueError("moment order must be even and nonnegative")
+    if m > 510:
+        raise ValueError(f"moment order {m} exceeds 510: x^m overflows a float near 4")
     _check_tol("tol", tol, 0.25)
     eps = _HEAD_EPS
     head = c * eps ** (m + 1) / (m + 1) * (log(16.0 / eps) + 1.0 / (m + 1) + d)

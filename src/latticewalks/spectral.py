@@ -14,7 +14,13 @@ to products of distributions:
 Both act on any two laws, walk tables included, so ``MellinConv`` and
 ``ClassicalConv`` of two walk tables are the product graphs' tables.
 
-The laws of the paper's three 1-D factors keep their exact even moments
+The rows of the paper's table are product strings such as ``"Z ⊗ P_n"``:
+:func:`product_law` folds the laws of the 1-D factors (Z arcsine, Z+
+semicircle, P_p ``path_spectrum(p)``) by ``MellinConv`` over ⊗ and
+``ClassicalConv`` over □.  The lattice closed forms, the product
+densities and the ``moments`` kinds are all such strings.
+
+The laws of the three 1-D factors keep their exact even moments
 M_{2h} in per-process columns (:class:`EvenMoments`), filled lazily by
 exact recurrences: ``ArcSine.even`` (the line Z) by c_h = c_{h-1}
 (4h-2)/h, ``Semicircle.even`` (the half line Z+) by C_h = C_{h-1}
@@ -34,6 +40,7 @@ equality of distributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import chain
 from math import comb, cos, isfinite, perm, pi, sin
 from typing import Callable
@@ -76,7 +83,15 @@ class EvenMoments:
         return values
 
 
-class ArcSine:
+class _EvenLaw:
+    """A symmetric law whose even moments are its column ``even``."""
+
+    def moment(self, m: int) -> int:
+        _check_order(m)
+        return 0 if m % 2 else self.even[m // 2]
+
+
+class ArcSine(_EvenLaw):
     """Arcsine law on (-2, 2): density 1/(pi sqrt(4-x^2)).
 
     Even moments are central binomials; this is the spectral distribution
@@ -86,12 +101,8 @@ class ArcSine:
     density = staticmethod(elliptic.arcsine_density)
     even = EvenMoments(lambda h: comb(2 * h, h), lambda h, c: c * (4 * h - 2) // h)
 
-    def moment(self, m: int) -> int:
-        _check_order(m)
-        return 0 if m % 2 else ArcSine.even[m // 2]
 
-
-class Semicircle:
+class Semicircle(_EvenLaw):
     """Semicircle law on [-2, 2]: density sqrt(4-x^2)/(2 pi).
 
     Even moments are Catalan numbers; this is the spectral distribution of
@@ -101,10 +112,6 @@ class Semicircle:
     density = staticmethod(elliptic.semicircle_density)
     even = EvenMoments(lambda h: comb(2 * h, h) // (h + 1),
                        lambda h, c: c * (4 * h - 2) // (h + 1))
-
-    def moment(self, m: int) -> int:
-        _check_order(m)
-        return 0 if m % 2 else Semicircle.even[m // 2]
 
 
 def central_binomial(m: int) -> int:
@@ -217,13 +224,15 @@ class ClassicalConv:
 
     def moment(self, m: int) -> Number:
         _check_order(m)
-        # a symmetric left law's odd moments are exact zeros: skip their terms
+        # binom(m, k) steps along the row, exactly; a term whose left
+        # moment is 0 (every odd k of a symmetric law) is skipped
         left, right = self.left.moment, self.right.moment
-        total = 0
+        total, c = 0, 1
         for k in range(m + 1):
             lk = left(k)
             if lk:
-                total += comb(m, k) * lk * right(m - k)
+                total += c * lk * right(m - k)
+            c = c * (m - k) // (k + 1)
         return total
 
 
@@ -239,38 +248,12 @@ class MellinConv:
         return self.left.moment(m) * self.right.moment(m)
 
 
-#: The factor laws of each product density on [-4, 4], whose pointwise
-#: values :func:`latticewalks.elliptic.density` evaluates.
-PRODUCT_FACTORS = KindTable("density", {
-    "aa": (ArcSine, ArcSine),
-    "wa": (Semicircle, ArcSine),
-    "ww": (Semicircle, Semicircle),
-})
-
-
-class NamedDensity:
-    """One of the three product densities on [-4, 4]:
-
-    aa = arcsine (x)M arcsine, wa = semicircle (x)M arcsine,
-    ww = semicircle (x)M semicircle.  Moments delegate to the Mellin
-    factorization; pointwise density values live in
-    :mod:`latticewalks.elliptic`.
-    """
-
-    def __init__(self, kind: str):
-        fl, fr = PRODUCT_FACTORS[kind]
-        self._inner = MellinConv(fl(), fr())
-
-    def moment(self, m: int) -> Number:
-        return self._inner.moment(m)
-
-
 # ---------------------------------------------------------------------------
 # finite path spectra
 
 
 @dataclass(frozen=True)
-class PathSpectrum:
+class PathSpectrum(_EvenLaw):
     """Spectral distribution of the n-vertex path at an end vertex.
 
     Eigenvalues are 2 cos(k pi / (n+1)), k = 1..n; the weight of each is
@@ -291,9 +274,9 @@ class PathSpectrum:
         return tuple(2.0 / (self.n + 1) * sin(k * pi / (self.n + 1)) ** 2
                      for k in range(1, self.n + 1))
 
-    def moment(self, m: int) -> int:
-        _check_order(m)
-        return 0 if m % 2 else path_even_moments(self.n)[m // 2]
+    @property
+    def even(self) -> EvenMoments:
+        return path_even_moments(self.n)
 
     def to_discrete(self) -> Discrete:
         return Discrete(zip(self.eigenvalues, self.weights))
@@ -306,22 +289,67 @@ def path_spectrum(n: int) -> PathSpectrum:
     return PathSpectrum(n)
 
 
-#: The laws whose moment tables the CLI's ``moments`` command prints:
-#: kind -> (parameters it requires, builder of the law from them).  The
-#: builders look path_spectrum up at call time, so a wrapped
-#: path_spectrum sees every path law built here.
-MOMENT_LAWS = KindTable("moment", {
-    "arcsine": ((), ArcSine),
-    "semicircle": ((), Semicircle),
-    **{kind: ((), lambda kind=kind: NamedDensity(kind)) for kind in PRODUCT_FACTORS},
-    "classical-aa": ((), lambda: ClassicalConv(ArcSine(), ArcSine())),
-    "classical-ww": ((), lambda: ClassicalConv(Semicircle(), Semicircle())),
-    "path": (("n",), lambda n: path_spectrum(n)),
+# ---------------------------------------------------------------------------
+# the paper's table: product strings and their laws
+
+
+#: The law of each 1-D factor, built from p, the path's vertex count.
+#: path_spectrum is looked up at call time, so a wrapped one sees every
+#: path law built here.
+_FACTOR_LAWS = KindTable("factor", {
+    "Z": lambda p: ArcSine(),
+    "Z+": lambda p: Semicircle(),
+    "P": lambda p: path_spectrum(p),
 })
+
+
+@lru_cache(maxsize=64)
+def product_terms(s: str) -> tuple[tuple[tuple[str, str], ...], ...]:
+    """The □ terms of a product string such as ``"(Z+ ⊗ Z+) □ Z+"``, each
+    its ⊗ factors as (factor, parameter) pairs, ``P_n`` as ("P", "n") and
+    Z as ("Z", "").  ⊗ binds tighter than □.  The last 64 parses are kept."""
+    return tuple(tuple(f.strip(" ()").partition("_")[::2] for f in term.split("⊗"))
+                 for term in s.split("□"))
+
+
+def product_params(s: str) -> tuple[str, ...]:
+    """The parameters the factors of a product string read, in order."""
+    return tuple(p for term in product_terms(s) for _, p in term if p)
+
+
+def product_law(s: str, **params):
+    """The law of a product string: its factors' laws folded left to right,
+    by ``MellinConv`` over ⊗ and ``ClassicalConv`` over □."""
+    return reduce(ClassicalConv, [
+        reduce(MellinConv, [_FACTOR_LAWS[f](params.get(p)) for f, p in term])
+        for term in product_terms(s)])
+
+
+#: The product densities on [-4, 4], whose pointwise values
+#: :func:`latticewalks.elliptic.density` evaluates: the rows z2, halfplane
+#: (factors in the Mellin sweep's order) and wedge.
+PRODUCT_FACTORS = KindTable("density", {"aa": "Z ⊗ Z", "wa": "Z+ ⊗ Z", "ww": "Z+ ⊗ Z+"})
+
+
+class NamedDensity:
+    """One of the three product densities on [-4, 4], by its law; pointwise
+    values live in :mod:`latticewalks.elliptic`."""
+
+    def __init__(self, kind: str):
+        self.law = product_law(PRODUCT_FACTORS[kind])
+
+    def moment(self, m: int) -> Number:
+        return self.law.moment(m)
+
+
+#: The laws of the CLI's ``moments`` kinds, by their products.
+MOMENT_LAWS = KindTable("moment", {
+    "arcsine": "Z", "semicircle": "Z+", **PRODUCT_FACTORS,
+    "classical-aa": "Z □ Z", "classical-ww": "Z+ □ Z+", "path": "P_n"})
 
 
 def moment_law(kind: str, n: int | None = None):
     """The law of a named kind in :data:`MOMENT_LAWS`; ``path`` requires
     the path's vertex count ``n``, and no other kind takes it."""
-    requires, build = MOMENT_LAWS[kind]
-    return build(**MOMENT_LAWS.params(kind, requires, n=n))
+    product = MOMENT_LAWS[kind]
+    return product_law(product, **MOMENT_LAWS.params(kind, product_params(product), n=n))

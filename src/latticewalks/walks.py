@@ -54,15 +54,11 @@ two tables multiplies them into the Kronecker product's table, and
 ``spectral.ClassicalConv`` convolves them binomially into the Cartesian
 product's.
 
-Each named kind is declared once by its row of the paper's table: a
-Kronecker product of the 1-D factors Z, Z+ and P_n, or the Cartesian
-product of two such, and each factor once by its graph and the
-even-moment column of its root's law.  A closed form reads the columns,
-which :mod:`latticewalks.spectral` fills once per process by exact
-recurrences (a lone request far past a column's end is computed
-directly and not cached): a Kronecker kind costs one product of cached
-entries, and a Cartesian kind a binomial sum over the cached columns.
-:func:`fold_map` folds a 2-D Kronecker kind onto its factors' graphs.
+Each named kind is declared once by its row of the paper's table, a
+product string (see :mod:`latticewalks.spectral`) of the 1-D factors Z, Z+
+and P_n, and its closed form is a moment of that string's law.  Each
+factor's graph is declared here, and :func:`fold_map` folds a 2-D
+Kronecker kind onto its factors' graphs.
 Half-step indexing skips the odd moments, which are exactly 0: a walk of
 even length m = 2h on a bipartite lattice decomposes into h up/down or
 in/out pairs, which is where central binomials and Catalan numbers enter.
@@ -72,9 +68,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
-from math import prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -82,8 +77,8 @@ from . import graphs
 from .errors import KindTable
 from .graphs import (DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph,
                      IsoMap, ball, reflection)
-from .spectral import (ArcSine, Semicircle, catalan, central_binomial, path_closed_walks,
-                       path_even_moments)
+from .spectral import (catalan, central_binomial, path_closed_walks, product_law,
+                       product_params, product_terms)
 
 __all__ = ["FOLD_KINDS", "LatticeKind", "WalkTable", "build_lattice", "catalan",
            "central_binomial", "closed_form_walks", "fold_map", "lattice_kind",
@@ -219,66 +214,34 @@ def walk_table(g: Graph, o, m_max: int,
 # named lattices and their closed forms
 
 
-#: The 1-D factors of the paper's table, each declared once: factor ->
-#: (its graph, the even-moment column of its root's law), both built from
-#: p, the path's vertex count, which Z and Z+ ignore.  The path is an
-#: implicit graph, so a fold check builds only the ball it reads.
+#: The graph of each 1-D factor, built from p, the path's vertex count.
+#: The path is an implicit graph, so a fold check builds only the ball it
+#: reads.
 _FACTORS = {
-    "Z": (lambda p: graphs.integer_line(), lambda p: ArcSine.even),
-    "Z+": (lambda p: graphs.half_line(), lambda p: Semicircle.even),
-    "P": (lambda p: graphs.restrict_lattice(f"P{p}", 1, lambda v: 0 <= v[0] < p),
-          path_even_moments),
+    "Z": lambda p: graphs.integer_line(),
+    "Z+": lambda p: graphs.half_line(),
+    "P": lambda p: graphs.restrict_lattice(f"P{p}", 1, lambda v: 0 <= v[0] < p),
 }
 
 
 @dataclass(frozen=True)
 class LatticeKind:
     """A rooted lattice or product graph with an exact closed form: the
-    even moments of ``product``, its row of the paper's table, a Kronecker
-    product (``⊗``) of Z, Z+ and P_p (the path on parameter p's vertices)
-    or the Cartesian product (``□``) of two such; or, with no product,
-    ``own_form(h)`` = count[2h].  Parameters are at least 2, else the
-    error is ``too_small``."""
+    moments of the law of ``product``, its row of the paper's table, a
+    Kronecker product (``⊗``) of Z, Z+ and P_p (the path on parameter p's
+    vertices) or the Cartesian product (``□``) of two such; or, with no
+    product, ``own_form(h)`` = count[2h].  It requires the parameters its
+    product reads, and its graph constructor checks their sizes."""
 
     key: str
     dimension: int
-    requires: tuple[str, ...]
     build_fn: Callable[..., tuple[Graph, Coords]]
     product: str
     own_form: Callable[[int], int] | None = None
-    too_small: str = ""
-    factors: tuple[tuple[tuple[Callable, Callable, str], ...], ...] = field(init=False)
+    requires: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
-        # the Cartesian terms of product, each a tuple of its Kronecker
-        # factors, each as (graph, column, parameter) from _FACTORS: P_n
-        # reads parameter n, and Z and Z+ read "", which no kind has
-        object.__setattr__(self, "factors", tuple(
-            tuple((*_FACTORS[name], p) for name, _, p in
-                  (f.strip(" ()").partition("_") for f in term.split("⊗")))
-            for term in self.product.split("□")) if self.product else ())
-
-    def params(self, n: int | None, k: int | None, l: int | None) -> dict[str, int]:
-        """The kind's parameters among n, k and l, checked: it needs every
-        one it requires, takes no other, and each is at least 2."""
-        if not self.requires and n is None and k is None and l is None:
-            return {}
-        params = _KINDS.params(self.key, self.requires, n=n, k=k, l=l)
-        if params and min(params.values()) < 2:
-            raise ValueError(self.too_small)
-        return params
-
-
-def _binomial_sum(a: Sequence[int], b: Sequence[int], h: int) -> int:
-    # sum_j binom(2h, 2j) a[j] b[h-j]: a closed 2h-walk in a Cartesian
-    # product interleaves a closed 2j-walk in one factor with a closed
-    # (2h-2j)-walk in the other; the odd-length terms are exactly 0.  The
-    # binomials run along the row: binom(2h, 2j+2) from binom(2h, 2j).
-    m, c, total = 2 * h, 1, 0
-    for j in range(h + 1):
-        total += c * a[j] * b[h - j]
-        c = c * (m - 2 * j) * (m - 2 * j - 1) // ((2 * j + 1) * (2 * j + 2))
-    return total
+        object.__setattr__(self, "requires", product_params(self.product))
 
 
 def _signed(g: Graph) -> Graph:
@@ -310,43 +273,40 @@ def _antidiagonal(v: Coords) -> Coords:
 # Kronecker factor or swaps two equal ones.  README's kind table states
 # each kind, its product and its closed form in words.
 _KINDS = KindTable("lattice", {lk.key: lk for lk in (
-    LatticeKind("z", 1, (), lambda: (_signed(graphs.integer_line()), (0,)), "Z"),
-    LatticeKind("zplus", 1, (), lambda: (graphs.half_line(), (0,)), "Z+"),
-    LatticeKind("zplus-at-1", 1, (), lambda: (graphs.half_line(), (1,)), "",
+    LatticeKind("z", 1, lambda: (_signed(graphs.integer_line()), (0,)), "Z"),
+    LatticeKind("zplus", 1, lambda: (graphs.half_line(), (0,)), "Z+"),
+    LatticeKind("zplus-at-1", 1, lambda: (graphs.half_line(), (1,)), "",
                 lambda h: catalan(h + 1)),
-    LatticeKind("z2", 2, (), lambda: (_signed(graphs.full_plane()), (0, 0)), "Z ⊗ Z"),
-    LatticeKind("halfplane", 2, (),
+    LatticeKind("z2", 2, lambda: (_signed(graphs.full_plane()), (0, 0)), "Z ⊗ Z"),
+    LatticeKind("halfplane", 2,
                 lambda: (_mirrored(graphs.half_plane(), _antidiagonal), (0, 0)), "Z ⊗ Z+"),
-    LatticeKind("wedge", 2, (),
+    LatticeKind("wedge", 2,
                 lambda: (_mirrored(graphs.wedge(), lambda v: (v[0], -v[1])), (0, 0)),
                 "Z+ ⊗ Z+"),
-    LatticeKind("quarterplane", 2, (),
+    LatticeKind("quarterplane", 2,
                 lambda: (_mirrored(graphs.quarter_plane(), _swap), (0, 0)), "Z+ □ Z+"),
     # the quarter plane again, built as a Cartesian product of two
     # half-lines; its closed form is the product form of the same count
-    LatticeKind("zxzplus", 2, (),
+    LatticeKind("zxzplus", 2,
                 lambda: (_mirrored(graphs.cartesian(graphs.half_line(),
                                                     graphs.half_line()), _swap),
                          (0, 0)), "",
                 lambda h: catalan(h) * catalan(h + 1)),
-    LatticeKind("strip", 2, ("n",),
-                lambda n: (_mirrored(graphs.strip(n), _antidiagonal), (0, 0)), "Z ⊗ P_n",
-                too_small="strip width must be at least 2"),
-    LatticeKind("diamond", 2, ("k", "l"),
-                lambda k, l: (graphs.diamond(k, l), (0, 0)), "P_k ⊗ P_l",
-                too_small="diamond side lengths must be at least 2"),
-    LatticeKind("bcc3", 3, (),
+    LatticeKind("strip", 2,
+                lambda n: (_mirrored(graphs.strip(n), _antidiagonal), (0, 0)), "Z ⊗ P_n"),
+    LatticeKind("diamond", 2, lambda k, l: (graphs.diamond(k, l), (0, 0)), "P_k ⊗ P_l"),
+    LatticeKind("bcc3", 3,
                 lambda: (_signed(reduce(graphs.kronecker, [graphs.integer_line()] * 3)),
                          (0, 0, 0)), "Z ⊗ Z ⊗ Z"),
-    LatticeKind("z3cartesian", 3, (),
+    LatticeKind("z3cartesian", 3,
                 lambda: (_signed(reduce(graphs.cartesian, [graphs.integer_line()] * 3)),
                          (0, 0, 0)), "(Z ⊗ Z) □ Z"),
     # the chamber and kkc3 count as the Cartesian product of the wedge (the
     # Kronecker square of the half line, folded) with the half line
-    LatticeKind("chamber3", 3, (),
+    LatticeKind("chamber3", 3,
                 lambda: (_mirrored(graphs.chamber3(), lambda v: (-v[2], -v[1], -v[0])),
                          (0, 0, 0)), "(Z+ ⊗ Z+) □ Z+"),
-    LatticeKind("kkc3", 3, (),
+    LatticeKind("kkc3", 3,
                 lambda: (_mirrored(graphs.cartesian(
                     graphs.kronecker(graphs.half_line(), graphs.half_line()),
                     graphs.half_line()), lambda v: (v[1], v[0], v[2])), (0, 0, 0)),
@@ -366,33 +326,31 @@ def build_lattice(kind: str, n: int | None = None, k: int | None = None,
                   l: int | None = None) -> tuple[Graph, Coords]:
     """The rooted graph behind a named kind: (graph, root coordinates)."""
     lk = _KINDS[kind]
-    return lk.build_fn(**lk.params(n, k, l))
+    return lk.build_fn(**_KINDS.params(kind, lk.requires, n=n, k=k, l=l))
+
+
+@lru_cache(maxsize=128)
+def _checked_law(kind: str, n: int | None, k: int | None, l: int | None):
+    # (the kind, its product's law or None), once its lattice builds: the
+    # graph constructor checks the sizes.  The last 128 are kept.
+    build_lattice(kind, n, k, l)
+    lk = _KINDS[kind]
+    return lk, product_law(lk.product, n=n, k=k, l=l) if lk.product else None
 
 
 def closed_form_walks(kind: str, m: int, n: int | None = None,
                       k: int | None = None, l: int | None = None) -> int:
-    """Exact closed form for the length-m closed-walk count of a named kind.
+    """Exact closed form for the length-m closed-walk count of a named kind:
+    the m-th moment of its product's law, or its own form.
 
     All named kinds are bipartite, so odd lengths return 0.
     """
-    lk = _KINDS[kind]
-    params = lk.params(n, k, l)
+    lk, law = _checked_law(kind, n, k, l)
     if m < 0:
         raise ValueError("walk length must be nonnegative")
     if m % 2:
         return 0
-    h = m // 2
-    if lk.own_form is not None:
-        return lk.own_form(h)
-    terms = lk.factors
-    if len(terms) == 1:
-        # a lone factor's count is its column's own entry, not a copy
-        return reduce(mul, [column(params.get(p))[h] for _, column, p in terms[0]])
-    # entries 0..h of each Cartesian term's law, a product of factor columns
-    a, b = ([prod(entries) for entries in zip(*(column(params.get(p)).upto(h)[:h + 1]
-                                                for _, column, p in term))]
-            for term in terms)
-    return _binomial_sum(a, b, h)
+    return lk.own_form(m // 2) if law is None else law.moment(m)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +377,7 @@ def fold_map(kind: str, n: int | None = None, k: int | None = None,
     source, root = build_lattice(lattice, **params)
     # graphs.kronecker is looked up here, so a wrapped one sees the product
     target = reduce(graphs.kronecker,
-                    [graph(params.get(p)) for graph, _, p in lk.factors[0]])
+                    [_FACTORS[f](params.get(p)) for f, p in product_terms(lk.product)[0]])
     name = f"{kind}{'x'.join(map(str, params.values()))}-to-kron"
     return IsoMap(_FOLD, (0, 0), source, root, target, (0, 0), name)
 
@@ -433,13 +391,12 @@ def verify_binomial_identity(m: int) -> bool:
 
     checked with exact integers.  Combinatorially: splitting the square
     lattice count by the number of diagonal-pair steps of each type.  The
-    left side counts Z^2 as the Cartesian square of the line, the right
-    side as its Kronecker square.
+    left side counts Z^2 as the Cartesian square of the line (``Z □ Z``),
+    the right side as its Kronecker square (``Z ⊗ Z``).
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
-    c = ArcSine.even.upto(m)
-    return _binomial_sum(c, c, m) == c[m] ** 2
+    return product_law("Z □ Z").moment(2 * m) == product_law("Z ⊗ Z").moment(2 * m)
 
 
 def moment_coincidence_report(g_a: Graph, o_a, g_b: Graph, o_b,

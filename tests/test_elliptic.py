@@ -4,6 +4,8 @@ import struct
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ellipe, ellipk
 
 from latticewalks.elliptic import (
@@ -251,6 +253,27 @@ class TestAdaptiveQuadrature:
             with pytest.raises(NumericalError, match=r"\[0.0, 1.0\]"):
                 adaptive_quadrature(f, 0.0, 1.0)
 
+    @pytest.mark.parametrize("spike", [1e5, 1e20, 1e300])
+    def test_a_split_spike_cancels_no_panel(self, spike):
+        # the first panel's center node 0.5 hits the spike, so its value
+        # dwarfs the rest; splitting it cancelled the running sums to 0.0
+        assert adaptive_quadrature(lambda x: spike if x == 0.5 else x, 0.0, 1.0) == \
+            pytest.approx(0.5, abs=1e-12)
+
+    def test_near_poles_come_out_within_tolerance_or_raise(self):
+        # both returned 0.0 on running sums that cancelled: the integrable
+        # near-pole (true value 2 (sqrt(0.7) + sqrt(0.3)) = 2.7688) and the
+        # divergent one, for which no value is right
+        try:
+            val = adaptive_quadrature(lambda x: 1.0 / math.sqrt(abs(x - 0.7) + 1e-300),
+                                      0.0, 1.0)
+        except NumericalError:
+            pass
+        else:
+            assert val == pytest.approx(2.0 * (math.sqrt(0.7) + math.sqrt(0.3)), abs=1e-8)
+        with pytest.raises(NumericalError):
+            adaptive_quadrature(lambda x: 1.0 / (abs(x - 0.7) + 1e-300), 0.0, 1.0)
+
 
 class TestToleranceContract:
     """Every tolerance of the quadrature entry points is finite and > 0,
@@ -429,3 +452,61 @@ class TestBitIdentity:
         pairs = (elliptic_KE(i / 1000) for i in range(1000))
         assert bits_digest(v for p in pairs for v in (p.K, p.E, p.iterations)) \
             == _KE_DIGEST
+
+
+# NaN, +-inf, +-0, negative, huge and ordinary floats, and any float at all
+_EDGE_FLOATS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -4.0, 1.0, 1e-9, 2.0, 4.0,
+    1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]) | st.floats()
+# the same without the tiny positive tolerances, which legitimately run a
+# quadrature to its panel budget
+_EDGE_TOLS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-9, -1e300, 1e-9, 1e-6, 1.0, 1e300,
+    1.7976931348623157e308])
+
+
+def _outcome(call):
+    # the value of call(), or None for the ValueError or NumericalError it raised
+    try:
+        return call()
+    except (ValueError, NumericalError):
+        return None
+
+
+class TestNumericContract:
+    """On any input, each numeric entry point raises ValueError or
+    NumericalError, returns a finite value, or returns the inf its
+    docstring documents (density at x = 0)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["aa", "wa", "ww"]), x=_EDGE_FLOATS, k=_EDGE_FLOATS)
+    def test_density_and_elliptic_KE(self, kind, x, k):
+        value = _outcome(lambda: density(kind, x))
+        assert value is None or math.isfinite(value) or (value == math.inf and x == 0.0)
+        pair = _outcome(lambda: elliptic_KE(k))
+        assert pair is None or (math.isfinite(pair.K) and math.isfinite(pair.E))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["aa", "wa", "ww"]),
+           m=st.integers(-4, 1200) | st.sampled_from([510, 512, 10 ** 6, 10 ** 400]),
+           tol=_EDGE_TOLS)
+    def test_density_moment(self, kind, m, tol):
+        value = _outcome(lambda: density_moment(kind, m, tol=tol))
+        assert value is None or math.isfinite(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernels=st.sampled_from([(arcsine_density, arcsine_density),
+                                    (semicircle_density, arcsine_density),
+                                    (semicircle_density, semicircle_density)]),
+           x=_EDGE_FLOATS, tol=_EDGE_TOLS)
+    def test_mellin_density_convolve(self, kernels, x, tol):
+        value = _outcome(lambda: mellin_density_convolve(*kernels, x, tol=tol))
+        assert value is None or math.isfinite(value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=st.sampled_from([abs, lambda x: x * x, lambda x: 1.0 / (1.0 + x * x)]),
+           a=_EDGE_FLOATS, b=_EDGE_FLOATS, abs_tol=_EDGE_TOLS, rel_tol=_EDGE_TOLS)
+    def test_adaptive_quadrature(self, f, a, b, abs_tol, rel_tol):
+        value = _outcome(lambda: adaptive_quadrature(f, a, b, abs_tol=abs_tol,
+                                                     rel_tol=rel_tol))
+        assert value is None or math.isfinite(value)

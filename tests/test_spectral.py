@@ -20,6 +20,8 @@ from helpers import (
 )
 from latticewalks import elliptic, spectral
 from latticewalks.spectral import (
+    MOMENT_LAWS,
+    PRODUCT_FACTORS,
     ArcSine,
     ClassicalConv,
     Discrete,
@@ -30,8 +32,18 @@ from latticewalks.spectral import (
     moment_law,
     path_even_moments,
     path_spectrum,
+    product_law,
+    product_params,
+    product_terms,
 )
-from latticewalks.walks import closed_form_walks, path_closed_walks
+from latticewalks.walks import (
+    build_lattice,
+    closed_form_walks,
+    lattice_kind,
+    lattice_walk_kinds,
+    path_closed_walks,
+    walk_table,
+)
 
 
 def cat(m: int) -> int:
@@ -293,6 +305,85 @@ class TestConvolutions:
         assert set(spectral.PRODUCT_FACTORS) == set(elliptic._KERNELS)
 
 
+class _Listed:
+    """A test-only law given by its list of moments, odd ones included."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def moment(self, m):
+        return self.values[m]
+
+
+def _comb_sum(left, right, m):
+    # the binomial convolution with comb per term, skipping zero left moments
+    total = 0
+    for k in range(m + 1):
+        lk = left.moment(k)
+        if lk:
+            total += comb(m, k) * lk * right.moment(m - k)
+    return total
+
+
+# symmetric laws on up to 4 atom pairs +-a/100, a apart from 0 and each other
+_DISCRETE = st.lists(st.tuples(st.integers(1, 300), st.floats(0.01, 1.0)),
+                     min_size=1, max_size=4, unique_by=lambda atom: atom[0]).map(
+    lambda atoms: Discrete([(s * a / 100, w / (2 * sum(w for _, w in atoms)))
+                            for a, w in atoms for s in (1.0, -1.0)]))
+
+
+class TestClassicalConvRow:
+    @settings(max_examples=80, deadline=None)
+    @given(left=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=40),
+           right=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=40, max_size=40))
+    def test_matches_the_comb_sum_with_odd_moments(self, left, right):
+        conv = ClassicalConv(_Listed(left), _Listed(right))
+        for m in range(len(left)):
+            assert conv.moment(m) == _comb_sum(_Listed(left), _Listed(right), m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(left=_DISCRETE, right=_DISCRETE)
+    def test_discrete_floats_match_bit_for_bit(self, left, right):
+        conv = ClassicalConv(left, right)
+        for m in range(25):
+            assert conv.moment(m).hex() == float(_comb_sum(left, right, m)).hex()
+
+
+class TestProductLaws:
+    def test_terms_and_parameters(self):
+        assert product_terms("(Z+ ⊗ Z+) □ Z+") == \
+            ((("Z+", ""), ("Z+", "")), (("Z+", ""),))
+        assert product_terms("Z ⊗ P_n") == ((("Z", ""), ("P", "n")),)
+        assert product_params("P_k ⊗ P_l") == ("k", "l")
+        assert product_params("Z □ Z") == ()
+
+    def test_folds_left_to_right(self):
+        law = product_law("(Z ⊗ Z+ ⊗ P_n) □ Z+", n=4)
+        assert type(law) is ClassicalConv and type(law.right) is Semicircle
+        inner = law.left
+        assert type(inner) is MellinConv and type(inner.right) is PathSpectrum
+        assert inner.right.n == 4
+        assert (type(inner.left.left), type(inner.left.right)) == (ArcSine, Semicircle)
+
+    def test_unknown_factor(self):
+        with pytest.raises(ValueError, match="unknown factor kind 'Q'; known: Z, Z\\+, P"):
+            product_law("Z ⊗ Q")
+
+    def test_named_kinds_are_product_strings(self):
+        assert all(isinstance(product, str) for product in MOMENT_LAWS.values())
+        assert dict(PRODUCT_FACTORS) == {"aa": "Z ⊗ Z", "wa": "Z+ ⊗ Z", "ww": "Z+ ⊗ Z+"}
+        law = NamedDensity("wa").law
+        assert (law.left.density, law.right.density) == \
+            (elliptic.semicircle_density, elliptic.arcsine_density)
+
+    def test_moment_kinds_read_their_laws(self):
+        for kind, product in MOMENT_LAWS.items():
+            params = {"n": 5} if kind == "path" else {}
+            law, derived = moment_law(kind, **params), product_law(product, **params)
+            assert [law.moment(m) for m in range(21)] == \
+                [derived.moment(m) for m in range(21)]
+
+
 class TestPathSpectrum:
     def test_two_vertex_path(self):
         ps = path_spectrum(2)
@@ -393,7 +484,6 @@ class TestLatticeCorrespondence:
     @pytest.mark.parametrize("kind,params,law", EXACT_ROWS,
                              ids=[f"{k}-{i}" for i, (k, _, _) in enumerate(EXACT_ROWS)])
     def test_exact_rows(self, kind, params, law):
-        from latticewalks.walks import build_lattice, walk_table
         g, o = build_lattice(kind, **params)
         table = walk_table(g, o, 12)
         dist = law()
@@ -402,7 +492,6 @@ class TestLatticeCorrespondence:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_strip_rows(self, n):
-        from latticewalks.walks import build_lattice, walk_table
         g, o = build_lattice("strip", n=n)
         table = walk_table(g, o, 12)
         dist = MellinConv(path_spectrum(n), ArcSine())
@@ -411,12 +500,35 @@ class TestLatticeCorrespondence:
 
     @pytest.mark.parametrize("k,l", [(3, 3), (4, 4), (4, 5)])
     def test_diamond_rows(self, k, l):
-        from latticewalks.walks import build_lattice, walk_table
         g, o = build_lattice("diamond", k=k, l=l)
         table = walk_table(g, o, 12)
         dist = MellinConv(path_spectrum(k), path_spectrum(l))
         for m in range(13):
             assert dist.moment(m) == table[m]
+
+    #: every kind with a product, at the parameters of the rows above
+    DERIVED = [(kind, params) for kind in lattice_walk_kinds() if lattice_kind(kind).product
+               for params in ([{"n": n} for n in (3, 4, 5)] if kind == "strip" else
+                              [{"k": k, "l": l} for k, l in ((3, 3), (4, 4), (4, 5))]
+                              if kind == "diamond" else [{}])]
+
+    @pytest.mark.parametrize("kind,params", DERIVED,
+                             ids=[k + "".join(f"-{v}" for v in p.values())
+                                  for k, p in DERIVED])
+    def test_derived_laws(self, kind, params):
+        # the law of the kind's product string equals its walk table and
+        # the law written out by hand above
+        law = product_law(lattice_kind(kind).product, **params)
+        oracles = [row() for k, _, row in self.EXACT_ROWS if k == kind]
+        if kind == "strip":
+            oracles = [MellinConv(path_spectrum(params["n"]), ArcSine())]
+        if kind == "diamond":
+            oracles = [MellinConv(path_spectrum(params["k"]), path_spectrum(params["l"]))]
+        assert oracles
+        table = walk_table(*build_lattice(kind, **params), 12)
+        for m in range(13):
+            assert law.moment(m) == table[m]
+            assert all(oracle.moment(m) == table[m] for oracle in oracles)
 
     def test_path_derived_discrete_has_vanishing_odd_moments(self):
         for n in (4, 7, 10):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 from contextlib import nullcontext
@@ -428,6 +429,21 @@ class TestClosedForms:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             closed_form_walks("z", -2)
+
+    def test_every_closed_form_is_pinned(self):
+        # SHA-256 over repr((kind, params, closed forms for m = 0..M)) of
+        # every kind in registry order, strip at n = 2..12 and diamond at
+        # k, l = 2..7; M = 400 in 1-D and 2-D, 160 in 3-D
+        digest = hashlib.sha256()
+        for kind in lattice_walk_kinds():
+            mmax = 160 if lattice_kind(kind).dimension == 3 else 400
+            for params in ([{"n": n} for n in range(2, 13)] if kind == "strip" else
+                           [{"k": k, "l": l} for k in range(2, 8) for l in range(2, 8)]
+                           if kind == "diamond" else [{}]):
+                counts = [closed_form_walks(kind, m, **params) for m in range(mmax + 1)]
+                digest.update(repr((kind, params, counts)).encode())
+        assert digest.hexdigest() == \
+            "a1586f7de77c35e0eff90a7b69859f2d1c360982b2ad90a12b14175086aa4004"
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
