@@ -20,18 +20,14 @@ semicircle, P_p ``path_spectrum(p)``) by ``MellinConv`` over ⊗ and
 ``ClassicalConv`` over □.  The lattice closed forms, the product
 densities and the ``moments`` kinds are all such strings.
 
-The laws of the three 1-D factors keep their exact even moments
-M_{2h} in per-process columns (:class:`EvenMoments`), filled lazily by
-exact recurrences: ``ArcSine.even`` (the line Z) by c_h = c_{h-1}
-(4h-2)/h, ``Semicircle.even`` (the half line Z+) by C_h = C_{h-1}
-(4h-2)/(h+1), and ``path_even_moments(n)`` (the path P_n), one column per
-n, by :func:`path_closed_walks`.  A column grows only to lengths asked for
-in turn: a lone request more than twice past its end is computed directly
-and not cached.  It grows by rebinding a longer tuple, never in place, so
-a concurrent reader always sees a valid prefix.  The process keeps at most
-``_PATH_COLUMN_CAP`` (64) path columns: the column of a new n first drops
-the oldest, so the path columns hold the memory of at most 64 columns,
-however many n were asked for.
+The exact even moments M_{2h} of the three 1-D factors' laws are kept in
+bounded LRU caches (:func:`functools.lru_cache`) of 4096 entries each:
+:func:`central_binomial` binom(2h, h) for the line Z (``ArcSine.even``),
+:func:`catalan` binom(2h, h)/(h+1) for the half line Z+
+(``Semicircle.even``), and :func:`path_closed_walks` for the path P_n
+(``PathSpectrum(n).even(h)`` reads it at m = 2h).  A lookup is thread
+safe, the least recently used entry goes first, and the caches are typed,
+so a float equal to a cached int is never served.
 
 Distributions here are compactly supported, so equality of all moments is
 equality of distributions.
@@ -43,87 +39,37 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
 from math import comb, cos, isfinite, perm, pi, sin
-from typing import Callable
 
 from . import elliptic
-from .errors import KindTable, check_path
+from .errors import KindTable, NumericalError, check_path
 
 Number = int | float
 
 
+#: The entries each exact-moment cache keeps.
+_MOMENT_CACHE_SIZE = 4096
+
+
 def _check_order(m: int) -> None:
+    if not isinstance(m, int):
+        raise ValueError(f"moment order must be an integer, got {m!r}")
     if m < 0:
         raise ValueError("moment order must be nonnegative")
 
 
-class EvenMoments:
-    """The even moments of one law, a column whose entry h is M_{2h}:
-    ``direct(h)`` computes it alone, ``step(h, entry h-1)`` from the one
-    before, and ``values`` holds the cached prefix."""
-
-    def __init__(self, direct: Callable[[int], int], step: Callable[[int, int], int]):
-        self.direct, self.step, self.values = direct, step, (1,)
-
-    def __getitem__(self, h: int) -> int:
-        values = self.values
-        if 0 <= h < len(values):
-            return values[h]
-        _check_order(h)
-        return self.direct(h) if h > 2 * len(values) else self.upto(h)[h]
-
-    def upto(self, h: int) -> tuple[int, ...]:
-        """The column through entry h at least, extended to it if shorter."""
-        values = self.values
-        if h >= len(values):
-            new, last = [], values[-1]
-            for i in range(len(values), h + 1):
-                last = self.step(i, last)
-                new.append(last)
-            self.values = values = values + tuple(new)
-        return values
-
-
-class _EvenLaw:
-    """A symmetric law whose even moments are its column ``even``."""
-
-    def moment(self, m: int) -> int:
-        _check_order(m)
-        return 0 if m % 2 else self.even[m // 2]
-
-
-class ArcSine(_EvenLaw):
-    """Arcsine law on (-2, 2): density 1/(pi sqrt(4-x^2)).
-
-    Even moments are central binomials; this is the spectral distribution
-    of the integer line at any vertex.
-    """
-
-    density = staticmethod(elliptic.arcsine_density)
-    even = EvenMoments(lambda h: comb(2 * h, h), lambda h, c: c * (4 * h - 2) // h)
-
-
-class Semicircle(_EvenLaw):
-    """Semicircle law on [-2, 2]: density sqrt(4-x^2)/(2 pi).
-
-    Even moments are Catalan numbers; this is the spectral distribution of
-    the half line at its endpoint.
-    """
-
-    density = staticmethod(elliptic.semicircle_density)
-    even = EvenMoments(lambda h: comb(2 * h, h) // (h + 1),
-                       lambda h, c: c * (4 * h - 2) // (h + 1))
-
-
+@lru_cache(maxsize=_MOMENT_CACHE_SIZE, typed=True)
 def central_binomial(m: int) -> int:
     """binomial(2m, m), the closed-walk count at any vertex of the line."""
-    return ArcSine.even[m]
+    return comb(2 * m, m)
 
 
+@lru_cache(maxsize=_MOMENT_CACHE_SIZE, typed=True)
 def catalan(m: int) -> int:
     """The m-th Catalan number, the closed-walk count at the end of a ray."""
-    return Semicircle.even[m]
+    return central_binomial(m) // (m + 1)
 
 
+@lru_cache(maxsize=_MOMENT_CACHE_SIZE, typed=True)
 def path_closed_walks(n: int, m: int) -> int:
     """Closed m-walks at the first vertex of the n-vertex path, exactly.
 
@@ -160,24 +106,34 @@ def path_closed_walks(n: int, m: int) -> int:
     return total
 
 
-_PATH_COLUMN_CAP = 64
-_PATH_COLUMNS: dict[int, EvenMoments] = {}
+class _EvenLaw:
+    """A symmetric law whose even moment M_{2h} is ``even(h)``."""
+
+    def moment(self, m: int) -> int:
+        _check_order(m)
+        return 0 if m % 2 else self.even(m // 2)
 
 
-def path_even_moments(n: int) -> EvenMoments:
-    """The even-moment column of the n-vertex path at an end vertex."""
-    column = _PATH_COLUMNS.get(n)
-    if column is None:
-        check_path(n)
+class ArcSine(_EvenLaw):
+    """Arcsine law on (-2, 2): density 1/(pi sqrt(4-x^2)).
 
-        def entry(h: int, _=None) -> int:
-            return path_closed_walks(n, 2 * h)
+    Even moments are central binomials; this is the spectral distribution
+    of the integer line at any vertex.
+    """
 
-        cached = list(_PATH_COLUMNS)
-        for old in cached[:max(0, len(cached) + 1 - _PATH_COLUMN_CAP)]:
-            _PATH_COLUMNS.pop(old, None)
-        column = _PATH_COLUMNS.setdefault(n, EvenMoments(entry, entry))
-    return column
+    density = staticmethod(elliptic.arcsine_density)
+    even = staticmethod(central_binomial)
+
+
+class Semicircle(_EvenLaw):
+    """Semicircle law on [-2, 2]: density sqrt(4-x^2)/(2 pi).
+
+    Even moments are Catalan numbers; this is the spectral distribution of
+    the half line at its endpoint.
+    """
+
+    density = staticmethod(elliptic.semicircle_density)
+    even = staticmethod(catalan)
 
 
 class Discrete:
@@ -185,8 +141,8 @@ class Discrete:
 
     Validated on construction: atoms and weights are finite, weights sum
     to 1 within 1e-12, no weight below -1e-10 (tiny negatives absorb
-    rounding in computed weights), and atoms come in +-lambda pairs of
-    equal weight (atoms at 0 may be unpaired).
+    rounding), and atoms come in +-lambda pairs of equal weight (atoms at
+    0 may be unpaired).  A moment beyond the float range is a NumericalError.
     """
 
     def __init__(self, atoms):
@@ -212,7 +168,10 @@ class Discrete:
         _check_order(m)
         if m % 2:
             return 0.0  # the +-lambda pairs cancel exactly
-        return sum(w * a ** m for a, w in self.atoms)
+        try:
+            return sum(w * a ** m for a, w in self.atoms)
+        except OverflowError:
+            raise NumericalError(f"moment order {m} overflows a float") from None
 
 
 class ClassicalConv:
@@ -259,7 +218,7 @@ class PathSpectrum(_EvenLaw):
     Eigenvalues are 2 cos(k pi / (n+1)), k = 1..n; the weight of each is
     the squared end-vertex entry of its normalized eigenvector,
     2/(n+1) sin^2(k pi / (n+1)).  Moments are the exact closed-walk
-    counts at the end vertex, read from :func:`path_even_moments` at O(m)
+    counts at the end vertex, read from :func:`path_closed_walks` at O(m)
     cost; the eigen data, built when read, reproduce them in floating point.
     """
 
@@ -274,9 +233,8 @@ class PathSpectrum(_EvenLaw):
         return tuple(2.0 / (self.n + 1) * sin(k * pi / (self.n + 1)) ** 2
                      for k in range(1, self.n + 1))
 
-    @property
-    def even(self) -> EvenMoments:
-        return path_even_moments(self.n)
+    def even(self, h: int) -> int:
+        return path_closed_walks(self.n, 2 * h)
 
     def to_discrete(self) -> Discrete:
         return Discrete(zip(self.eigenvalues, self.weights))
@@ -284,6 +242,8 @@ class PathSpectrum(_EvenLaw):
 
 def path_spectrum(n: int) -> PathSpectrum:
     """The spectral law of the n-vertex path at an end vertex."""
+    if not isinstance(n, int):
+        raise ValueError(f"path spectrum needs an integer n, got {n!r}")
     if n < 2:
         raise ValueError("path spectrum needs n >= 2")
     return PathSpectrum(n)

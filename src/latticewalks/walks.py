@@ -177,8 +177,8 @@ class WalkTable:
         return len(self.counts) - 1
 
     def __getitem__(self, m: int) -> int:
-        if not 0 <= m <= self.m_max:
-            raise ValueError(f"walk length {m} outside table range 0..{self.m_max}")
+        if not (isinstance(m, int) and 0 <= m <= self.m_max):
+            raise ValueError(f"walk length {m!r} outside table range 0..{self.m_max}")
         return self.counts[m]
 
     moment = __getitem__
@@ -188,6 +188,8 @@ def walk_table(g: Graph, o, m_max: int,
                budget: int = DEFAULT_VERTEX_BUDGET) -> WalkTable:
     """Walk counts for all lengths 0..m_max from a single ball expansion,
     lumped to orbit representatives when ``g.symmetry`` fixes o."""
+    if not isinstance(m_max, int):
+        raise ValueError(f"m_max must be an integer, got {m_max!r}")
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
     sym = getattr(g, "symmetry", None)

@@ -13,8 +13,9 @@ the way the coordinate edge-set algorithm does, on `naive_ball`s.
 carry a symmetry, with each mirror written out here rather than taken
 from the builders.  `REFERENCE_FORMS` restates every kind's closed form
 with ``math.comb`` and `reference_path_walks`, the unpaired reflection
-sum, so the library's cached moment columns are checked, not echoed;
-`cold_columns` runs a block on fresh, empty columns.
+sum, so the library's cached exact moments are checked, not echoed;
+`cold_caches` runs a block on empty moment caches (bounded LRU caches of
+4096 entries each).
 """
 
 from __future__ import annotations
@@ -267,15 +268,15 @@ def reference_closed_form(kind: str, m: int, **params) -> int:
     return 0 if m % 2 else REFERENCE_FORMS[kind](m // 2, **params)
 
 
+#: The library's exact-moment caches.
+MOMENT_CACHES = (spectral.central_binomial, spectral.catalan, spectral.path_closed_walks)
+
+
 @contextmanager
-def cold_columns():
-    """Fresh, empty moment columns for the duration of the block: the
-    laws' recurrences, none of the process's cached entries."""
-    saved = spectral.ArcSine.even, spectral.Semicircle.even, spectral._PATH_COLUMNS
-    spectral.ArcSine.even, spectral.Semicircle.even = (
-        spectral.EvenMoments(c.direct, c.step) for c in saved[:2])
-    spectral._PATH_COLUMNS = {}
-    try:
-        yield
-    finally:
-        spectral.ArcSine.even, spectral.Semicircle.even, spectral._PATH_COLUMNS = saved
+def cold_caches():
+    """Run the block on empty exact-moment caches: the laws' bounded LRU
+    caches of 4096 entries each are cleared on entry, so every moment the
+    block reads first is computed afresh."""
+    for cached in MOMENT_CACHES:
+        cached.cache_clear()
+    yield

@@ -1,7 +1,8 @@
 """Static checks on the source tree, run with the tests because no linter
 runs in CI: no module under ``src/`` or ``tests/`` imports a name it never
 uses, no private module-level name under ``src/`` goes unread, no field of
-a record class under ``src/`` goes unread, and the README lists exactly the flags the command-line parser takes and the
+a record class under ``src/`` goes unread, no cache under ``src/`` is
+unbounded, and the README lists exactly the flags the command-line parser takes and the
 lattice kinds ``walks`` takes, with their products and folds, and its ``python``
 examples run."""
 
@@ -158,6 +159,84 @@ def test_no_unread_fields():
     declared = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
     readers = [p.read_text() for p in [*MODULES, *ROOT.glob("bench/**/*.py")]]
     assert unread_fields(declared, readers) == []
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """The ``functools`` caches of ``source`` that may grow without bound,
+    as ``"line: name"``.  An ``lru_cache`` must be called with a ``maxsize``
+    that is an int literal or a module-level name bound to one, and
+    ``cache`` may only decorate a function that takes no arguments."""
+    tree = ast.parse(source)
+    ints = {t.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+            for t in node.targets if isinstance(t, ast.Name)}
+    names, modules = {}, {"functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "functools")
+
+    def kind(node):
+        # "lru_cache" or "cache" for a reference to the functools one
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            return node.attr
+        return None
+
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    # the decorators of functions that take no arguments
+    nullary = {id(d) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not any([node.args.posonlyargs, node.args.args, node.args.vararg,
+                            node.args.kwonlyargs, node.args.kwarg])
+               for d in node.decorator_list}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and kind(node.func) == "lru_cache":
+            sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+            size = sizes[0] if sizes else None
+            if isinstance(size, ast.Name):
+                size = ints.get(size.id)
+            elif isinstance(size, ast.Constant):
+                size = size.value
+            if type(size) is not int:
+                out.append((node.lineno, "lru_cache"))
+        elif kind(node) == "lru_cache" and id(node) not in called:
+            out.append((node.lineno, "lru_cache"))
+        elif kind(node) == "cache" and id(node) not in nullary:
+            out.append((node.lineno, "cache"))
+    return [f"{line}: {name}" for line, name in sorted(out)]
+
+
+def test_scan_finds_unbounded_caches():
+    source = ("import functools\n"
+              "import functools as ft\n"
+              "from functools import cache, lru_cache as lru\n"
+              "_SIZE = 8\n"
+              "@lru(maxsize=_SIZE, typed=True)\n"
+              "def a(x): return x\n"
+              "@functools.lru_cache(16)\n"
+              "def b(x): return x\n"
+              "@cache\n"
+              "def c(): return 1\n"
+              "@lru\n"
+              "def d(x): return x\n"
+              "@ft.lru_cache(maxsize=None)\n"
+              "def e(x): return x\n"
+              "@functools.cache\n"
+              "def f(x): return x\n"
+              "g = cache(len)\n"
+              "h = lru(maxsize=_LIMIT)(len)\n")
+    assert unbounded_caches(source) == ["11: lru_cache", "13: lru_cache", "15: cache",
+                                        "17: cache", "18: lru_cache"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_unbounded_caches(path):
+    assert unbounded_caches(path.read_text()) == []
 
 
 def readme_flags(readme: str) -> set[str]:

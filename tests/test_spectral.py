@@ -12,13 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    cold_columns,
+    MOMENT_CACHES,
+    cold_caches,
     int_matrix_power_diag,
     path_adjacency,
     reference_closed_form,
     reference_path_walks,
 )
-from latticewalks import elliptic, spectral
+from latticewalks import elliptic, graphs, spectral
+from latticewalks.errors import NumericalError, ResourceLimitError
 from latticewalks.spectral import (
     MOMENT_LAWS,
     PRODUCT_FACTORS,
@@ -29,8 +31,9 @@ from latticewalks.spectral import (
     NamedDensity,
     PathSpectrum,
     Semicircle,
+    catalan,
+    central_binomial,
     moment_law,
-    path_even_moments,
     path_spectrum,
     product_law,
     product_params,
@@ -43,6 +46,7 @@ from latticewalks.walks import (
     lattice_walk_kinds,
     path_closed_walks,
     walk_table,
+    WalkTable,
 )
 
 
@@ -75,31 +79,15 @@ class TestMomentColumns:
     @given(orders=st.lists(st.integers(0, 800), min_size=1, max_size=25),
            n=st.integers(1, 12), cold=st.booleans())
     def test_columns_match_comb_in_any_order(self, orders, n, cold):
-        with cold_columns() if cold else nullcontext():
+        with cold_caches() if cold else nullcontext():
             for m in orders:
                 assert ArcSine().moment(m) == (0 if m % 2 else comb(m, m // 2))
                 assert Semicircle().moment(m) == (0 if m % 2 else comb(m, m // 2) // (m // 2 + 1))
                 path = PathSpectrum(n).moment(m)
                 assert path == path_closed_walks(n, m) == reference_path_walks(n, m)
 
-    def test_a_lone_far_request_is_not_cached(self):
-        with cold_columns():
-            assert ArcSine().moment(40_000) == comb(40_000, 20_000)
-            assert ArcSine.even.values == (1,)
-            assert [ArcSine().moment(2 * h) for h in range(5)] == [1, 2, 6, 20, 70]
-            assert ArcSine.even.values == (1, 2, 6, 20, 70)
-            # within twice the cached end, a request extends the column
-            assert Semicircle().moment(4) == 2 and Semicircle.even.values == (1, 1, 2)
-
-    def test_columns_grow_by_rebinding(self):
-        with cold_columns():
-            column = path_even_moments(6)
-            before = column.upto(3)
-            assert column.upto(9) is column.values and len(column.values) == 10
-            assert before == column.values[:4] and len(before) == 4
-
     def test_threads_read_valid_columns(self):
-        # 8 threads ask for interleaved lengths of the same cold columns
+        # 8 threads ask for interleaved lengths on the same cold caches
         kinds = [("z", {}), ("zplus", {}), ("zplus-at-1", {}), ("strip", {"n": 5}),
                  ("diamond", {"k": 3, "l": 9}), ("quarterplane", {}), ("chamber3", {})]
         wrong, start = [], threading.Barrier(8)
@@ -117,67 +105,47 @@ class TestMomentColumns:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with cold_columns():
+            with cold_caches():
                 threads = [threading.Thread(target=ask, args=(t,)) for t in range(8)]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
                     thread.join(timeout=60)
                 assert not any(thread.is_alive() for thread in threads)
-                # every cached column is a valid prefix
-                columns = [(ArcSine.even, lambda h: comb(2 * h, h)),
-                           (Semicircle.even, lambda h: comb(2 * h, h) // (h + 1)),
-                           *((c, lambda h, n=n: reference_path_walks(n, 2 * h))
-                             for n, c in spectral._PATH_COLUMNS.items())]
-                for column, entry in columns:
-                    assert column.values == tuple(map(entry, range(len(column.values))))
+                # every moment the threads read is cached, and correct
+                misses = [cached.cache_info().misses for cached in MOMENT_CACHES]
+                for h in range(160):
+                    assert central_binomial(h) == comb(2 * h, h)
+                    assert catalan(h) == comb(2 * h, h) // (h + 1)
+                    for n in (3, 5, 9):
+                        assert path_closed_walks(n, 2 * h) == reference_path_walks(n, 2 * h)
+                assert [cached.cache_info().misses for cached in MOMENT_CACHES] == misses
         finally:
             sys.setswitchinterval(interval)
         assert wrong == []
 
-    def test_path_columns_are_capped(self):
-        # a sweep over many path lengths keeps only the newest 64 columns,
-        # and a length asked for again gets a fresh, correct column
-        with cold_columns():
-            for n in range(2, 402):
+    def test_a_sweep_over_path_lengths_keeps_the_caches_bounded(self):
+        # more path lengths and orders than a cache keeps: the least
+        # recently used entries go, and a length asked for again is
+        # computed afresh, correctly
+        with cold_caches():
+            for n in range(2, 4300):
                 assert PathSpectrum(n).moment(12) == reference_path_walks(n, 12)
-            assert list(spectral._PATH_COLUMNS) == list(range(338, 402))
-            for n in range(2, 402, 7):
-                assert [PathSpectrum(n).moment(m) for m in range(0, 30, 2)] == \
-                    [path_closed_walks(n, m) for m in range(0, 30, 2)]
-            assert len(spectral._PATH_COLUMNS) == spectral._PATH_COLUMN_CAP == 64
+                assert closed_form_walks("strip", 2 * (n % 300), n=n) == \
+                    reference_closed_form("strip", 2 * (n % 300), n=n)
+            for cached in MOMENT_CACHES:
+                info = cached.cache_info()
+                assert info.maxsize == 4096 and info.currsize <= info.maxsize
+            assert path_closed_walks.cache_info().currsize == 4096
+            assert [PathSpectrum(n).moment(12) for n in range(2, 9)] == \
+                [reference_path_walks(n, 12) for n in range(2, 9)]
 
-    def test_threads_evicting_path_columns_read_correct_counts(self):
-        # 8 threads sweep interleaved path lengths, so columns are dropped
-        # while other threads create and read them
-        wrong, start = [], threading.Barrier(8)
-
-        def ask(t):
-            start.wait(timeout=60)
-            for n in range(2 + t, 400, 8):
-                for m in (2, 8, 14):
-                    if PathSpectrum(n).moment(m) != reference_path_walks(n, m):
-                        wrong.append((n, m))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with cold_columns():
-                threads = [threading.Thread(target=ask, args=(t,)) for t in range(8)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                # concurrent creators may each add one column past the cap
-                assert len(spectral._PATH_COLUMNS) <= spectral._PATH_COLUMN_CAP + 8
-        finally:
-            sys.setswitchinterval(interval)
-        assert wrong == []
-
-    def test_path_column_rejects_an_empty_path(self):
-        with pytest.raises(ValueError, match="path needs at least one vertex"):
-            path_even_moments(0)
+    def test_a_float_order_is_never_served_from_a_cache(self):
+        assert (central_binomial(3), catalan(3), path_closed_walks(4, 6)) == (20, 5, 5)
+        for call in (lambda: central_binomial(3.0), lambda: catalan(3.0),
+                     lambda: path_closed_walks(4, 6.0), lambda: path_closed_walks(4.0, 6)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_spectral_does_not_import_walks(self):
         tree = ast.parse(Path(spectral.__file__).read_text())
@@ -543,3 +511,97 @@ class TestLatticeCorrespondence:
         d = ps.to_discrete()
         for m in range(1, 4 * n + 2, 2):
             assert ps.moment(m) == 0 and d.moment(m) == 0
+
+
+# NaN, +-inf, zeros, negatives, non-integer and integral floats, huge
+# values, and ints up to 10^4; larger orders are not drawn
+_ORDERS = st.sampled_from([
+    math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -1, -7, 2.5, -2.5, 4.0, 1e300,
+    10 ** 4 - 1, 10 ** 4]) | st.integers(-20, 10 ** 4) | st.floats()
+_LINE = graphs.integer_line()
+# the law of a single vertex: M_0 = 1 and every other moment 0, exactly
+_POINT = walk_table(graphs.path_graph(1), (0,), 10 ** 4)
+_CONTRACT_LAWS = [
+    ArcSine(), Semicircle(), path_spectrum(2), path_spectrum(11),
+    path_spectrum(5).to_discrete(), Discrete([(0.5, 0.25), (-0.5, 0.25), (0.0, 0.5)]),
+    MellinConv(ArcSine(), path_spectrum(3)), MellinConv(Semicircle(), Semicircle()),
+    ClassicalConv(_POINT, Semicircle()), ClassicalConv(_POINT, path_spectrum(6)),
+    ClassicalConv(walk_table(graphs.half_line(), (0,), 60), Semicircle()),
+    walk_table(_LINE, (0,), 80), _POINT]
+
+
+def _outcome(call):
+    # the value of call(), or None for the error it raised under the contract
+    try:
+        return call()
+    except (ValueError, NumericalError, ResourceLimitError):
+        return None
+
+
+_NON_INTEGER_ORDERS = {
+    "arcsine-2.5": lambda: ArcSine().moment(2.5),
+    "arcsine-nan": lambda: ArcSine().moment(math.nan),
+    "arcsine-inf": lambda: ArcSine().moment(math.inf),
+    "arcsine-4.0": lambda: ArcSine().moment(4.0),
+    "semicircle-2.0": lambda: Semicircle().moment(2.0),
+    "path-6.0": lambda: PathSpectrum(4).moment(6.0),
+    "discrete-2.5": lambda: Discrete([(1.0, 0.5), (-1.0, 0.5)]).moment(2.5),
+    "mellin-2.5": lambda: MellinConv(ArcSine(), ArcSine()).moment(2.5),
+    "classical-2.0": lambda: ClassicalConv(ArcSine(), ArcSine()).moment(2.0),
+    "path_spectrum-2.5": lambda: path_spectrum(2.5),
+    "path_spectrum-nan": lambda: path_spectrum(math.nan),
+    "path_spectrum-4.0": lambda: path_spectrum(4.0),
+    "walk_table-2.5": lambda: walk_table(_LINE, (0,), 2.5),
+    "walk_table-2.0": lambda: walk_table(_LINE, (0,), 2.0),
+    "table-2.0": lambda: walk_table(_LINE, (0,), 4)[2.0],
+}
+
+
+class TestOrderContract:
+    """On any order, the laws' ``moment``, ``path_spectrum`` and
+    ``walk_table`` raise ValueError, NumericalError or ResourceLimitError,
+    or return an exact finite value: an int from an exact law, a finite
+    float from a law with float atoms."""
+
+    @pytest.mark.parametrize("call", _NON_INTEGER_ORDERS.values(), ids=_NON_INTEGER_ORDERS)
+    def test_non_integer_orders_rejected(self, call):
+        with pytest.raises(ValueError, match="integer|outside table range"):
+            call()
+
+    def test_negative_orders_keep_their_messages(self):
+        with pytest.raises(ValueError, match="^moment order must be nonnegative$"):
+            ArcSine().moment(-2)
+        with pytest.raises(ValueError, match="^path spectrum needs n >= 2$"):
+            path_spectrum(-3)
+        with pytest.raises(ValueError, match="^m_max must be nonnegative$"):
+            walk_table(_LINE, (0,), -1)
+        with pytest.raises(ValueError, match=r"^walk length -1 outside table range 0\.\.4$"):
+            walk_table(_LINE, (0,), 4)[-1]
+
+    def test_float_moments_that_overflow_raise(self):
+        with pytest.raises(NumericalError, match="overflows a float"):
+            path_spectrum(5).to_discrete().moment(2000)
+
+    @settings(max_examples=250, deadline=None)
+    @given(law=st.sampled_from(_CONTRACT_LAWS), m=_ORDERS)
+    def test_moment(self, law, m):
+        value = _outcome(lambda: law.moment(m))
+        assert value is None or type(value) is int or (
+            type(value) is float and math.isfinite(value)
+            and isinstance(law, Discrete)), (law, m, value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=_ORDERS)
+    def test_path_spectrum(self, n):
+        law = _outcome(lambda: path_spectrum(n))
+        assert law is None or (law.n == n and law.moment(8) == reference_path_walks(n, 8))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=st.sampled_from([(_LINE, (0,)), (graphs.half_line(), (0,)),
+                                  (graphs.path_graph(2), (0,)),
+                                  build_lattice("z"), build_lattice("strip", n=3)]),
+           m=_ORDERS)
+    def test_walk_table(self, graph, m):
+        table = _outcome(lambda: walk_table(*graph, m, budget=300))
+        assert table is None or (isinstance(table, WalkTable) and len(table.counts) == m + 1
+                                 and all(type(c) is int for c in table.counts))

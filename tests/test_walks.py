@@ -15,7 +15,7 @@ from helpers import (
     REFERENCE_FORMS,
     SIGNED_KINDS,
     as_implicit,
-    cold_columns,
+    cold_caches,
     dp_closed_walks,
     int_matrix_power_diag,
     kind_id,
@@ -454,7 +454,7 @@ class TestClosedForms:
         mmax = 160 if lattice_kind(kind).dimension == 3 else 400
         lengths = data.draw(st.lists(st.integers(0, mmax), min_size=1, max_size=12),
                             label="lengths")
-        with cold_columns() if data.draw(st.booleans(), label="cold") else nullcontext():
+        with cold_caches() if data.draw(st.booleans(), label="cold") else nullcontext():
             for m in lengths:
                 assert closed_form_walks(kind, m, **params) == \
                     reference_closed_form(kind, m, **params), (kind, params, m)
