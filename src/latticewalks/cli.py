@@ -19,7 +19,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import elliptic, graphs, spectral, walks
-from .errors import NumericalError, ResourceLimitError
+from .errors import NumericalError, ResourceLimitError, check_order
 
 #: walk-length caps by lattice dimension
 CAP_3D = 24
@@ -69,6 +69,20 @@ def _json_float(v: float) -> str:
     return float.__repr__(v) if math.isfinite(v) else _json_str(_fmt(v))
 
 
+class _Text(str):
+    """JSON text that :func:`_json_write` writes as it is."""
+
+
+def _json_g15(v: float) -> _Text:
+    # _json_float(float(f"{v:.15g}")) from one format: for a normal |v| <
+    # 1e14, repr writes the same (at most 15) digits in the same form, and
+    # ".0" after an integral value
+    if not math.isfinite(v):
+        return _Text(_json_float(v))
+    s = f"{v:.15g}"
+    return _Text(s if "." in s or "e" in s else s + ".0")
+
+
 #: exact type -> JSON text of a scalar, as ``json.dumps`` writes it
 _JSON_SCALARS = {
     str: _json_str,
@@ -76,6 +90,7 @@ _JSON_SCALARS = {
     float: _json_float,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda v: "null",
+    _Text: str,
 }
 
 
@@ -83,9 +98,9 @@ def _json_write(v, pad: str, out: list[str]) -> None:
     """Append the JSON text of v to out, laid out as ``json.dumps(v,
     indent=2)`` lays it out; pad indents the line on which v starts.
 
-    Dicts (with str keys), lists and tuples nest; a subclass of str, int
-    or float is written as its base, as ``json.dumps`` does; anything
-    else is a TypeError.
+    Dicts (with str keys), lists and tuples nest; a :class:`_Text` is
+    written as it is; any other subclass of str, int or float is written
+    as its base, as ``json.dumps`` does; anything else is a TypeError.
     """
     scalar = _JSON_SCALARS.get(type(v))
     if scalar is not None:
@@ -135,8 +150,7 @@ def _json_doc(params: dict, body: dict) -> str:
 def _run_walks(args, params: dict) -> tuple[str, int]:
     kind = walks.lattice_kind(args.kind)
     cap = CAP_3D if kind.dimension == 3 else CAP_12D
-    if args.mmax < 0:
-        raise ValueError("--mmax must be nonnegative")
+    check_order(args.mmax, "--mmax")
     if args.mmax > cap:
         raise ValueError(
             f"mmax {args.mmax} exceeds the cap {cap} for {kind.dimension}-d "
@@ -158,8 +172,7 @@ def _run_walks(args, params: dict) -> tuple[str, int]:
 
 
 def _run_moments(args, params: dict) -> tuple[str, int]:
-    if args.mmax < 0:
-        raise ValueError("--mmax must be nonnegative")
+    check_order(args.mmax, "--mmax")
     if args.mmax > CAP_12D:
         raise ValueError(f"mmax {args.mmax} exceeds the moment-table cap {CAP_12D}")
     dist = spectral.moment_law(args.kind, args.n)
@@ -179,7 +192,8 @@ def _run_density(args, params: dict) -> tuple[str, int]:
     xs = [-4.0 + 8.0 * i / (args.grid - 1) for i in range(args.grid)]
     vals = [elliptic.density(args.kind, x) for x in xs]
     if args.format == "json":
-        body = {"rows": [{"x": float(f"{x:.15g}"), "density": float(f"{v:.15g}")}
+        # every x and density is 0, inf, or between 1e-16 and 100
+        body = {"rows": [{"x": _json_g15(x), "density": _json_g15(v)}
                          for x, v in zip(xs, vals)]}
         return _json_doc(params, body), 0
     lines = [f"{x:.15g},{v:.15g}" for x, v in zip(xs, vals)]

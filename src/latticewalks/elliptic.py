@@ -24,6 +24,7 @@ NumericalError instead of returning an inaccurate value.
 from __future__ import annotations
 
 import heapq
+import sys
 from math import cos, exp, fsum, inf, isfinite, isinf, log, pi, sin, sqrt
 from typing import Callable, NamedTuple
 
@@ -193,6 +194,8 @@ _GK_NODES = (
 _GK_CENTER = (0.2094821410847278, 0.4179591836734694)
 
 DEFAULT_PANEL_BUDGET = 100_000
+# the finest share of an integral that a sum of doubles resolves
+_DBL_EPS = sys.float_info.epsilon
 
 
 def _gk_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -236,13 +239,20 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     (``math.fsum``), and the loop goes on from them if it fails.  Raises
     NumericalError when the panel budget is exhausted first, when a panel
     shrinks to zero width, or when the integral or its error estimate is
-    not finite.  abs_tol and rel_tol must be finite and > 0.
+    not finite, or before the panel loop when max(abs_tol, rel_tol |I|)
+    < eps |I| for the first panel's estimate I: double precision cannot
+    resolve that.  abs_tol and rel_tol must be finite and > 0.
     """
     _check_tol("abs_tol", abs_tol)
     _check_tol("rel_tol", rel_tol)
     if b <= a:
         return 0.0
     val, err = _gk_panel(f, a, b)
+    floor = _DBL_EPS * abs(val)
+    if max(abs_tol, rel_tol * abs(val)) < floor:
+        raise NumericalError(f"quadrature on [{a}, {b}] cannot reach abs_tol={abs_tol!r}, "
+                             f"rel_tol={rel_tol!r}: doubles resolve about {floor:.3e} "
+                             f"of an integral near {val:.3e}")
     panels = 1
     heap = [(-err, 0, a, b, val, err)]
     seq = 1
@@ -307,7 +317,8 @@ def mellin_density_convolve(f: Callable[[float], float],
     kernel is infinite at its edge 2 and [x/2, 2] is too narrow for that
     rounding to stay below tol ((2 - x/2) * tol < 1e-14), NumericalError
     is raised instead of returning an inaccurate value.  tol must be
-    finite and > 0, and 0.5 * tol must not round to 0.
+    finite and > 0, and 0.5 * tol must not round to 0; one finer than
+    doubles resolve fails fast (see :func:`adaptive_quadrature`).
     """
     _check_tol("tol", tol, 0.5)
     if not x > 0.0:
@@ -348,7 +359,8 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     logarithmic singularity at 0 is integrated analytically on
     [0, 1e-6] from the leading asymptotics; the rest is adaptive
     quadrature.  Absolute error is below tol * max(1, result), for a
-    finite tol > 0 whose quarter does not round to 0.
+    finite tol > 0 whose quarter does not round to 0; one finer than
+    doubles resolve fails fast (see :func:`adaptive_quadrature`).
     """
     c, d, value = _KERNELS[kind]
     if m < 0 or m % 2:

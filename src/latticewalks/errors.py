@@ -1,4 +1,5 @@
-"""Shared exception types, and the one rule each for named kinds and path sizes."""
+"""Shared exception types, and the one rule each for named kinds, path
+sizes and orders."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -14,6 +15,15 @@ def check_path(n: int) -> int:
     if n < 1:
         raise ValueError("path needs at least one vertex")
     return n
+
+
+def check_order(m: int, what: str) -> int:
+    """m, checked to be an order, a nonnegative int, named ``what``."""
+    if not isinstance(m, int):
+        raise ValueError(f"{what} must be an integer, got {m!r}")
+    if m < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return m
 
 
 class KindTable(dict):

@@ -550,40 +550,17 @@ def induced_subgraph(g: FiniteGraph, keep: Iterable[Sequence[int]],
 
 
 def connected_components(g: FiniteGraph) -> list[FiniteGraph]:
-    """Connected components as induced subgraphs, ordered by smallest vertex."""
-    verts, adj = g.vertices, g.adjacency
-    seen = [False] * len(g)
+    """Connected components as induced subgraphs, ordered by smallest vertex:
+    the ball of radius len(g) around each vertex, in sorted order, that no
+    earlier component holds.  The root stays only in its own component."""
+    seen: set[Coords] = set()
     comps = []
-    for start in range(len(g)):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comp.sort(key=verts.__getitem__)
-        comps.append(comp)
-    comps.sort(key=lambda comp: verts[comp[0]])
-
-    # each component's rows are g's rows relabelled to the local
-    # (coordinate-sorted) indices
-    local = [0] * len(g)
-    out = []
-    for c, comp in enumerate(comps):
-        for k, i in enumerate(comp):
-            local[i] = k
-        vs = [verts[i] for i in comp]
-        rows = [sorted(local[j] for j in adj[i]) for i in comp]
-        root = local[g.root] if g.root is not None and g.root in comp else None
-        out.append(FiniteGraph._trusted(vs, dict(zip(vs, range(len(vs)))), rows,
-                                        root, f"{g.name or 'graph'}[comp{c}]"))
-    return out
+    for v in sorted(g.vertices):
+        if v not in seen:
+            keep = ball(g, v, len(g), len(g)).vertices
+            seen.update(keep)
+            comps.append(induced_subgraph(g, keep, f"{g.name or 'graph'}[comp{len(comps)}]"))
+    return comps
 
 
 def degree_histogram(g: FiniteGraph, interior_radius: int) -> dict[int, int]:

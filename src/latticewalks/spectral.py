@@ -15,10 +15,14 @@ Both act on any two laws, walk tables included, so ``MellinConv`` and
 ``ClassicalConv`` of two walk tables are the product graphs' tables.
 
 The rows of the paper's table are product strings such as ``"Z ⊗ P_n"``:
-:func:`product_law` folds the laws of the 1-D factors (Z arcsine, Z+
-semicircle, P_p ``path_spectrum(p)``) by ``MellinConv`` over ⊗ and
+:func:`product_law` folds the laws of the 1-D factors, which
+:data:`FACTORS` declares with their graphs, by ``MellinConv`` over ⊗ and
 ``ClassicalConv`` over □.  The lattice closed forms, the product
 densities and the ``moments`` kinds are all such strings.
+
+An order is a nonnegative int (:func:`latticewalks.errors.check_order`).
+A float moment (of ``Discrete``, or a convolution with a ``Discrete``
+factor) beyond the float range is a NumericalError.
 
 The exact even moments M_{2h} of the three 1-D factors' laws are kept in
 bounded LRU caches (:func:`functools.lru_cache`) of 4096 entries each:
@@ -38,10 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
-from math import comb, cos, isfinite, perm, pi, sin
+from math import comb, cos, inf, isfinite, perm, pi, sin
+from typing import Callable, NamedTuple
 
-from . import elliptic
-from .errors import KindTable, NumericalError, check_path
+from . import elliptic, graphs
+from .errors import KindTable, NumericalError, check_order, check_path
 
 Number = int | float
 
@@ -49,18 +54,21 @@ Number = int | float
 #: The entries each exact-moment cache keeps.
 _MOMENT_CACHE_SIZE = 4096
 
-
-def _check_order(m: int) -> None:
-    if not isinstance(m, int):
-        raise ValueError(f"moment order must be an integer, got {m!r}")
-    if m < 0:
-        raise ValueError("moment order must be nonnegative")
+# (m, binomial(2m, m)) for the m computed last; every write is a correct
+# pair, so a thread that reads a stale one only calls comb
+_last_central = (0, 1)
 
 
 @lru_cache(maxsize=_MOMENT_CACHE_SIZE, typed=True)
 def central_binomial(m: int) -> int:
-    """binomial(2m, m), the closed-walk count at any vertex of the line."""
-    return comb(2 * m, m)
+    """binomial(2m, m), the closed-walk count at any vertex of the line:
+    c_m = c_{m-1} (4m - 2) / m, at O(digits) cost, when c_{m-1} was the
+    value computed last, and ``comb(2m, m)`` otherwise."""
+    global _last_central
+    k, c = _last_central
+    c = c * (4 * m - 2) // m if k == m - 1 and type(m) is int else comb(2 * m, m)
+    _last_central = (m, c)
+    return c
 
 
 @lru_cache(maxsize=_MOMENT_CACHE_SIZE, typed=True)
@@ -91,8 +99,7 @@ def path_closed_walks(n: int, m: int) -> int:
     the 1-D factor in product closed forms.
     """
     check_path(n)
-    if m < 0:
-        raise ValueError("walk length must be nonnegative")
+    check_order(m, "walk length")
     if m % 2:
         return 0
     h, p = m // 2, n + 1
@@ -110,8 +117,24 @@ class _EvenLaw:
     """A symmetric law whose even moment M_{2h} is ``even(h)``."""
 
     def moment(self, m: int) -> int:
-        _check_order(m)
+        check_order(m, "moment order")
         return 0 if m % 2 else self.even(m // 2)
+
+
+class _FloatRange:
+    """A law whose moment(m) is ``_moment(m)`` at a checked order; a float
+    moment beyond the float range (an OverflowError or an inf) is a
+    NumericalError."""
+
+    def moment(self, m: int) -> Number:
+        check_order(m, "moment order")
+        try:
+            value = self._moment(m)
+        except OverflowError:
+            value = inf
+        if type(value) is float and not isfinite(value):
+            raise NumericalError(f"moment order {m} overflows a float")
+        return value
 
 
 class ArcSine(_EvenLaw):
@@ -136,7 +159,7 @@ class Semicircle(_EvenLaw):
     even = staticmethod(catalan)
 
 
-class Discrete:
+class Discrete(_FloatRange):
     """Finitely supported symmetric distribution given by (atom, weight) pairs.
 
     Validated on construction: atoms and weights are finite, weights sum
@@ -164,25 +187,19 @@ class Discrete:
                 raise ValueError(f"atom at {a} lacks a mirror atom of equal weight")
         self.atoms = tuple(pairs)
 
-    def moment(self, m: int) -> float:
-        _check_order(m)
-        if m % 2:
-            return 0.0  # the +-lambda pairs cancel exactly
-        try:
-            return sum(w * a ** m for a, w in self.atoms)
-        except OverflowError:
-            raise NumericalError(f"moment order {m} overflows a float") from None
+    def _moment(self, m: int) -> float:
+        # the +-lambda pairs cancel odd moments exactly
+        return 0.0 if m % 2 else sum(w * a ** m for a, w in self.atoms)
 
 
-class ClassicalConv:
+class ClassicalConv(_FloatRange):
     """Classical convolution: moments obey the binomial convolution."""
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
 
-    def moment(self, m: int) -> Number:
-        _check_order(m)
+    def _moment(self, m: int) -> Number:
         # binom(m, k) steps along the row, exactly; a term whose left
         # moment is 0 (every odd k of a symmetric law) is skipped
         left, right = self.left.moment, self.right.moment
@@ -195,15 +212,14 @@ class ClassicalConv:
         return total
 
 
-class MellinConv:
+class MellinConv(_FloatRange):
     """Multiplicative (Mellin) convolution: moments multiply entrywise."""
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
 
-    def moment(self, m: int) -> Number:
-        _check_order(m)
+    def _moment(self, m: int) -> Number:
         return self.left.moment(m) * self.right.moment(m)
 
 
@@ -253,13 +269,20 @@ def path_spectrum(n: int) -> PathSpectrum:
 # the paper's table: product strings and their laws
 
 
-#: The law of each 1-D factor, built from p, the path's vertex count.
-#: path_spectrum is looked up at call time, so a wrapped one sees every
-#: path law built here.
-_FACTOR_LAWS = KindTable("factor", {
-    "Z": lambda p: ArcSine(),
-    "Z+": lambda p: Semicircle(),
-    "P": lambda p: path_spectrum(p),
+class Factor(NamedTuple):
+    """A 1-D factor's graph and law, built from p, the path's vertex count."""
+
+    graph: Callable[[int | None], graphs.ImplicitGraph]
+    law: Callable[[int | None], _EvenLaw]
+
+
+#: The 1-D factors.  The path is an implicit graph, so a fold check builds
+#: only the ball it reads; path_spectrum is looked up at call time.
+FACTORS = KindTable("factor", {
+    "Z": Factor(lambda p: graphs.integer_line(), lambda p: ArcSine()),
+    "Z+": Factor(lambda p: graphs.half_line(), lambda p: Semicircle()),
+    "P": Factor(lambda p: graphs.restrict_lattice(f"P{p}", 1, lambda v: 0 <= v[0] < p),
+                lambda p: path_spectrum(p)),
 })
 
 
@@ -281,7 +304,7 @@ def product_law(s: str, **params):
     """The law of a product string: its factors' laws folded left to right,
     by ``MellinConv`` over ⊗ and ``ClassicalConv`` over □."""
     return reduce(ClassicalConv, [
-        reduce(MellinConv, [_FACTOR_LAWS[f](params.get(p)) for f, p in term])
+        reduce(MellinConv, [FACTORS[f].law(params.get(p)) for f, p in term])
         for term in product_terms(s)])
 
 

@@ -56,9 +56,11 @@ product's.
 
 Each named kind is declared once by its row of the paper's table, a
 product string (see :mod:`latticewalks.spectral`) of the 1-D factors Z, Z+
-and P_n, and its closed form is a moment of that string's law.  Each
-factor's graph is declared here, and :func:`fold_map` folds a 2-D
-Kronecker kind onto its factors' graphs.
+and P_n, and its closed form is a moment of that string's law, or of the
+even law of its own form.  :func:`fold_map` folds a 2-D Kronecker kind
+onto its factors' graphs, which ``spectral.FACTORS`` declares beside
+their laws.  A walk length, like any order, is a nonnegative int
+(:func:`latticewalks.errors.check_order`).
 Half-step indexing skips the odd moments, which are exactly 0: a walk of
 even length m = 2h on a bipartite lattice decomposes into h up/down or
 in/out pairs, which is where central binomials and Catalan numbers enter.
@@ -74,11 +76,11 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import graphs
-from .errors import KindTable
+from .errors import KindTable, check_order
 from .graphs import (DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph,
                      IsoMap, ball, reflection)
-from .spectral import (catalan, central_binomial, path_closed_walks, product_law,
-                       product_params, product_terms)
+from .spectral import (FACTORS, _EvenLaw, catalan, central_binomial, path_closed_walks,
+                       product_law, product_params, product_terms)
 
 __all__ = ["FOLD_KINDS", "LatticeKind", "WalkTable", "build_lattice", "catalan",
            "central_binomial", "closed_form_walks", "fold_map", "lattice_kind",
@@ -188,10 +190,7 @@ def walk_table(g: Graph, o, m_max: int,
                budget: int = DEFAULT_VERTEX_BUDGET) -> WalkTable:
     """Walk counts for all lengths 0..m_max from a single ball expansion,
     lumped to orbit representatives when ``g.symmetry`` fixes o."""
-    if not isinstance(m_max, int):
-        raise ValueError(f"m_max must be an integer, got {m_max!r}")
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+    check_order(m_max, "m_max")
     sym = getattr(g, "symmetry", None)
     if sym is not None and sym.fixes(o):
         rows, depths, sizes = graphs.orbit_ball(g, o, m_max // 2, budget)
@@ -214,16 +213,6 @@ def walk_table(g: Graph, o, m_max: int,
 
 # ---------------------------------------------------------------------------
 # named lattices and their closed forms
-
-
-#: The graph of each 1-D factor, built from p, the path's vertex count.
-#: The path is an implicit graph, so a fold check builds only the ball it
-#: reads.
-_FACTORS = {
-    "Z": lambda p: graphs.integer_line(),
-    "Z+": lambda p: graphs.half_line(),
-    "P": lambda p: graphs.restrict_lattice(f"P{p}", 1, lambda v: 0 <= v[0] < p),
-}
 
 
 @dataclass(frozen=True)
@@ -331,28 +320,32 @@ def build_lattice(kind: str, n: int | None = None, k: int | None = None,
     return lk.build_fn(**_KINDS.params(kind, lk.requires, n=n, k=k, l=l))
 
 
+class _OwnForm(_EvenLaw):
+    # the symmetric law whose even moment M_{2h} is a kind's own form
+    def __init__(self, even: Callable[[int], int]):
+        self.even = even
+
+
 @lru_cache(maxsize=128)
 def _checked_law(kind: str, n: int | None, k: int | None, l: int | None):
-    # (the kind, its product's law or None), once its lattice builds: the
-    # graph constructor checks the sizes.  The last 128 are kept.
+    # the law of a kind, its product's or its own form's, once its lattice
+    # builds: the graph constructor checks the sizes.  The last 128 are kept.
     build_lattice(kind, n, k, l)
     lk = _KINDS[kind]
-    return lk, product_law(lk.product, n=n, k=k, l=l) if lk.product else None
+    return product_law(lk.product, n=n, k=k, l=l) if lk.product else _OwnForm(lk.own_form)
 
 
 def closed_form_walks(kind: str, m: int, n: int | None = None,
                       k: int | None = None, l: int | None = None) -> int:
     """Exact closed form for the length-m closed-walk count of a named kind:
-    the m-th moment of its product's law, or its own form.
+    the m-th moment of its law, its product's or its own form's.
 
-    All named kinds are bipartite, so odd lengths return 0.
+    All named kinds are bipartite, so odd lengths return 0 without summing
+    a Cartesian law's m + 1 terms, each of them 0.
     """
-    lk, law = _checked_law(kind, n, k, l)
-    if m < 0:
-        raise ValueError("walk length must be nonnegative")
-    if m % 2:
-        return 0
-    return lk.own_form(m // 2) if law is None else law.moment(m)
+    law = _checked_law(kind, n, k, l)
+    check_order(m, "walk length")
+    return 0 if m % 2 else law.moment(m)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +372,7 @@ def fold_map(kind: str, n: int | None = None, k: int | None = None,
     source, root = build_lattice(lattice, **params)
     # graphs.kronecker is looked up here, so a wrapped one sees the product
     target = reduce(graphs.kronecker,
-                    [_FACTORS[f](params.get(p)) for f, p in product_terms(lk.product)[0]])
+                    [FACTORS[f].graph(params.get(p)) for f, p in product_terms(lk.product)[0]])
     name = f"{kind}{'x'.join(map(str, params.values()))}-to-kron"
     return IsoMap(_FOLD, (0, 0), source, root, target, (0, 0), name)
 
@@ -396,8 +389,7 @@ def verify_binomial_identity(m: int) -> bool:
     left side counts Z^2 as the Cartesian square of the line (``Z □ Z``),
     the right side as its Kronecker square (``Z ⊗ Z``).
     """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
+    check_order(m, "order")
     return product_law("Z □ Z").moment(2 * m) == product_law("Z ⊗ Z").moment(2 * m)
 
 

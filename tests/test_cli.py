@@ -673,6 +673,16 @@ class TestJsonWriter:
             b=collections.OrderedDict())
         assert _written(doc) == json.dumps(doc, indent=2)
 
+    @settings(max_examples=300, deadline=None)
+    @given(v=st.floats(-1e14, 1e14, exclude_min=True, exclude_max=True,
+                       allow_subnormal=False)
+           | st.sampled_from([math.inf, -math.inf, -4.0, -0.0, 0.0, 4.0, 1e-5, 3.5e-300,
+                              2.2250738585072014e-308, 99999999999999.99]))
+    def test_density_values_are_formatted_once(self, v):
+        # the text written for float(f"{v:.15g}"), with one format of v, on
+        # the normal floats below 1e14 a density grid holds
+        assert cli._json_g15(v) == cli._json_float(float(f"{v:.15g}"))
+
     @pytest.mark.parametrize("bad", [{1, 2}, {"a": [b"x"]}, [object()]])
     def test_other_types_raise_type_error(self, bad):
         with pytest.raises(TypeError):

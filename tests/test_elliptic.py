@@ -322,6 +322,28 @@ class TestToleranceContract:
         with pytest.raises(ValueError, match=r"^tol is too small, got 1e-323: 0.25 \*"):
             density_moment("ww", 2, tol=1e-323)
 
+    def test_unreachable_tolerances_fail_before_the_panel_loop(self):
+        # each fails at once, not after the 100,000-panel budget
+        with pytest.raises(NumericalError, match=r"cannot reach abs_tol=5e-21, rel_tol=5e-21"):
+            mellin_density_convolve(semicircle_density, semicircle_density, 1.0, tol=1e-20)
+        with pytest.raises(NumericalError, match=r"cannot reach abs_tol=2.5e-301, "):
+            density_moment("ww", 2, tol=1e-300)
+        # the first panel's 15 points decide
+        points = []
+        with pytest.raises(NumericalError, match=r"^quadrature on \[0.0, 3.14"):
+            adaptive_quadrature(lambda x: points.append(x) or math.sin(x), 0.0, math.pi,
+                                abs_tol=1e-300, rel_tol=1e-17)
+        assert len(points) == 15
+
+    def test_a_tiny_tolerance_is_judged_against_the_integral(self):
+        # 1e-300 is a share of 5e-11 of this integral, and 1e-17 of the
+        # unit one is met by an abs_tol that double precision resolves
+        val = adaptive_quadrature(lambda x: 1e-290 * math.sin(x), 0.0, math.pi,
+                                  abs_tol=1e-300, rel_tol=1e-300)
+        assert val == pytest.approx(2e-290, rel=1e-9)
+        assert adaptive_quadrature(math.sin, 0.0, math.pi, abs_tol=1e-9, rel_tol=1e-17) == \
+            pytest.approx(2.0, abs=1e-9)
+
 
 KERNEL_PAIRS = [
     ("aa", arcsine_density, arcsine_density),
@@ -458,11 +480,11 @@ class TestBitIdentity:
 _EDGE_FLOATS = st.sampled_from([
     math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -4.0, 1.0, 1e-9, 2.0, 4.0,
     1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]) | st.floats()
-# the same without the tiny positive tolerances, which legitimately run a
-# quadrature to its panel budget
+# tolerances: NaN, +-inf, +-0, negative, tiny and huge ones; below what
+# double precision resolves, a tolerance fails before the panel loop
 _EDGE_TOLS = st.sampled_from([
-    math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-9, -1e300, 1e-9, 1e-6, 1.0, 1e300,
-    1.7976931348623157e308])
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-9, -1e300, 1e-300, 1e-20, 1e-9, 1e-6,
+    1.0, 1e300, 1.7976931348623157e308])
 
 
 def _outcome(call):

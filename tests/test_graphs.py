@@ -489,7 +489,44 @@ def _assert_same_graph(g, h):
         (h.vertices, h.adjacency, h.root, h.name)
 
 
+@st.composite
+def _finite_graphs(draw):
+    # up to 12 distinct points of Z^2 in any order, any edges among them,
+    # an optional root and an optional name
+    verts = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          min_size=1, max_size=12, unique=True))
+    pairs = list(itertools.combinations(verts, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    return FiniteGraph.from_edges(verts, edges, root=draw(st.none() | st.sampled_from(verts)),
+                                  name=draw(st.sampled_from(["", "G"])))
+
+
 class TestComponentsAndSubgraphs:
+    @settings(max_examples=200, deadline=None)
+    @given(g=_finite_graphs())
+    def test_components_split_the_vertices_into_connected_induced_subgraphs(self, g):
+        # the oracle: union-find over the edges
+        parent = {v: v for v in g.vertices}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for a, b in g.edge_set():
+            parent[find(a)] = find(b)
+        classes: dict = {}
+        for v in g.vertices:
+            classes.setdefault(find(v), []).append(v)
+        comps = connected_components(g)
+        # ordered by smallest vertex, each sorted
+        assert [c.vertices for c in comps] == sorted(sorted(c) for c in classes.values())
+        for i, c in enumerate(comps):
+            inside = set(c.vertices)
+            assert c.edge_set() == {e for e in g.edge_set() if e[0] in inside}
+            assert c.name == f"{g.name or 'graph'}[comp{i}]"
+            assert c.root_coords == (g.root_coords if g.root_coords in inside else None)
+
     def test_induced_subgraph_rejects_empty_and_foreign_vertices(self):
         g = path_graph(5)
         with pytest.raises(ValueError, match="graph needs at least one vertex"):

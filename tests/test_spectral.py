@@ -22,6 +22,7 @@ from helpers import (
 from latticewalks import elliptic, graphs, spectral
 from latticewalks.errors import NumericalError, ResourceLimitError
 from latticewalks.spectral import (
+    FACTORS,
     MOMENT_LAWS,
     PRODUCT_FACTORS,
     ArcSine,
@@ -45,6 +46,8 @@ from latticewalks.walks import (
     lattice_kind,
     lattice_walk_kinds,
     path_closed_walks,
+    verify_binomial_identity,
+    walk_count,
     walk_table,
     WalkTable,
 )
@@ -141,11 +144,33 @@ class TestMomentColumns:
                 [reference_path_walks(n, 12) for n in range(2, 9)]
 
     def test_a_float_order_is_never_served_from_a_cache(self):
-        assert (central_binomial(3), catalan(3), path_closed_walks(4, 6)) == (20, 5, 5)
+        # central_binomial(3) is the value computed last, so 4.0 could step
+        # from it
+        with cold_caches():
+            assert (central_binomial(3), catalan(3), path_closed_walks(4, 6)) == (20, 5, 5)
         for call in (lambda: central_binomial(3.0), lambda: catalan(3.0),
-                     lambda: path_closed_walks(4, 6.0), lambda: path_closed_walks(4.0, 6)):
+                     lambda: central_binomial(4.0), lambda: path_closed_walks(4.0, 6)):
             with pytest.raises(TypeError):
                 call()
+        # a float length is an order error before the count is computed
+        with pytest.raises(ValueError, match="^walk length must be an integer, got 6.0$"):
+            path_closed_walks(4, 6.0)
+
+    def test_a_cold_sweep_steps_each_central_binomial_from_the_last(self, monkeypatch):
+        # one comb for h = 0, then c_h = c_{h-1} (4h - 2) / h: a cold sweep
+        # over 4200 orders costs O(digits) per order, not a comb each
+        combs = []
+        monkeypatch.setattr(spectral, "comb", lambda n, k: combs.append((n, k)) or comb(n, k))
+        with cold_caches():
+            sweep = [ArcSine().moment(m) for m in range(0, 8400, 2)]
+        assert combs == [(0, 0)]
+        assert sweep[:401] == [comb(2 * h, h) for h in range(401)]
+        assert sweep[-1] == comb(8398, 4199)
+        # a stride of 2 has no neighbour to step from
+        with cold_caches():
+            assert [central_binomial(h) for h in range(0, 40, 2)] == \
+                [comb(2 * h, h) for h in range(0, 40, 2)]
+        assert len(combs) == 21
 
     def test_spectral_does_not_import_walks(self):
         tree = ast.parse(Path(spectral.__file__).read_text())
@@ -318,6 +343,13 @@ class TestClassicalConvRow:
 
 
 class TestProductLaws:
+    @pytest.mark.parametrize("factor,p", [("Z", None), ("Z+", None), ("P", 2), ("P", 7)])
+    def test_each_factor_declares_its_graph_and_its_law(self, factor, p):
+        # the walk table of the factor's graph at 0 is its law's moments
+        graph, law = FACTORS[factor]
+        table = walk_table(graph(p), (0,), 16)
+        assert [law(p).moment(m) for m in range(17)] == list(table.counts)
+
     def test_terms_and_parameters(self):
         assert product_terms("(Z+ ⊗ Z+) □ Z+") == \
             ((("Z+", ""), ("Z+", "")), (("Z+", ""),))
@@ -521,13 +553,21 @@ _ORDERS = st.sampled_from([
 _LINE = graphs.integer_line()
 # the law of a single vertex: M_0 = 1 and every other moment 0, exactly
 _POINT = walk_table(graphs.path_graph(1), (0,), 10 ** 4)
-_CONTRACT_LAWS = [
+_EXACT_LAWS = [
     ArcSine(), Semicircle(), path_spectrum(2), path_spectrum(11),
-    path_spectrum(5).to_discrete(), Discrete([(0.5, 0.25), (-0.5, 0.25), (0.0, 0.5)]),
     MellinConv(ArcSine(), path_spectrum(3)), MellinConv(Semicircle(), Semicircle()),
     ClassicalConv(_POINT, Semicircle()), ClassicalConv(_POINT, path_spectrum(6)),
     ClassicalConv(walk_table(graphs.half_line(), (0,), 60), Semicircle()),
     walk_table(_LINE, (0,), 80), _POINT]
+# laws with float moments: Discrete ones, and convolutions with a Discrete
+# factor on either side
+_FLOAT_LAWS = [
+    path_spectrum(5).to_discrete(), Discrete([(0.5, 0.25), (-0.5, 0.25), (0.0, 0.5)]),
+    MellinConv(path_spectrum(5).to_discrete(), ArcSine()),
+    MellinConv(Semicircle(), Discrete([(1.5, 0.5), (-1.5, 0.5)])),
+    ClassicalConv(Discrete([(0.0, 1.0)]), ArcSine()),
+    ClassicalConv(ArcSine(), path_spectrum(4).to_discrete()),
+    ClassicalConv(MellinConv(ArcSine(), Discrete([(1.0, 0.5), (-1.0, 0.5)])), _POINT)]
 
 
 def _outcome(call):
@@ -554,14 +594,25 @@ _NON_INTEGER_ORDERS = {
     "walk_table-2.5": lambda: walk_table(_LINE, (0,), 2.5),
     "walk_table-2.0": lambda: walk_table(_LINE, (0,), 2.0),
     "table-2.0": lambda: walk_table(_LINE, (0,), 4)[2.0],
+    "walk_count-2.5": lambda: walk_count(_LINE, (0,), 2.5),
+    "closed_form_walks-2.5": lambda: closed_form_walks("strip", 2.5, n=4),
+    "closed_form_walks-own-3.0": lambda: closed_form_walks("zxzplus", 3.0),
+    "closed_form_walks-nan": lambda: closed_form_walks("z2", math.nan),
+    "path_closed_walks-2.5": lambda: path_closed_walks(4, 2.5),
+    "verify_binomial_identity-2.0": lambda: verify_binomial_identity(2.0),
 }
+
+#: every lattice kind, with parameters where it requires them
+_KINDS = [(kind, {p: 3 for p in lattice_kind(kind).requires}) for kind in lattice_walk_kinds()]
 
 
 class TestOrderContract:
-    """On any order, the laws' ``moment``, ``path_spectrum`` and
-    ``walk_table`` raise ValueError, NumericalError or ResourceLimitError,
-    or return an exact finite value: an int from an exact law, a finite
-    float from a law with float atoms."""
+    """On any order, the laws' ``moment``, ``path_spectrum``,
+    ``walk_table``, ``walk_count``, ``closed_form_walks``,
+    ``path_closed_walks`` and ``verify_binomial_identity`` raise ValueError,
+    NumericalError or ResourceLimitError, or return an exact finite value:
+    an int from an exact law, a finite float from a law with float
+    moments."""
 
     @pytest.mark.parametrize("call", _NON_INTEGER_ORDERS.values(), ids=_NON_INTEGER_ORDERS)
     def test_non_integer_orders_rejected(self, call):
@@ -577,18 +628,60 @@ class TestOrderContract:
             walk_table(_LINE, (0,), -1)
         with pytest.raises(ValueError, match=r"^walk length -1 outside table range 0\.\.4$"):
             walk_table(_LINE, (0,), 4)[-1]
+        with pytest.raises(ValueError, match="^m_max must be nonnegative$"):
+            walk_count(_LINE, (0,), -1)
+        for kind, params in _KINDS:
+            with pytest.raises(ValueError, match="^walk length must be nonnegative$"):
+                closed_form_walks(kind, -2, **params)
+        with pytest.raises(ValueError, match="^walk length must be nonnegative$"):
+            path_closed_walks(4, -2)
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            verify_binomial_identity(-1)
 
     def test_float_moments_that_overflow_raise(self):
         with pytest.raises(NumericalError, match="overflows a float"):
             path_spectrum(5).to_discrete().moment(2000)
+        # an exact factor times a float one, beyond the float range
+        with pytest.raises(NumericalError, match="^moment order 10000 overflows a float$"):
+            ClassicalConv(Discrete([(0.0, 1.0)]), ArcSine()).moment(10 ** 4)
+        with pytest.raises(NumericalError, match="^moment order 600 overflows a float$"):
+            MellinConv(path_spectrum(5).to_discrete(), ArcSine()).moment(600)
 
     @settings(max_examples=250, deadline=None)
-    @given(law=st.sampled_from(_CONTRACT_LAWS), m=_ORDERS)
+    @given(law=st.sampled_from(_EXACT_LAWS + _FLOAT_LAWS), m=_ORDERS)
     def test_moment(self, law, m):
         value = _outcome(lambda: law.moment(m))
-        assert value is None or type(value) is int or (
-            type(value) is float and math.isfinite(value)
-            and isinstance(law, Discrete)), (law, m, value)
+        assert value is None or (type(value) is int and law in _EXACT_LAWS) or (
+            type(value) is float and math.isfinite(value) and law in _FLOAT_LAWS), \
+            (law, m, value)
+
+    # ints up to 600: a Cartesian closed form of order m sums m + 1 big terms
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(_KINDS),
+           m=_ORDERS.filter(lambda m: not isinstance(m, int) or m <= 600))
+    def test_closed_form_walks(self, kind, m):
+        kind, params = kind
+        value = _outcome(lambda: closed_form_walks(kind, m, **params))
+        assert value is None or (type(value) is int and value >= 0 and (value == 0) == m % 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 40), m=_ORDERS)
+    def test_path_closed_walks(self, n, m):
+        value = _outcome(lambda: path_closed_walks(n, m))
+        assert value is None or (type(value) is int and (
+            m > 400 or value == reference_path_walks(n, m)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=_ORDERS.filter(lambda m: not isinstance(m, int) or m <= 300))
+    def test_verify_binomial_identity(self, m):
+        assert _outcome(lambda: verify_binomial_identity(m)) in (None, True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=_ORDERS)
+    def test_walk_count(self, m):
+        value = _outcome(lambda: walk_count(*build_lattice("strip", n=3), m, budget=300))
+        assert value is None or (type(value) is int and value == closed_form_walks(
+            "strip", m, n=3))
 
     @settings(max_examples=100, deadline=None)
     @given(n=_ORDERS)

@@ -26,7 +26,7 @@ from helpers import (
     reference_closed_form,
     vector_walk_counts,
 )
-from latticewalks import graphs
+from latticewalks import graphs, walks
 from latticewalks.cli import CAP_3D, CAP_12D
 from latticewalks.errors import ResourceLimitError
 from latticewalks.spectral import ClassicalConv, MellinConv
@@ -398,9 +398,14 @@ FROZEN_EVEN_TABLES = {kind: [REFERENCE_FORMS[kind](h) for h in range(size)]
 
 
 class TestClosedForms:
-    def test_odd_lengths_are_zero(self):
+    def test_odd_lengths_are_zero(self, monkeypatch):
         for kind in ("z", "wedge", "bcc3"):
             assert closed_form_walks(kind, 7) == 0
+        # every named kind is bipartite, so an odd length reads no law: a
+        # Cartesian one would sum m + 1 terms, each of them 0
+        monkeypatch.setattr(walks, "_checked_law", lambda kind, n, k, l: None)
+        for kind in lattice_walk_kinds():
+            assert closed_form_walks(kind, 2001) == 0
 
     @pytest.mark.parametrize("kind", sorted(FROZEN_EVEN_TABLES))
     def test_frozen_tables(self, kind):
