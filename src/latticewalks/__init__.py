@@ -3,9 +3,9 @@ lattices, with the matching spectral distributions and product densities.
 
 The package splits into four layers:
 
-- :mod:`latticewalks.graphs`: graphs on integer coordinate tuples, Kronecker
-  and Cartesian products, lattice restrictions, balls, and checked
-  coordinate-change isomorphisms.
+- :mod:`latticewalks.graphs`: graphs on integer coordinate tuples, step
+  lattices (steps cut by walls), Kronecker and Cartesian products, balls,
+  and checked coordinate-change isomorphisms.
 - :mod:`latticewalks.walks`: exact big-integer closed-walk counts, the named
   lattice registry with closed forms and folds onto Kronecker products, and
   coincidence tuples ``(m, count_a, count_b)`` for pairs of rooted graphs.  A
@@ -46,6 +46,7 @@ from .graphs import (
     induced_subgraph,
     integer_line,
     kronecker,
+    lattice,
     path_graph,
     quarter_plane,
     restrict_lattice,
@@ -122,6 +123,7 @@ __all__ = [
     "induced_subgraph",
     "integer_line",
     "kronecker",
+    "lattice",
     "lattice_kind",
     "lattice_walk_kinds",
     "mellin_density_convolve",

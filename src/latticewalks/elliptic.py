@@ -226,6 +226,15 @@ def _check_tol(name: str, tol: float, share: float = 1.0) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
 
 
+class _Unresolvable(NumericalError):
+    """A quadrature tolerance, named by ``tols``, finer than doubles
+    resolve of the first panel's estimate, which ``detail`` states."""
+
+    def __init__(self, where: str, tols: str, detail: str):
+        super().__init__(f"{where} cannot reach {tols}: {detail}")
+        self.where, self.detail = where, detail
+
+
 def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
                         abs_tol: float = 1e-9, rel_tol: float = 1e-9,
                         panel_budget: int = DEFAULT_PANEL_BUDGET) -> float:
@@ -250,9 +259,9 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     val, err = _gk_panel(f, a, b)
     floor = _DBL_EPS * abs(val)
     if max(abs_tol, rel_tol * abs(val)) < floor:
-        raise NumericalError(f"quadrature on [{a}, {b}] cannot reach abs_tol={abs_tol!r}, "
-                             f"rel_tol={rel_tol!r}: doubles resolve about {floor:.3e} "
-                             f"of an integral near {val:.3e}")
+        raise _Unresolvable(f"quadrature on [{a}, {b}]",
+                            f"abs_tol={abs_tol!r}, rel_tol={rel_tol!r}",
+                            f"doubles resolve about {floor:.3e} of an integral near {val:.3e}")
     panels = 1
     heap = [(-err, 0, a, b, val, err)]
     seq = 1
@@ -289,6 +298,16 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
         total_val, total_err = exact_val, exact_err
 
 
+def _quadrature_share(f: Callable[[float], float], a: float, b: float,
+                      tol: float, share: float) -> float:
+    # adaptive_quadrature at abs_tol = rel_tol = share * tol, which fails
+    # fast naming the caller's tol
+    try:
+        return adaptive_quadrature(f, a, b, abs_tol=share * tol, rel_tol=share * tol)
+    except _Unresolvable as exc:
+        raise _Unresolvable(exc.where, f"tol={tol!r}", exc.detail) from None
+
+
 # ---------------------------------------------------------------------------
 # Mellin convolution and moments of the product densities
 
@@ -318,7 +337,8 @@ def mellin_density_convolve(f: Callable[[float], float],
     rounding to stay below tol ((2 - x/2) * tol < 1e-14), NumericalError
     is raised instead of returning an inaccurate value.  tol must be
     finite and > 0, and 0.5 * tol must not round to 0; one finer than
-    doubles resolve fails fast (see :func:`adaptive_quadrature`).
+    doubles resolve fails fast with a NumericalError that names tol (see
+    :func:`adaptive_quadrature`).
     """
     _check_tol("tol", tol, 0.5)
     if not x > 0.0:
@@ -343,8 +363,7 @@ def mellin_density_convolve(f: Callable[[float], float],
         # is finite, so drop it rather than poison the sum
         return v if isfinite(v) else 0.0
 
-    val = adaptive_quadrature(integrand, 0.0, pi,
-                              abs_tol=0.5 * tol, rel_tol=0.5 * tol)
+    val = _quadrature_share(integrand, 0.0, pi, tol, 0.5)
     return 2.0 * val
 
 
@@ -360,7 +379,8 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     [0, 1e-6] from the leading asymptotics; the rest is adaptive
     quadrature.  Absolute error is below tol * max(1, result), for a
     finite tol > 0 whose quarter does not round to 0; one finer than
-    doubles resolve fails fast (see :func:`adaptive_quadrature`).
+    doubles resolve fails fast with a NumericalError that names tol (see
+    :func:`adaptive_quadrature`).
     """
     c, d, value = _KERNELS[kind]
     if m < 0 or m % 2:
@@ -374,6 +394,5 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     def integrand(x: float) -> float:
         return x ** m * value(x)
 
-    tail = adaptive_quadrature(integrand, eps, 4.0,
-                               abs_tol=0.25 * tol, rel_tol=0.25 * tol)
+    tail = _quadrature_share(integrand, eps, 4.0, tol, 0.25)
     return 2.0 * (head + tail)

@@ -3,6 +3,15 @@
 Every vertex is a fixed-length tuple of ints.  Product graphs concatenate
 coordinate tuples, so base graphs, Kronecker/Cartesian products, and
 restricted lattices all share one hash-friendly vertex representation.
+
+Every named graph but the finite path is a step lattice (:func:`lattice`):
+the points of Z^d inside walls a . v >= b, with edges v ~ v + s for s in
+a set of steps closed under negation, such as the half plane, Z^2 with
+unit steps cut by x - y >= 0.  The Kronecker product of two step lattices
+pairs their steps (Z with Z gives (+-1, +-1)), the Cartesian product pads
+each factor's steps with zeros, and both keep every wall, so products of
+step lattices are step lattices.
+
 Infinite graphs are neighbor-function views and are never materialized:
 exact computation always goes through :func:`ball`, which cuts the finite
 induced subgraph of bounded graph distance around a root, or through
@@ -22,7 +31,10 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from math import factorial
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .errors import KindTable, ResourceLimitError, check_path
@@ -222,8 +234,9 @@ def reflection(sigma: Callable[[Coords], Coords]) -> Symmetry:
 class ImplicitGraph:
     """Locally finite graph given by a neighbor function on coordinate tuples.
 
-    ``neighbor_fn`` must describe a simple graph: ``w`` is a neighbor of
-    ``v`` exactly when ``v`` is a neighbor of ``w``, and never ``v`` itself.
+    ``neighbor_fn(v)`` returns a list or tuple that names each neighbor of
+    v once, and must describe a simple graph: ``w`` is a neighbor of ``v``
+    exactly when ``v`` is a neighbor of ``w``, and never ``v`` itself.
     :func:`ball` trusts this and does not re-check the adjacency it builds.
     ``contains_fn`` is optional; when present it lets callers validate
     roots before expanding balls.  ``symmetry`` is optional too: a group
@@ -232,17 +245,26 @@ class ImplicitGraph:
     :mod:`latticewalks.walks` set it: signed coordinate permutations on
     Z, Z^2 and the Kronecker and Cartesian cubes of Z, and a mirror
     through the root on the half plane, wedge, strip, quarter plane and
-    chamber and their product forms.
+    chamber and their product forms.  A step lattice (:func:`lattice`)
+    keeps its ``steps`` and its ``walls``, ``(a, b)`` for each half space
+    a . v >= b; :func:`restrict_lattice` keeps its unit steps and no walls.
     """
 
     dimension: int
-    neighbor_fn: Callable[[Coords], Iterable[Coords]]
+    neighbor_fn: Callable[[Coords], Sequence[Coords]]
     name: str
     contains_fn: Callable[[Coords], bool] | None = None
     symmetry: Symmetry | None = None
+    steps: tuple[Coords, ...] | None = None
+    walls: tuple[tuple[Coords, int], ...] | None = None
 
     def neighbors(self, v) -> tuple[Coords, ...]:
-        return tuple(sorted(set(self.neighbor_fn(_as_coords(v)))))
+        # a step lattice's neighbor function tests only the walls a step
+        # can cross, so it is asked only at vertices
+        t = _as_coords(v)
+        if t not in self:
+            raise KeyError(t)
+        return tuple(sorted(self.neighbor_fn(t)))
 
     def __contains__(self, v) -> bool:
         try:
@@ -257,13 +279,12 @@ class ImplicitGraph:
 Graph = Union[FiniteGraph, ImplicitGraph]
 
 
-def _neighbor_fn(g: Graph) -> Callable[[Coords], Iterable[Coords]]:
+def _neighbor_fn(g: Graph) -> Callable[[Coords], Sequence[Coords]]:
     """Unvalidated neighbor function of g for internal use.
 
-    It takes a coordinate tuple already known to be well formed and may
-    return the neighbors in any order, with repeats; callers that need the
-    neighbor *set* deduplicate.  The public ``neighbors`` methods validate
-    and sort.
+    It takes a coordinate tuple already known to be well formed and
+    returns its neighbors in any order, each once.  The public
+    ``neighbors`` methods validate and sort.
     """
     if isinstance(g, FiniteGraph):
         verts, adj, index = g.vertices, g.adjacency, g._index
@@ -285,22 +306,102 @@ def path_graph(n: int) -> FiniteGraph:
 
 def integer_line() -> ImplicitGraph:
     """The two-sided integer line with nearest-neighbor edges."""
-    return ImplicitGraph(
-        1,
-        lambda v: ((v[0] - 1,), (v[0] + 1,)),
-        "Z",
-        lambda v: True,
-    )
+    return lattice("Z", _unit_steps(1), ())
 
 
 def half_line() -> ImplicitGraph:
     """Nonnegative integers 0 -- 1 -- 2 -- ... with nearest-neighbor edges."""
+    return lattice("Z+", _unit_steps(1), [((1,), 0)])
 
-    def nbrs(v: Coords) -> tuple[Coords, ...]:
-        u = v[0]
-        return ((u + 1,),) if u == 0 else ((u - 1,), (u + 1,))
 
-    return ImplicitGraph(1, nbrs, "Z+", lambda v: v[0] >= 0)
+# ---------------------------------------------------------------------------
+# step lattices
+
+#: The neighbor functions kept, one per (steps, wall normals) pair.
+_LATTICE_CODE_CACHE = 64
+
+
+def _unit_steps(d: int) -> tuple[Coords, ...]:
+    # +-1 in one coordinate: the nearest-neighbor steps of Z^d
+    return tuple(tuple(sign * (i == j) for j in range(d))
+                 for i in range(d) for sign in (1, -1))
+
+
+def _linear(a: Coords, xs: list[str]) -> str:
+    # a . x as Python source, such as "x0 - x1" or "-x0 + 2 * x2"; "0" for a = 0
+    src = "".join(f" {'-' if c < 0 else '+'} {x if abs(c) == 1 else f'{abs(c)} * {x}'}"
+                  for c, x in zip(a, xs) if c)
+    if not src:
+        return "0"
+    return src[3:] if src.startswith(" + ") else "-" + src[3:]
+
+
+@lru_cache(maxsize=_LATTICE_CODE_CACHE)
+def _lattice_code(steps: tuple[Coords, ...], normals: tuple[Coords, ...],
+                  predicate: bool) -> Callable[..., tuple[Callable, Callable]]:
+    # make(b_0, ..., b_k[, inside]) -> (nbrs, inside) for the lattice on
+    # Z^d with these steps inside the walls a_j . v >= b_j.  The source is
+    # generated once, so the bounds, and the predicate of restrict_lattice,
+    # are arguments and every size of a lattice shares one code object.
+    # Slack s_j = a_j . v - b_j is taken once per vertex; step t keeps it
+    # >= 0 exactly when s_j >= -a_j . t for each wall it can cross
+    # (a_j . t < 0), so it tests only those, and steps with the same test
+    # share one branch.
+    xs = [f"x{i}" for i in range(len(steps[0]))]
+    bounds = [f"b{j}" for j in range(len(normals))]
+    comma = "," if len(xs) == 1 else ""  # of a 1-tuple
+    unpack = f"{', '.join(xs)}{comma} = v"
+    tests: dict[str, list[str]] = {}
+    for t in steps:
+        need = " and ".join(f"s{j} >= {-c}" for j, a in enumerate(normals)
+                            if (c := sum(map(mul, a, t))) < 0)
+        coords = [f"{x} + {c}" if c > 0 else f"{x} - {-c}" if c else x
+                  for x, c in zip(xs, t)]
+        tests.setdefault(need, []).append(f"({', '.join(coords)}{comma})")
+    lines = [f"def make({', '.join([*bounds, 'inside'] if predicate else bounds)}):"]
+    if not predicate:
+        lines += ["    def inside(v):", f"        {unpack}",
+                  "        return " + (" and ".join(f"{_linear(a, xs)} >= {b}"
+                                                    for a, b in zip(normals, bounds))
+                                     or "True")]
+    lines += ["    def nbrs(v):", f"        {unpack}"]
+    lines += [f"        s{j} = {_linear(a, xs)} - {b}" for j, (a, b) in
+              enumerate(zip(normals, bounds))]
+    lines.append(f"        out = [{', '.join(tests.pop('', []))}]")
+    for need, ts in tests.items():
+        lines += [f"        if {need}:", f"            out += ({', '.join(ts)},)"]
+    lines += ["        return [w for w in out if inside(w)]" if predicate else
+              "        return out", "    return nbrs, inside"]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<lattice steps={steps} walls={normals}>", "exec"),
+         namespace)
+    return namespace["make"]
+
+
+def lattice(name: str, steps: Iterable[Coords],
+            walls: Iterable[tuple[Coords, int]]) -> ImplicitGraph:
+    """The graph on the points v of Z^d inside the walls ``a . v >= b``,
+    one ``(a, b)`` pair each, with edges v ~ v + s for s in ``steps``.
+
+    The steps must be distinct nonzero int tuples of one length d, closed
+    under negation, so the graph is simple; each wall normal a is an int
+    tuple of length d.  Its neighbor function is generated from the steps
+    and the normals (the bounds b are its arguments) and tests for each
+    step only the walls it can cross.
+    """
+    steps = tuple(map(tuple, steps))
+    walls = tuple((tuple(a), b) for a, b in walls)
+    d = len(steps[0]) if steps else 0
+    vectors = [*steps, *(a for a, _ in walls)]
+    if (not d or any(len(s) != d or not all(type(c) is int for c in s) for s in vectors)
+            or len(set(steps)) != len(steps) or (0,) * d in steps
+            or {tuple(-c for c in s) for s in steps} != set(steps)):
+        raise ValueError(f"{name}: steps must be distinct nonzero int tuples of one "
+                         "length, closed under negation, and wall normals int tuples "
+                         "of that length")
+    nbrs, inside = _lattice_code(steps, tuple(a for a, _ in walls), False)(
+        *(b for _, b in walls))
+    return ImplicitGraph(d, nbrs, name, inside, steps=steps, walls=walls)
 
 
 # ---------------------------------------------------------------------------
@@ -312,60 +413,55 @@ def restrict_lattice(name: str, dimension: int,
     """Nearest-neighbor graph ``lattice[name]`` on the points of
     Z^dimension where ``inside`` holds.
 
-    Edges move +-1 in exactly one coordinate and stay inside the domain.
+    Edges move +-1 in exactly one coordinate and stay inside the domain;
+    the neighbor function tests ``inside`` on each candidate.
     """
+    steps = _unit_steps(dimension)
+    nbrs, _ = _lattice_code(steps, (), True)(inside)
+    return ImplicitGraph(dimension, nbrs, f"lattice[{name}]", inside, steps=steps)
 
-    def nbrs(v: Coords) -> list[Coords]:
-        out = []
-        for i in range(dimension):
-            head, x, tail = v[:i], v[i], v[i + 1:]
-            for y in (x - 1, x + 1):
-                w = head + (y,) + tail
-                if inside(w):
-                    out.append(w)
-        return out
 
-    return ImplicitGraph(dimension, nbrs, f"lattice[{name}]", inside)
+def _domain(name: str, dimension: int, walls) -> ImplicitGraph:
+    # the nearest-neighbor lattice[name] inside the walls
+    return lattice(f"lattice[{name}]", _unit_steps(dimension), walls)
 
 
 def full_plane() -> ImplicitGraph:
-    return restrict_lattice("Z^2", 2, lambda v: True)
+    return _domain("Z^2", 2, ())
 
 
 def half_plane() -> ImplicitGraph:
     """Lattice points with x >= y."""
-    return restrict_lattice("x>=y", 2, lambda v: v[0] >= v[1])
+    return _domain("x>=y", 2, [((1, -1), 0)])
 
 
 def strip(n: int) -> ImplicitGraph:
     """Diagonal strip x >= y >= x-(n-1), i.e. x-y confined to 0..n-1."""
     if n < 2:
         raise ValueError("strip width must be at least 2")
-    return restrict_lattice(f"x>=y>=x-{n - 1}", 2,
-                            lambda v: v[0] >= v[1] >= v[0] - (n - 1))
+    return _domain(f"x>=y>=x-{n - 1}", 2, [((1, -1), 0), ((-1, 1), 1 - n)])
 
 
 def wedge() -> ImplicitGraph:
     """Wedge x >= y >= -x (an eighth of the plane, closed under reflection)."""
-    return restrict_lattice("x>=y>=-x", 2, lambda v: v[0] >= v[1] >= -v[0])
+    return _domain("x>=y>=-x", 2, [((1, -1), 0), ((1, 1), 0)])
 
 
 def diamond(k: int, l: int) -> ImplicitGraph:
     """Finite diamond 0 <= x+y <= k-1, 0 <= x-y <= l-1."""
     if k < 2 or l < 2:
         raise ValueError("diamond side lengths must be at least 2")
-    return restrict_lattice(
-        f"0<=x+y<={k - 1},0<=x-y<={l - 1}", 2,
-        lambda v: 0 <= v[0] + v[1] <= k - 1 and 0 <= v[0] - v[1] <= l - 1)
+    return _domain(f"0<=x+y<={k - 1},0<=x-y<={l - 1}", 2,
+                   [((1, 1), 0), ((-1, -1), 1 - k), ((1, -1), 0), ((-1, 1), 1 - l)])
 
 
 def quarter_plane() -> ImplicitGraph:
-    return restrict_lattice("x>=0,y>=0", 2, lambda v: v[0] >= 0 and v[1] >= 0)
+    return _domain("x>=0,y>=0", 2, [((1, 0), 0), ((0, 1), 0)])
 
 
 def chamber3() -> ImplicitGraph:
     """Ordered chamber x >= y >= z in Z^3."""
-    return restrict_lattice("x>=y>=z", 3, lambda v: v[0] >= v[1] >= v[2])
+    return _domain("x>=y>=z", 3, [((1, -1, 0), 0), ((0, 1, -1), 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +469,20 @@ def chamber3() -> ImplicitGraph:
 
 
 def _product(g1: Graph, g2: Graph, mode: str) -> Graph:
+    # A product of two step lattices is the step lattice of the paired
+    # steps (Kronecker) or of each factor's steps padded with zeros
+    # (Cartesian), inside both factors' walls.  Any other pair composes the
+    # factors' neighbor functions, and two finite ones give the induced
+    # graph on all vertex pairs.
     tag = "kron" if mode == "kron" else "cart"
     name = f"{tag}({g1.name or 'G1'},{g2.name or 'G2'})"
     d1 = g1.dimension
+    if getattr(g1, "walls", None) is not None and getattr(g2, "walls", None) is not None:
+        z1, z2 = (0,) * d1, (0,) * g2.dimension
+        steps = ([a + b for a in g1.steps for b in g2.steps] if mode == "kron" else
+                 [a + z2 for a in g1.steps] + [z1 + b for b in g2.steps])
+        return lattice(name, steps, [(a + z2, b) for a, b in g1.walls]
+                       + [(z1 + a, b) for a, b in g2.walls])
     n1, n2 = _neighbor_fn(g1), _neighbor_fn(g2)
 
     if mode == "kron":
@@ -426,13 +533,25 @@ PRODUCT_KINDS = KindTable("product", {
 # finite truncations and component structure
 
 
+class _Canonical(dict):
+    # canon(w) by w, computed the first time w is looked up
+    def __init__(self, canon: Callable[[Coords], Coords]):
+        self.canon = canon
+
+    def __missing__(self, w: Coords) -> Coords:
+        c = self[w] = self.canon(w)
+        return c
+
+
 def _expand(g: Graph, root, radius: int, budget: int, sym: Symmetry | None
-            ) -> tuple[dict[Coords, int], list[list[int]], list[int], list[int], bool]:
+            ) -> tuple[dict[Coords, int], list[list[int]], list[int], list[int] | None,
+                       bool]:
     # The quotient of the ball by sym, a group that must fix the root:
     # (index, rows, depths, sizes, truncated), where index maps each orbit
     # representative to its position, rows, depths and sizes are as
-    # orbit_ball returns them, and truncated tells whether the outermost
-    # layer lost neighbors beyond the radius.
+    # orbit_ball returns them (sizes is None under the trivial group), and
+    # truncated tells whether the outermost layer lost neighbors beyond
+    # the radius.
     r = _as_coords(root)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -445,22 +564,38 @@ def _expand(g: Graph, root, radius: int, budget: int, sym: Symmetry | None
     if sym is None or not sym.fixes(r):
         raise ValueError(f"root {r} is not fixed by a symmetry of {g.name or 'graph'}")
 
-    # Each vertex's neighbor set is computed once.  A vertex at depth d has
-    # neighbors only at depths d-1, d, d+1, so a layer's rows become index
-    # rows as soon as the next layer is indexed.  The budget counts the
-    # vertices the representatives stand for.
-    canon, orbit_size, nbrs = sym.canon, sym.orbit_size, _neighbor_fn(g)
+    # Each vertex's neighbors are listed once, and each distinct neighbor
+    # is canonicalised once; under the trivial group a vertex is its own
+    # representative.  A vertex at depth d has neighbors only at depths
+    # d-1, d, d+1, so a layer's rows become index rows as soon as the next
+    # layer is indexed.  The budget counts the vertices the
+    # representatives stand for.
+    nbrs = _neighbor_fn(g)
+    trivial = sym is _TRIVIAL
+    if trivial:
+        def reps(frontier: list[Coords]) -> list[Sequence[Coords]]:
+            return list(map(nbrs, frontier))
+        sizes = None
+    else:
+        rep = _Canonical(sym.canon).__getitem__
+
+        def reps(frontier: list[Coords]) -> list[Sequence[Coords]]:
+            return [list(map(rep, nbrs(v))) for v in frontier]
+        sizes = [1]
     index = {r: 0}
     depths = [0]
-    sizes = [1]
     kept = 1
     rows: list[list[int]] = []
     frontier = [r]
     for d in range(radius):
-        layer = [[canon(w) for w in set(nbrs(v))] for v in frontier]
-        fresh = sorted({c for row in layer for c in row if c not in index})
-        fresh_sizes = [orbit_size(c) for c in fresh]
-        added = sum(fresh_sizes)
+        layer = reps(frontier)
+        fresh = sorted(set(chain.from_iterable(layer)).difference(index))
+        if trivial:
+            added = len(fresh)
+        else:
+            fresh_sizes = list(map(sym.orbit_size, fresh))
+            added = sum(fresh_sizes)
+            sizes += fresh_sizes
         if kept + added > budget:
             raise ResourceLimitError(
                 f"ball of radius {radius} around {r} exceeds vertex budget {budget}: "
@@ -468,9 +603,8 @@ def _expand(g: Graph, root, radius: int, budget: int, sym: Symmetry | None
                 f"{kept} kept through layer {d}")
         index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
         depths.extend([d + 1] * len(fresh))
-        sizes.extend(fresh_sizes)
         kept += added
-        rows.extend([index[c] for c in row] for row in layer)
+        rows.extend(list(map(index.__getitem__, row)) for row in layer)
         frontier = fresh
         if not frontier:
             break
@@ -478,8 +612,8 @@ def _expand(g: Graph, root, radius: int, budget: int, sym: Symmetry | None
     # outermost layer: neighbors beyond the radius are cut off
     truncated = False
     get = index.get
-    for v in frontier:
-        row = [get(canon(w)) for w in set(nbrs(v))]
+    for row in reps(frontier):
+        row = list(map(get, row))
         if None in row:
             truncated = True
             row = [j for j in row if j is not None]

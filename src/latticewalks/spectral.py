@@ -20,6 +20,11 @@ The rows of the paper's table are product strings such as ``"Z ⊗ P_n"``:
 ``ClassicalConv`` over □.  The lattice closed forms, the product
 densities and the ``moments`` kinds are all such strings.
 
+A law whose ``symmetric`` is true has every odd moment exactly 0: the
+even laws and ``Discrete``, a Mellin convolution with a symmetric factor,
+and a classical convolution of two.  ``ClassicalConv`` steps past the odd
+orders of a symmetric left factor without asking for them.
+
 An order is a nonnegative int (:func:`latticewalks.errors.check_order`).
 A float moment (of ``Discrete``, or a convolution with a ``Discrete``
 factor) beyond the float range is a NumericalError.
@@ -116,6 +121,8 @@ def path_closed_walks(n: int, m: int) -> int:
 class _EvenLaw:
     """A symmetric law whose even moment M_{2h} is ``even(h)``."""
 
+    symmetric = True
+
     def moment(self, m: int) -> int:
         check_order(m, "moment order")
         return 0 if m % 2 else self.even(m // 2)
@@ -168,6 +175,8 @@ class Discrete(_FloatRange):
     0 may be unpaired).  A moment beyond the float range is a NumericalError.
     """
 
+    symmetric = True
+
     def __init__(self, atoms):
         pairs = sorted((float(a), float(w)) for a, w in atoms)
         if not pairs:
@@ -192,32 +201,44 @@ class Discrete(_FloatRange):
         return 0.0 if m % 2 else sum(w * a ** m for a, w in self.atoms)
 
 
+def _symmetric(law) -> bool:
+    # whether law says its odd moments are all 0; a walk table knows them
+    # only up to its length, so it does not
+    return getattr(law, "symmetric", False)
+
+
 class ClassicalConv(_FloatRange):
-    """Classical convolution: moments obey the binomial convolution."""
+    """Classical convolution: moments obey the binomial convolution.  It
+    is symmetric when both factors are."""
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+        self.symmetric = _symmetric(left) and _symmetric(right)
 
     def _moment(self, m: int) -> Number:
-        # binom(m, k) steps along the row, exactly; a term whose left
-        # moment is 0 (every odd k of a symmetric law) is skipped
+        # binom(m, k) steps along the row, exactly; over a symmetric left
+        # law k steps by 2 past its odd moments, and any term whose left
+        # moment is 0 is skipped
         left, right = self.left.moment, self.right.moment
+        step = 2 if _symmetric(self.left) else 1
         total, c = 0, 1
-        for k in range(m + 1):
+        for k in range(0, m + 1, step):
             lk = left(k)
             if lk:
                 total += c * lk * right(m - k)
-            c = c * (m - k) // (k + 1)
+            c = c * perm(m - k, step) // perm(k + step, step)
         return total
 
 
 class MellinConv(_FloatRange):
-    """Multiplicative (Mellin) convolution: moments multiply entrywise."""
+    """Multiplicative (Mellin) convolution: moments multiply entrywise.  It
+    is symmetric when either factor is."""
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+        self.symmetric = _symmetric(left) or _symmetric(right)
 
     def _moment(self, m: int) -> Number:
         return self.left.moment(m) * self.right.moment(m)
@@ -276,12 +297,14 @@ class Factor(NamedTuple):
     law: Callable[[int | None], _EvenLaw]
 
 
-#: The 1-D factors.  The path is an implicit graph, so a fold check builds
-#: only the ball it reads; path_spectrum is looked up at call time.
+#: The 1-D factors.  The path is the lattice 0 <= x <= p-1, so a fold
+#: check builds only the ball it reads; path_spectrum is looked up at call
+#: time.
 FACTORS = KindTable("factor", {
     "Z": Factor(lambda p: graphs.integer_line(), lambda p: ArcSine()),
     "Z+": Factor(lambda p: graphs.half_line(), lambda p: Semicircle()),
-    "P": Factor(lambda p: graphs.restrict_lattice(f"P{p}", 1, lambda v: 0 <= v[0] < p),
+    "P": Factor(lambda p: graphs.lattice(f"lattice[P{p}]", ((1,), (-1,)),
+                                         [((1,), 0), ((-1,), 1 - p)]),
                 lambda p: path_spectrum(p)),
 })
 

@@ -15,7 +15,11 @@ from the builders.  `REFERENCE_FORMS` restates every kind's closed form
 with ``math.comb`` and `reference_path_walks`, the unpaired reflection
 sum, so the library's cached exact moments are checked, not echoed;
 `cold_caches` runs a block on empty moment caches (bounded LRU caches of
-4096 entries each).
+4096 entries each).  `composed_product` builds a product of two graphs by
+composing their public ``neighbors`` and membership, and
+`REFERENCE_LATTICES` writes every named lattice and fold target out as
+its steps and the predicate of its domain; `predicate_lattice` turns such
+a pair into a graph.
 """
 
 from __future__ import annotations
@@ -124,6 +128,61 @@ def path_adjacency(n: int) -> list[list[int]]:
 def as_implicit(g: FiniteGraph) -> ImplicitGraph:
     """The same graph as a neighbor-function view."""
     return ImplicitGraph(g.dimension, g.neighbors, "implicit", g.__contains__)
+
+
+def composed_product(g1, g2, kron: bool) -> ImplicitGraph:
+    """The Kronecker (both factors move) or Cartesian (one factor moves)
+    product of two graphs by composing their neighbor lists."""
+    d1 = g1.dimension
+
+    def nbrs(v):
+        a, b = v[:d1], v[d1:]
+        if kron:
+            return [na + nb for na in g1.neighbors(a) for nb in g2.neighbors(b)]
+        return [na + b for na in g1.neighbors(a)] + [a + nb for nb in g2.neighbors(b)]
+
+    return ImplicitGraph(d1 + g2.dimension, nbrs, "composed",
+                         lambda v: v[:d1] in g1 and v[d1:] in g2)
+
+
+def predicate_lattice(steps, inside, symmetry=None) -> ImplicitGraph:
+    """The graph on the points where ``inside`` holds, with edges v ~ v + s
+    for s in ``steps``, each candidate tested by ``inside``."""
+    return ImplicitGraph(
+        len(steps[0]),
+        lambda v: [w for w in (tuple(map(sum, zip(v, s))) for s in steps) if inside(w)],
+        "predicate", inside, symmetry)
+
+
+_UNIT = {d: [tuple(c * (i == j) for j in range(d)) for i in range(d) for c in (1, -1)]
+         for d in (1, 2, 3)}
+_DIAGONAL = [(a, b) for a in (1, -1) for b in (1, -1)]
+
+#: Each named lattice kind and each fold's target (keyed "fold:<name>") as
+#: a function of its parameters to (steps, domain predicate).
+REFERENCE_LATTICES = {
+    "z": lambda: (_UNIT[1], lambda v: True),
+    "zplus": lambda: (_UNIT[1], lambda v: v[0] >= 0),
+    "zplus-at-1": lambda: (_UNIT[1], lambda v: v[0] >= 0),
+    "z2": lambda: (_UNIT[2], lambda v: True),
+    "halfplane": lambda: (_UNIT[2], lambda v: v[0] >= v[1]),
+    "wedge": lambda: (_UNIT[2], lambda v: v[0] >= v[1] >= -v[0]),
+    "quarterplane": lambda: (_UNIT[2], lambda v: v[0] >= 0 and v[1] >= 0),
+    "zxzplus": lambda: (_UNIT[2], lambda v: v[0] >= 0 and v[1] >= 0),
+    "strip": lambda n: (_UNIT[2], lambda v: v[0] >= v[1] >= v[0] - (n - 1)),
+    "diamond": lambda k, l: (_UNIT[2], lambda v: 0 <= v[0] + v[1] <= k - 1
+                             and 0 <= v[0] - v[1] <= l - 1),
+    "bcc3": lambda: ([(a, b, c) for a, b in _DIAGONAL for c in (1, -1)], lambda v: True),
+    "z3cartesian": lambda: (_UNIT[3], lambda v: True),
+    "chamber3": lambda: (_UNIT[3], lambda v: v[0] >= v[1] >= v[2]),
+    "kkc3": lambda: ([(a, b, 0) for a, b in _DIAGONAL] + [(0, 0, 1), (0, 0, -1)],
+                     lambda v: min(v) >= 0),
+    "fold:plane": lambda: (_DIAGONAL, lambda v: True),
+    "fold:strip": lambda n: (_DIAGONAL, lambda v: 0 <= v[1] < n),
+    "fold:halfplane": lambda: (_DIAGONAL, lambda v: v[1] >= 0),
+    "fold:wedge": lambda: (_DIAGONAL, lambda v: v[0] >= 0 and v[1] >= 0),
+    "fold:diamond": lambda k, l: (_DIAGONAL, lambda v: 0 <= v[0] < k and 0 <= v[1] < l),
+}
 
 
 def random_graph(rng: random.Random, n_min: int = 2, n_max: int = 8) -> FiniteGraph:

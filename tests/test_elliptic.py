@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 from math import comb
 
@@ -322,11 +323,24 @@ class TestToleranceContract:
         with pytest.raises(ValueError, match=r"^tol is too small, got 1e-323: 0.25 \*"):
             density_moment("ww", 2, tol=1e-323)
 
+    @pytest.mark.parametrize("call,where", [
+        (lambda: mellin_density_convolve(semicircle_density, semicircle_density, 1.0,
+                                         tol=1e-20), r"\[0.0, 3.141592653589793\]"),
+        (lambda: density_moment("ww", 2, tol=1e-300), r"\[1e-06, 4.0\]"),
+    ], ids=["mellin_density_convolve", "density_moment"])
+    def test_fail_fast_names_the_callers_tol(self, call, where):
+        # the shares handed to adaptive_quadrature (abs_tol=5e-21 and
+        # abs_tol=2.5e-301) were named instead of tol
+        with pytest.raises(NumericalError) as info:
+            call()
+        assert re.fullmatch(rf"quadrature on {where} cannot reach tol=1e-(20|300): doubles "
+                            r"resolve about \S+ of an integral near \S+", str(info.value))
+
     def test_unreachable_tolerances_fail_before_the_panel_loop(self):
         # each fails at once, not after the 100,000-panel budget
-        with pytest.raises(NumericalError, match=r"cannot reach abs_tol=5e-21, rel_tol=5e-21"):
+        with pytest.raises(NumericalError, match=r"cannot reach tol=1e-20: doubles resolve"):
             mellin_density_convolve(semicircle_density, semicircle_density, 1.0, tol=1e-20)
-        with pytest.raises(NumericalError, match=r"cannot reach abs_tol=2.5e-301, "):
+        with pytest.raises(NumericalError, match=r"cannot reach tol=1e-300: doubles resolve"):
             density_moment("ww", 2, tol=1e-300)
         # the first panel's 15 points decide
         points = []

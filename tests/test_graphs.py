@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from helpers import (
     LUMPED,
     MIRRORS,
+    REFERENCE_LATTICES,
     SIGNED_KINDS,
     as_implicit,
+    composed_product,
     kind_id,
     naive_ball,
+    predicate_lattice,
     random_graph,
     reference_iso_report,
 )
@@ -35,6 +38,7 @@ from latticewalks.graphs import (
     integer_line,
     orbit_ball,
     kronecker,
+    lattice,
     path_graph,
     quarter_plane,
     restrict_lattice,
@@ -42,7 +46,8 @@ from latticewalks.graphs import (
     verify_isomorphism,
     wedge,
 )
-from latticewalks.walks import fold_map
+from latticewalks.spectral import FACTORS
+from latticewalks.walks import FOLD_KINDS, fold_map
 
 
 class TestFiniteGraph:
@@ -201,10 +206,125 @@ class TestDomains:
         # valid parameters
         assert (0,) * domain.dimension in domain
 
+    @pytest.mark.parametrize("g,v", [(half_plane(), (0, 5)), (half_line(), (-3,)),
+                                     (strip(3), (5, 0)), (integer_line(), (0, 0))])
+    def test_a_point_outside_has_no_neighbors(self, g, v):
+        # as in a finite graph; the neighbor function would list the steps
+        # that cross no wall
+        with pytest.raises(KeyError):
+            g.neighbors(v)
+
     def test_restrict_lattice_neighbors(self):
         g = half_plane()
         assert g.neighbors((0, 0)) == ((0, -1), (1, 0))
         assert g.neighbors((2, 0)) == ((1, 0), (2, -1), (2, 1), (3, 0))
+
+
+@st.composite
+def _step_lattices(draw):
+    """(steps, walls) of a random lattice on Z^d, d <= 3: steps a nonempty
+    set in {-1, 0, 1}^d closed under negation, walls (a, b) with a in
+    {-2, ..., 2}^d and b in -3..3."""
+    d = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(-1, 1)] * d).filter(any)
+    half = draw(st.lists(vectors, min_size=1, max_size=5))
+    steps = sorted({t for s in half for t in (s, tuple(-c for c in s))})
+    walls = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * d),
+                                    st.integers(-3, 3)), max_size=3))
+    return draw(st.permutations(steps)), walls
+
+
+def _inside(walls, v) -> bool:
+    return all(sum(a * x for a, x in zip(normal, v)) >= b for normal, b in walls)
+
+
+# the ball fields that ball() must reproduce exactly
+def _ball_fields(g, root, radius):
+    b = ball(g, root, radius)
+    return b.vertices, b.adjacency, b.depths, b.truncated
+
+
+def _reference(key, params, symmetry=None):
+    steps, inside = REFERENCE_LATTICES[key](**params)
+    return predicate_lattice(steps, inside, symmetry)
+
+
+class TestStepLattices:
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_=_step_lattices())
+    def test_neighbors_are_the_steps_that_stay_inside(self, lattice_):
+        steps, walls = lattice_
+        g = lattice("random", steps, walls)
+        assert (g.steps, g.walls) == (tuple(steps), tuple(walls))
+        d = len(steps[0])
+        for v in itertools.product(range(-3, 4), repeat=d):
+            assert (v in g) == _inside(walls, v)
+            if v in g:
+                brute = [tuple(x + c for x, c in zip(v, s)) for s in steps
+                         if _inside(walls, [x + c for x, c in zip(v, s)])]
+                assert sorted(g.neighbor_fn(v)) == sorted(brute)
+
+    def test_sizes_share_one_code_object(self):
+        assert strip(3).neighbor_fn.__code__ is strip(10 ** 8).neighbor_fn.__code__
+        paths = [FACTORS["P"].graph(p) for p in (2, 10 ** 8)]
+        assert paths[0].neighbor_fn.__code__ is paths[1].neighbor_fn.__code__
+        assert paths[1].neighbors((10 ** 8 - 1,)) == ((10 ** 8 - 2,),)
+        # the generated code is not a line of this package's source
+        assert strip(3).neighbor_fn.__code__.co_filename.startswith("<lattice steps=")
+
+    @pytest.mark.parametrize("steps,walls", [
+        ([], []), ([(1,)], []), ([(1,), (-1,), (1,)], []), ([(0,), (1,), (-1,)], []),
+        ([(1, 0), (-1, 0), (1,), (-1,)], []), ([(1,), (-1,)], [((1, 0), 0)]),
+        ([(0.5,), (-0.5,)], []), ([(1,), (-1,)], [((0.5,), 0)])])
+    def test_rejects_steps_that_are_not_a_simple_graph(self, steps, walls):
+        with pytest.raises(ValueError, match="^bad: steps must be distinct nonzero"):
+            lattice("bad", steps, walls)
+
+    def test_restrict_lattice_keeps_unit_steps_and_no_walls(self):
+        g = restrict_lattice("even-x", 2, lambda v: v[0] % 2 == 0)
+        assert g.steps == ((1, 0), (-1, 0), (0, 1), (0, -1)) and g.walls is None
+        # so its products compose neighbor functions
+        assert kronecker(g, integer_line()).walls is None
+
+    _FACTOR_PAIRS = [(integer_line(), half_line()), (half_line(), half_line()),
+                     (half_plane(), integer_line()), (strip(3), half_line()),
+                     (FACTORS["P"].graph(3), wedge()), (chamber3(), integer_line()),
+                     (kronecker(half_line(), half_line()), half_line())]
+
+    @pytest.mark.parametrize("product", [kronecker, cartesian])
+    @pytest.mark.parametrize("g1,g2", _FACTOR_PAIRS, ids=lambda g: g.name)
+    def test_products_match_composed_neighbors(self, product, g1, g2):
+        g = product(g1, g2)
+        tag = {kronecker: "kron", cartesian: "cart"}[product]
+        assert g.walls is not None and g.name == f"{tag}({g1.name},{g2.name})"
+        reference = composed_product(g1, g2, product is kronecker)
+        root = (0,) * g.dimension
+        for radius in range(5):
+            assert _ball_fields(g, root, radius) == _ball_fields(reference, root, radius)
+
+    _KINDS = [(kind, {p: 4 for p in walks.lattice_kind(kind).requires})
+              for kind in walks.lattice_walk_kinds()]
+
+    @pytest.mark.parametrize("kind,params", _KINDS, ids=[kind_id(*kp) for kp in _KINDS])
+    def test_named_kinds_match_their_predicates(self, kind, params):
+        g, o = walks.build_lattice(kind, **params)
+        reference = _reference(kind, params, g.symmetry)
+        for radius in range(7):
+            assert _ball_fields(g, o, radius) == _ball_fields(reference, o, radius)
+            if g.symmetry is not None and g.symmetry.fixes(o):
+                rows, depths, sizes = orbit_ball(g, o, radius)
+                ref_rows, ref_depths, ref_sizes = orbit_ball(reference, o, radius)
+                assert [sorted(r) for r in rows] == [sorted(r) for r in ref_rows]
+                assert (depths, sizes) == (ref_depths, ref_sizes)
+
+    @pytest.mark.parametrize("fold", list(FOLD_KINDS))
+    def test_fold_targets_match_their_predicates(self, fold):
+        params = {p: 4 for p in walks.lattice_kind(FOLD_KINDS[fold][0]).requires}
+        target = fold_map(fold, **params).target
+        reference = _reference(f"fold:{fold}", params)
+        for radius in range(7):
+            assert _ball_fields(target, (0, 0), radius) == \
+                _ball_fields(reference, (0, 0), radius)
 
 
 class TestProducts:

@@ -253,6 +253,37 @@ class TestConvolutions:
             14 + 28 * 2 * 5 + 70 * 6 * 2 + 28 * 20 + 70
         assert asked == [8, 6, 4, 2, 0]
 
+    def test_classical_steps_past_odd_orders_of_a_symmetric_left_law(self):
+        asked = []
+
+        class Recording(ArcSine):
+            def moment(self, m):
+                asked.append(m)
+                return super().moment(m)
+
+        law = ClassicalConv(MellinConv(Recording(), Semicircle()), Semicircle())
+        assert law.symmetric
+        assert law.moment(8) == sum(comb(8, k) * comb(k, k // 2) * cat(k // 2)
+                                    * cat((8 - k) // 2) for k in range(0, 9, 2))
+        assert asked == [0, 2, 4, 6, 8]
+        assert law.moment(7) == 0 and asked[5:] == [0, 2, 4, 6]
+
+    def test_a_walk_table_keeps_every_order(self):
+        # the triangle's closed walks: odd counts are not 0, and a table
+        # knows its odd moments only up to its length
+        triangle = walk_table(graphs.FiniteGraph.from_edges(
+            [(0,), (1,), (2,)], [((0,), (1,)), ((1,), (2,)), ((0,), (2,))]), (0,), 9)
+        assert triangle.counts[3] == 2
+        for left, right in ((triangle, Semicircle()), (Semicircle(), triangle)):
+            law = ClassicalConv(left, right)
+            assert not law.symmetric
+            assert [law.moment(m) for m in range(10)] == [
+                sum(comb(m, k) * left.moment(k) * right.moment(m - k) for k in range(m + 1))
+                for m in range(10)]
+        assert MellinConv(triangle, ArcSine()).symmetric
+        assert not MellinConv(triangle, triangle).symmetric
+        assert Discrete([(1.0, 0.5), (-1.0, 0.5)]).symmetric and path_spectrum(3).symmetric
+
     def test_mellin_multiplies_moments(self):
         w = Semicircle()
         conv = MellinConv(w, w)
