@@ -6,10 +6,10 @@ The package splits into four layers:
 - :mod:`latticewalks.graphs`: graphs on integer coordinate tuples, step
   lattices (steps cut by walls), Kronecker and Cartesian products, balls,
   and checked coordinate-change isomorphisms.
-- :mod:`latticewalks.walks`: exact big-integer closed-walk counts, the named
-  lattice registry with closed forms and folds onto Kronecker products, and
-  coincidence tuples ``(m, count_a, count_b)`` for pairs of rooted graphs.  A
-  walk table is a moment sequence, a law of :mod:`latticewalks.spectral`.
+- :mod:`latticewalks.walks`: exact big-integer closed-walk counts and the
+  named lattice registry with closed forms and folds onto Kronecker
+  products.  A walk table is a moment sequence, a law of
+  :mod:`latticewalks.spectral`.
 - :mod:`latticewalks.spectral`: moment sequences, arcsine and semicircle
   laws, classical and Mellin convolutions, which are the Cartesian and
   Kronecker product rules for walk tables too, and finite path spectra.
@@ -49,7 +49,6 @@ from .graphs import (
     lattice,
     path_graph,
     quarter_plane,
-    restrict_lattice,
     strip,
     verify_isomorphism,
     wedge,
@@ -76,7 +75,6 @@ from .walks import (
     fold_map,
     lattice_kind,
     lattice_walk_kinds,
-    moment_coincidence_report,
     verify_binomial_identity,
     walk_count,
     walk_table,
@@ -127,13 +125,11 @@ __all__ = [
     "lattice_kind",
     "lattice_walk_kinds",
     "mellin_density_convolve",
-    "moment_coincidence_report",
     "moment_law",
     "path_closed_walks",
     "path_graph",
     "path_spectrum",
     "quarter_plane",
-    "restrict_lattice",
     "semicircle_density",
     "strip",
     "verify_binomial_identity",

@@ -276,10 +276,9 @@ def _suite_coincidence(budget: int, sweep_tol: float) -> list[dict]:
     checks = []
     g_a, o_a = walks.build_lattice("kkc3")
     g_b, o_b = walks.build_lattice("chamber3")
-    rep = walks.moment_coincidence_report(g_a, o_a, g_b, o_b, 12, budget)
-    for m, ca, cb in rep:
-        if m % 2:
-            continue
+    counts_a = walks.walk_table(g_a, o_a, 12, budget).counts
+    counts_b = walks.walk_table(g_b, o_b, 12, budget).counts
+    for m, ca, cb in zip(range(0, 13, 2), counts_a[::2], counts_b[::2]):
         cf = walks.closed_form_walks("chamber3", m)
         checks.append(_check(f"triple-product-vs-chamber m={m}", cf, [ca, cb],
                              0, ca == cb == cf))
@@ -292,10 +291,9 @@ def _suite_coincidence(budget: int, sweep_tol: float) -> list[dict]:
 
     corner, corner_root = walks.build_lattice("zxzplus")
     kk = graphs.kronecker(graphs.half_line(), graphs.half_line())
-    rep2 = walks.moment_coincidence_report(corner, corner_root, kk, (0, 1), 16, budget)
-    for m, ca, cb in rep2:
-        if m % 2:
-            continue
+    counts_a = walks.walk_table(corner, corner_root, 16, budget).counts
+    counts_b = walks.walk_table(kk, (0, 1), 16, budget).counts
+    for m, ca, cb in zip(range(0, 17, 2), counts_a[::2], counts_b[::2]):
         cf = walks.closed_form_walks("zxzplus", m)
         checks.append(_check(f"corner-vs-shifted-ray-product m={m}", cf, [ca, cb],
                              0, ca == cb == cf))

@@ -28,7 +28,7 @@ import sys
 from math import cos, exp, fsum, inf, isfinite, isinf, log, pi, sin, sqrt
 from typing import Callable, NamedTuple
 
-from .errors import KindTable, NumericalError
+from .errors import KindTable, NumericalError, check_order
 
 # a few ulps: the AGM gap stalls near half an ulp of a and never hits 0
 _EPS = 4.0e-16
@@ -251,6 +251,10 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
     not finite, or before the panel loop when max(abs_tol, rel_tol |I|)
     < eps |I| for the first panel's estimate I: double precision cannot
     resolve that.  abs_tol and rel_tol must be finite and > 0.
+
+    f is seen only at the nodes sampled: when the first panel's 15 nodes
+    all miss the support of f, the error estimate is 0 and the result is
+    0.0, with no error.  A caller with narrow support splits [a, b] there.
     """
     _check_tol("abs_tol", abs_tol)
     _check_tol("rel_tol", rel_tol)
@@ -373,8 +377,9 @@ _HEAD_EPS = 1e-6
 def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     """Moment integral x^m against a product density over [-4, 4].
 
-    Only even orders are meaningful for these symmetric kernels; odd m is
-    rejected, and so is m > 510, where x^m overflows near 4.  The
+    m is an order (:func:`latticewalks.errors.check_order`), and only even
+    orders are meaningful for these symmetric kernels; odd m is rejected,
+    and so is m > 510, where x^m overflows near 4.  The
     logarithmic singularity at 0 is integrated analytically on
     [0, 1e-6] from the leading asymptotics; the rest is adaptive
     quadrature.  Absolute error is below tol * max(1, result), for a
@@ -383,7 +388,7 @@ def density_moment(kind: str, m: int, tol: float = 1e-9) -> float:
     :func:`adaptive_quadrature`).
     """
     c, d, value = _KERNELS[kind]
-    if m < 0 or m % 2:
+    if check_order(m, "moment order") % 2:
         raise ValueError("moment order must be even and nonnegative")
     if m > 510:
         raise ValueError(f"moment order {m} exceeds 510: x^m overflows a float near 4")

@@ -247,7 +247,7 @@ class ImplicitGraph:
     through the root on the half plane, wedge, strip, quarter plane and
     chamber and their product forms.  A step lattice (:func:`lattice`)
     keeps its ``steps`` and its ``walls``, ``(a, b)`` for each half space
-    a . v >= b; :func:`restrict_lattice` keeps its unit steps and no walls.
+    a . v >= b.
     """
 
     dimension: int
@@ -337,12 +337,12 @@ def _linear(a: Coords, xs: list[str]) -> str:
 
 
 @lru_cache(maxsize=_LATTICE_CODE_CACHE)
-def _lattice_code(steps: tuple[Coords, ...], normals: tuple[Coords, ...],
-                  predicate: bool) -> Callable[..., tuple[Callable, Callable]]:
-    # make(b_0, ..., b_k[, inside]) -> (nbrs, inside) for the lattice on
-    # Z^d with these steps inside the walls a_j . v >= b_j.  The source is
-    # generated once, so the bounds, and the predicate of restrict_lattice,
-    # are arguments and every size of a lattice shares one code object.
+def _lattice_code(steps: tuple[Coords, ...], normals: tuple[Coords, ...]
+                  ) -> Callable[..., tuple[Callable, Callable]]:
+    # make(b_0, ..., b_k) -> (nbrs, inside) for the lattice on Z^d with
+    # these steps inside the walls a_j . v >= b_j.  The source is generated
+    # once, so the bounds are arguments and every size of a lattice shares
+    # one code object.
     # Slack s_j = a_j . v - b_j is taken once per vertex; step t keeps it
     # >= 0 exactly when s_j >= -a_j . t for each wall it can cross
     # (a_j . t < 0), so it tests only those, and steps with the same test
@@ -358,20 +358,16 @@ def _lattice_code(steps: tuple[Coords, ...], normals: tuple[Coords, ...],
         coords = [f"{x} + {c}" if c > 0 else f"{x} - {-c}" if c else x
                   for x, c in zip(xs, t)]
         tests.setdefault(need, []).append(f"({', '.join(coords)}{comma})")
-    lines = [f"def make({', '.join([*bounds, 'inside'] if predicate else bounds)}):"]
-    if not predicate:
-        lines += ["    def inside(v):", f"        {unpack}",
-                  "        return " + (" and ".join(f"{_linear(a, xs)} >= {b}"
-                                                    for a, b in zip(normals, bounds))
-                                     or "True")]
-    lines += ["    def nbrs(v):", f"        {unpack}"]
+    lines = [f"def make({', '.join(bounds)}):", "    def inside(v):", f"        {unpack}",
+             "        return " + (" and ".join(f"{_linear(a, xs)} >= {b}"
+                                               for a, b in zip(normals, bounds)) or "True"),
+             "    def nbrs(v):", f"        {unpack}"]
     lines += [f"        s{j} = {_linear(a, xs)} - {b}" for j, (a, b) in
               enumerate(zip(normals, bounds))]
     lines.append(f"        out = [{', '.join(tests.pop('', []))}]")
     for need, ts in tests.items():
         lines += [f"        if {need}:", f"            out += ({', '.join(ts)},)"]
-    lines += ["        return [w for w in out if inside(w)]" if predicate else
-              "        return out", "    return nbrs, inside"]
+    lines += ["        return out", "    return nbrs, inside"]
     namespace: dict = {}
     exec(compile("\n".join(lines), f"<lattice steps={steps} walls={normals}>", "exec"),
          namespace)
@@ -399,26 +395,12 @@ def lattice(name: str, steps: Iterable[Coords],
         raise ValueError(f"{name}: steps must be distinct nonzero int tuples of one "
                          "length, closed under negation, and wall normals int tuples "
                          "of that length")
-    nbrs, inside = _lattice_code(steps, tuple(a for a, _ in walls), False)(
-        *(b for _, b in walls))
+    nbrs, inside = _lattice_code(steps, tuple(a for a, _ in walls))(*(b for _, b in walls))
     return ImplicitGraph(d, nbrs, name, inside, steps=steps, walls=walls)
 
 
 # ---------------------------------------------------------------------------
 # lattice domains
-
-
-def restrict_lattice(name: str, dimension: int,
-                     inside: Callable[[Coords], bool]) -> ImplicitGraph:
-    """Nearest-neighbor graph ``lattice[name]`` on the points of
-    Z^dimension where ``inside`` holds.
-
-    Edges move +-1 in exactly one coordinate and stay inside the domain;
-    the neighbor function tests ``inside`` on each candidate.
-    """
-    steps = _unit_steps(dimension)
-    nbrs, _ = _lattice_code(steps, (), True)(inside)
-    return ImplicitGraph(dimension, nbrs, f"lattice[{name}]", inside, steps=steps)
 
 
 def _domain(name: str, dimension: int, walls) -> ImplicitGraph:

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
-from math import comb, cos, inf, isfinite, perm, pi, sin
+from math import comb, cos, fsum, inf, isfinite, perm, pi, sin
 from typing import Callable, NamedTuple
 
 from . import elliptic, graphs
@@ -197,8 +197,9 @@ class Discrete(_FloatRange):
         self.atoms = tuple(pairs)
 
     def _moment(self, m: int) -> float:
-        # the +-lambda pairs cancel odd moments exactly
-        return 0.0 if m % 2 else sum(w * a ** m for a, w in self.atoms)
+        # the +-lambda pairs cancel odd moments exactly; fsum rounds the sum
+        # once, the same on every Python version
+        return 0.0 if m % 2 else fsum(w * a ** m for a, w in self.atoms)
 
 
 def _symmetric(law) -> bool:

@@ -84,8 +84,8 @@ from .spectral import (FACTORS, _EvenLaw, catalan, central_binomial, path_closed
 
 __all__ = ["FOLD_KINDS", "LatticeKind", "WalkTable", "build_lattice", "catalan",
            "central_binomial", "closed_form_walks", "fold_map", "lattice_kind",
-           "lattice_walk_kinds", "moment_coincidence_report", "path_closed_walks",
-           "verify_binomial_identity", "walk_count", "walk_table"]
+           "lattice_walk_kinds", "path_closed_walks", "verify_binomial_identity",
+           "walk_count", "walk_table"]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def fold_map(kind: str, n: int | None = None, k: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# identities and coincidence reports
+# identities
 
 
 def verify_binomial_identity(m: int) -> bool:
@@ -391,19 +391,3 @@ def verify_binomial_identity(m: int) -> bool:
     """
     check_order(m, "order")
     return product_law("Z □ Z").moment(2 * m) == product_law("Z ⊗ Z").moment(2 * m)
-
-
-def moment_coincidence_report(g_a: Graph, o_a, g_b: Graph, o_b,
-                              m_max: int,
-                              budget: int = DEFAULT_VERTEX_BUDGET
-                              ) -> tuple[tuple[int, int, int], ...]:
-    """Compare closed-walk counts of two rooted graphs for all m <= m_max,
-    as one ``(m, count_a, count_b)`` tuple per length.
-
-    Equal tables mean the two roots share all spectral moments up to
-    m_max, which is weaker than the graphs being isomorphic; pairing this
-    with :func:`latticewalks.graphs.degree_histogram` separates the two.
-    """
-    ta = walk_table(g_a, o_a, m_max, budget)
-    tb = walk_table(g_b, o_b, m_max, budget)
-    return tuple((m, ta.counts[m], tb.counts[m]) for m in range(m_max + 1))

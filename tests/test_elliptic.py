@@ -275,6 +275,19 @@ class TestAdaptiveQuadrature:
         with pytest.raises(NumericalError):
             adaptive_quadrature(lambda x: 1.0 / (abs(x - 0.7) + 1e-300), 0.0, 1.0)
 
+    def test_support_between_the_first_nodes_is_missed(self):
+        # the stated limit: no node of the first panel lands in (0.3, 0.3001),
+        # so its error estimate is 0 and the integral comes out 0.0, not 1e-4;
+        # split at the support, the pieces add up to it
+        def f(x):
+            return 1.0 if 0.3 < x < 0.3001 else 0.0
+
+        assert adaptive_quadrature(f, 0.0, 1.0) == 0.0
+        assert adaptive_quadrature(f, 0.0, 1.0, abs_tol=1e-20, rel_tol=1e-20) == 0.0
+        pieces = [adaptive_quadrature(f, a, b) for a, b in
+                  ((0.0, 0.3), (0.3, 0.3001), (0.3001, 1.0))]
+        assert math.fsum(pieces) == pytest.approx(1e-4, rel=1e-9)
+
 
 class TestToleranceContract:
     """Every tolerance of the quadrature entry points is finite and > 0,
@@ -446,8 +459,11 @@ class TestDensityMoments:
     def test_odd_or_negative_order_rejected(self):
         with pytest.raises(ValueError):
             density_moment("aa", 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^moment order must be nonnegative$"):
             density_moment("aa", -2)
+        # the one order rule: a float order is no order, not x^4.0
+        with pytest.raises(ValueError, match=r"^moment order must be an integer, got 4\.0$"):
+            density_moment("aa", 4.0)
 
 
 # SHA-256 over the little-endian float64 bits of each value, recorded from

@@ -41,7 +41,6 @@ from latticewalks.graphs import (
     lattice,
     path_graph,
     quarter_plane,
-    restrict_lattice,
     strip,
     verify_isomorphism,
     wedge,
@@ -192,11 +191,6 @@ class TestDomains:
         assert (2, 1, 0) in d and (1, 1, 1) in d
         assert (0, 1, 0) not in d
 
-    def test_custom_domain_predicate_hook(self):
-        g = restrict_lattice("even-x", 2, lambda v: v[0] % 2 == 0)
-        assert g.neighbors((0, 0)) == ((0, -1), (0, 1))
-        assert (0, 3) in g and (1, 0) not in g and (0, 0, 0) not in g
-
     # each id is the domain inside the graph's name lattice[...]
     @pytest.mark.parametrize("domain", [
         full_plane(), half_plane(), strip(2), wedge(), diamond(2, 2),
@@ -214,7 +208,7 @@ class TestDomains:
         with pytest.raises(KeyError):
             g.neighbors(v)
 
-    def test_restrict_lattice_neighbors(self):
+    def test_half_plane_neighbors(self):
         g = half_plane()
         assert g.neighbors((0, 0)) == ((0, -1), (1, 0))
         assert g.neighbors((2, 0)) == ((1, 0), (2, -1), (2, 1), (3, 0))
@@ -279,12 +273,6 @@ class TestStepLattices:
     def test_rejects_steps_that_are_not_a_simple_graph(self, steps, walls):
         with pytest.raises(ValueError, match="^bad: steps must be distinct nonzero"):
             lattice("bad", steps, walls)
-
-    def test_restrict_lattice_keeps_unit_steps_and_no_walls(self):
-        g = restrict_lattice("even-x", 2, lambda v: v[0] % 2 == 0)
-        assert g.steps == ((1, 0), (-1, 0), (0, 1), (0, -1)) and g.walls is None
-        # so its products compose neighbor functions
-        assert kronecker(g, integer_line()).walls is None
 
     _FACTOR_PAIRS = [(integer_line(), half_line()), (half_line(), half_line()),
                      (half_plane(), integer_line()), (strip(3), half_line()),
