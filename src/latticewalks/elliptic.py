@@ -342,7 +342,9 @@ def mellin_density_convolve(f: Callable[[float], float],
     is raised instead of returning an inaccurate value.  tol must be
     finite and > 0, and 0.5 * tol must not round to 0; one finer than
     doubles resolve fails fast with a NumericalError that names tol (see
-    :func:`adaptive_quadrature`).
+    :func:`adaptive_quadrature`).  A non-finite kernel product is dropped
+    only where y or x/y has rounded onto or past the edge 2; anywhere else
+    it raises NumericalError naming x, y and the value.
     """
     _check_tol("tol", tol, 0.5)
     if not x > 0.0:
@@ -362,10 +364,15 @@ def mellin_density_convolve(f: Callable[[float], float],
     def integrand(t: float) -> float:
         y = exp(c - r * cos(t))
         v = f(x / y) * g(y) * r * sin(t)
-        # y can round onto a factor's edge singularity (x/y or y landing
-        # exactly on 2.0); the true contribution of that measure-zero point
-        # is finite, so drop it rather than poison the sum
-        return v if isfinite(v) else 0.0
+        if isfinite(v):
+            return v
+        # y or x/y can round onto or past a factor's support edge 2, where
+        # a kernel may be singular; the true contribution of that
+        # measure-zero point is finite, so it is dropped
+        if y >= 2.0 or x / y >= 2.0:
+            return 0.0
+        raise NumericalError(f"Mellin convolution at x={x!r}: the kernel product "
+                             f"is {v!r} at y={y!r}, inside the support")
 
     val = _quadrature_share(integrand, 0.0, pi, tol, 0.5)
     return 2.0 * val

@@ -241,13 +241,10 @@ class ImplicitGraph:
     ``contains_fn`` is optional; when present it lets callers validate
     roots before expanding balls.  ``symmetry`` is optional too: a group
     of automorphisms of the graph, trusted like ``neighbor_fn``, which
-    :func:`orbit_ball` quotients by.  The named lattices of
-    :mod:`latticewalks.walks` set it: signed coordinate permutations on
-    Z, Z^2 and the Kronecker and Cartesian cubes of Z, and a mirror
-    through the root on the half plane, wedge, strip, quarter plane and
-    chamber and their product forms.  A step lattice (:func:`lattice`)
-    keeps its ``steps`` and its ``walls``, ``(a, b)`` for each half space
-    a . v >= b.
+    :func:`orbit_ball` quotients by; each named lattice of
+    :mod:`latticewalks.walks` that has one states it in its row.  A step
+    lattice (:func:`lattice`) keeps its ``steps`` and its ``walls``,
+    ``(a, b)`` for each half space a . v >= b.
     """
 
     dimension: int
@@ -515,25 +512,15 @@ PRODUCT_KINDS = KindTable("product", {
 # finite truncations and component structure
 
 
-class _Canonical(dict):
-    # canon(w) by w, computed the first time w is looked up
-    def __init__(self, canon: Callable[[Coords], Coords]):
-        self.canon = canon
-
-    def __missing__(self, w: Coords) -> Coords:
-        c = self[w] = self.canon(w)
-        return c
-
-
 def _expand(g: Graph, root, radius: int, budget: int, sym: Symmetry | None
             ) -> tuple[dict[Coords, int], list[list[int]], list[int], list[int] | None,
                        bool]:
     # The quotient of the ball by sym, a group that must fix the root:
-    # (index, rows, depths, sizes, truncated), where index maps each orbit
-    # representative to its position, rows, depths and sizes are as
-    # orbit_ball returns them (sizes is None under the trivial group), and
-    # truncated tells whether the outermost layer lost neighbors beyond
-    # the radius.
+    # (pos, rows, depths, sizes, truncated), where pos maps every vertex
+    # met to its orbit representative's position (under the trivial group
+    # it is the ball's index), rows, depths and sizes are as orbit_ball
+    # returns them (sizes is None under the trivial group), and truncated
+    # tells whether the outermost layer lost neighbors beyond the radius.
     r = _as_coords(root)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -546,35 +533,29 @@ def _expand(g: Graph, root, radius: int, budget: int, sym: Symmetry | None
     if sym is None or not sym.fixes(r):
         raise ValueError(f"root {r} is not fixed by a symmetry of {g.name or 'graph'}")
 
-    # Each vertex's neighbors are listed once, and each distinct neighbor
-    # is canonicalised once; under the trivial group a vertex is its own
-    # representative.  A vertex at depth d has neighbors only at depths
-    # d-1, d, d+1, so a layer's rows become index rows as soon as the next
-    # layer is indexed.  The budget counts the vertices the
-    # representatives stand for.
+    # Each vertex's neighbors are listed once, and canon runs once on each
+    # vertex met; under the trivial group a vertex is its own
+    # representative and canon is skipped.  A vertex at depth d has
+    # neighbors only at depths d-1, d, d+1, so a layer's rows become index
+    # rows as soon as the next layer is indexed.  The budget counts the
+    # vertices the representatives stand for.
     nbrs = _neighbor_fn(g)
-    trivial = sym is _TRIVIAL
-    if trivial:
-        def reps(frontier: list[Coords]) -> list[Sequence[Coords]]:
-            return list(map(nbrs, frontier))
-        sizes = None
-    else:
-        rep = _Canonical(sym.canon).__getitem__
-
-        def reps(frontier: list[Coords]) -> list[Sequence[Coords]]:
-            return [list(map(rep, nbrs(v))) for v in frontier]
-        sizes = [1]
-    index = {r: 0}
+    canon = None if sym is _TRIVIAL else sym.canon
+    sizes = None if canon is None else [1]
+    pos = {r: 0}
     depths = [0]
     kept = 1
     rows: list[list[int]] = []
     frontier = [r]
     for d in range(radius):
-        layer = reps(frontier)
-        fresh = sorted(set(chain.from_iterable(layer)).difference(index))
-        if trivial:
+        layer = list(map(nbrs, frontier))
+        met = set(chain.from_iterable(layer)).difference(pos)
+        if canon is None:
+            fresh = sorted(met)
             added = len(fresh)
         else:
+            reps = list(map(canon, met))
+            fresh = sorted(set(reps).difference(pos))
             fresh_sizes = list(map(sym.orbit_size, fresh))
             added = sum(fresh_sizes)
             sizes += fresh_sizes
@@ -583,24 +564,30 @@ def _expand(g: Graph, root, radius: int, budget: int, sym: Symmetry | None
                 f"ball of radius {radius} around {r} exceeds vertex budget {budget}: "
                 f"layer {d + 1} would add {added} vertices to the "
                 f"{kept} kept through layer {d}")
-        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+        pos.update(zip(fresh, range(len(depths), len(depths) + len(fresh))))
+        if canon is not None:
+            pos.update(zip(met, map(pos.__getitem__, reps)))
         depths.extend([d + 1] * len(fresh))
         kept += added
-        rows.extend(list(map(index.__getitem__, row)) for row in layer)
+        rows.extend(list(map(pos.__getitem__, row)) for row in layer)
         frontier = fresh
         if not frontier:
             break
 
     # outermost layer: neighbors beyond the radius are cut off
+    layer = list(map(nbrs, frontier))
+    if canon is not None:
+        met = set(chain.from_iterable(layer)).difference(pos)
+        pos.update((w, i) for w, i in zip(met, map(pos.get, map(canon, met)))
+                   if i is not None)
     truncated = False
-    get = index.get
-    for row in reps(frontier):
-        row = list(map(get, row))
+    for row in layer:
+        row = list(map(pos.get, row))
         if None in row:
             truncated = True
             row = [j for j in row if j is not None]
         rows.append(row)
-    return index, rows, depths, sizes, truncated
+    return pos, rows, depths, sizes, truncated
 
 
 # The group of the identity alone: every orbit is one vertex, and

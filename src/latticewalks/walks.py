@@ -36,17 +36,8 @@ w of r.  The half-step identity holds with orbit sizes as weights,
 and the vertex budget counts the vertices the representatives stand for,
 so it fails where the ball would.  An automorphism that fixes o keeps
 depth, so the parity classes split the representatives the same way.
-Eleven named kinds carry one: z, z2, bcc3 and z3cartesian the signed
-coordinate permutations, and seven a mirror through the corner root,
-
-    halfplane, strip       (x, y) -> (-y, -x)
-    wedge                  (x, y) -> (x, -y)
-    quarterplane, zxzplus  (x, y) -> (y, x)
-    chamber3               (x, y, z) -> (-z, -y, -x)
-    kkc3                   (a, b, c) -> (b, a, c)
-
-Any other graph or root takes the ball: zplus and zplus-at-1 have no
-mirror that fixes the root, and the diamond is finite and small.
+Each named kind's row states its root and its symmetry, if any: the
+signed coordinate permutations or a mirror through the root.
 
 A walk table is the moment sequence of the root's spectral law, so the
 product theorems are the laws' convolutions: ``spectral.MellinConv`` of
@@ -78,7 +69,7 @@ from typing import Callable, Sequence
 from . import graphs
 from .errors import KindTable, check_order
 from .graphs import (DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph,
-                     IsoMap, ball, reflection)
+                     IsoMap, Symmetry, ball, reflection)
 from .spectral import (FACTORS, _EvenLaw, catalan, central_binomial, path_closed_walks,
                        product_law, product_params, product_terms)
 
@@ -221,12 +212,15 @@ class LatticeKind:
     moments of the law of ``product``, its row of the paper's table, a
     Kronecker product (``⊗``) of Z, Z+ and P_p (the path on parameter p's
     vertices) or the Cartesian product (``□``) of two such; or, with no
-    product, ``own_form(h)`` = count[2h].  It requires the parameters its
-    product reads, and its graph constructor checks their sizes."""
+    product, ``own_form(h)`` = count[2h].  ``symmetry``, when given, is a
+    group of automorphisms of the graph that fixes ``root``, which
+    :func:`walk_table` lumps by.  It requires the parameters its product
+    reads, and ``graph`` checks their sizes."""
 
     key: str
-    dimension: int
-    build_fn: Callable[..., tuple[Graph, Coords]]
+    root: Coords
+    symmetry: Symmetry | None
+    graph: Callable[..., Graph]
     product: str
     own_form: Callable[[int], int] | None = None
     requires: tuple[str, ...] = field(init=False)
@@ -234,74 +228,50 @@ class LatticeKind:
     def __post_init__(self):
         object.__setattr__(self, "requires", product_params(self.product))
 
-
-def _signed(g: Graph) -> Graph:
-    # g, marked invariant under signed coordinate permutations
-    return replace(g, symmetry=SIGNED_PERMUTATIONS)
-
-
-def _mirrored(g: Graph, sigma: Callable[[Coords], Coords]) -> Graph:
-    # g, marked invariant under the involutive automorphism sigma
-    return replace(g, symmetry=reflection(sigma))
+    @property
+    def dimension(self) -> int:
+        return len(self.root)
 
 
-def _swap(v: Coords) -> Coords:
-    # the mirror x = y of the quarter plane
-    return v[1], v[0]
+# The mirrors through the corner root.  Under the fold a mirror reflects
+# one Kronecker factor or swaps two equal ones.
+_ANTIDIAGONAL = reflection(lambda v: (-v[1], -v[0]))
+_DIAGONAL = reflection(lambda v: (v[1], v[0]))
+_AXIS = reflection(lambda v: (v[0], -v[1]))
 
-
-def _antidiagonal(v: Coords) -> Coords:
-    # the mirror x = -y of the half plane and the diagonal strip
-    return -v[1], -v[0]
-
-
-# Builders look graphs' constructors up at call time, so a wrapped
+# Product builders look graphs' constructors up at call time, so a wrapped
 # graphs.kronecker or graphs.cartesian sees every product they build.
-# The kinds built on Z, Z^2 and the Kronecker and Cartesian cubes of Z
-# carry their signed-permutation symmetry, and the other restricted kinds
-# but the half line and the diamond a mirror that fixes the root;
-# walk_table lumps by either.  Under the fold a mirror reflects one
-# Kronecker factor or swaps two equal ones.  README's kind table states
-# each kind, its product and its closed form in words.
+# README's kind table states each kind, its product and its closed form in
+# words.
 _KINDS = KindTable("lattice", {lk.key: lk for lk in (
-    LatticeKind("z", 1, lambda: (_signed(graphs.integer_line()), (0,)), "Z"),
-    LatticeKind("zplus", 1, lambda: (graphs.half_line(), (0,)), "Z+"),
-    LatticeKind("zplus-at-1", 1, lambda: (graphs.half_line(), (1,)), "",
-                lambda h: catalan(h + 1)),
-    LatticeKind("z2", 2, lambda: (_signed(graphs.full_plane()), (0, 0)), "Z ⊗ Z"),
-    LatticeKind("halfplane", 2,
-                lambda: (_mirrored(graphs.half_plane(), _antidiagonal), (0, 0)), "Z ⊗ Z+"),
-    LatticeKind("wedge", 2,
-                lambda: (_mirrored(graphs.wedge(), lambda v: (v[0], -v[1])), (0, 0)),
-                "Z+ ⊗ Z+"),
-    LatticeKind("quarterplane", 2,
-                lambda: (_mirrored(graphs.quarter_plane(), _swap), (0, 0)), "Z+ □ Z+"),
+    LatticeKind("z", (0,), SIGNED_PERMUTATIONS, graphs.integer_line, "Z"),
+    LatticeKind("zplus", (0,), None, graphs.half_line, "Z+"),
+    LatticeKind("zplus-at-1", (1,), None, graphs.half_line, "", lambda h: catalan(h + 1)),
+    LatticeKind("z2", (0, 0), SIGNED_PERMUTATIONS, graphs.full_plane, "Z ⊗ Z"),
+    LatticeKind("halfplane", (0, 0), _ANTIDIAGONAL, graphs.half_plane, "Z ⊗ Z+"),
+    LatticeKind("wedge", (0, 0), _AXIS, graphs.wedge, "Z+ ⊗ Z+"),
+    LatticeKind("quarterplane", (0, 0), _DIAGONAL, graphs.quarter_plane, "Z+ □ Z+"),
     # the quarter plane again, built as a Cartesian product of two
     # half-lines; its closed form is the product form of the same count
-    LatticeKind("zxzplus", 2,
-                lambda: (_mirrored(graphs.cartesian(graphs.half_line(),
-                                                    graphs.half_line()), _swap),
-                         (0, 0)), "",
+    LatticeKind("zxzplus", (0, 0), _DIAGONAL,
+                lambda: graphs.cartesian(graphs.half_line(), graphs.half_line()), "",
                 lambda h: catalan(h) * catalan(h + 1)),
-    LatticeKind("strip", 2,
-                lambda n: (_mirrored(graphs.strip(n), _antidiagonal), (0, 0)), "Z ⊗ P_n"),
-    LatticeKind("diamond", 2, lambda k, l: (graphs.diamond(k, l), (0, 0)), "P_k ⊗ P_l"),
-    LatticeKind("bcc3", 3,
-                lambda: (_signed(reduce(graphs.kronecker, [graphs.integer_line()] * 3)),
-                         (0, 0, 0)), "Z ⊗ Z ⊗ Z"),
-    LatticeKind("z3cartesian", 3,
-                lambda: (_signed(reduce(graphs.cartesian, [graphs.integer_line()] * 3)),
-                         (0, 0, 0)), "(Z ⊗ Z) □ Z"),
+    LatticeKind("strip", (0, 0), _ANTIDIAGONAL, graphs.strip, "Z ⊗ P_n"),
+    LatticeKind("diamond", (0, 0), None, graphs.diamond, "P_k ⊗ P_l"),
+    LatticeKind("bcc3", (0, 0, 0), SIGNED_PERMUTATIONS,
+                lambda: reduce(graphs.kronecker, [graphs.integer_line()] * 3),
+                "Z ⊗ Z ⊗ Z"),
+    LatticeKind("z3cartesian", (0, 0, 0), SIGNED_PERMUTATIONS,
+                lambda: reduce(graphs.cartesian, [graphs.integer_line()] * 3),
+                "(Z ⊗ Z) □ Z"),
     # the chamber and kkc3 count as the Cartesian product of the wedge (the
     # Kronecker square of the half line, folded) with the half line
-    LatticeKind("chamber3", 3,
-                lambda: (_mirrored(graphs.chamber3(), lambda v: (-v[2], -v[1], -v[0])),
-                         (0, 0, 0)), "(Z+ ⊗ Z+) □ Z+"),
-    LatticeKind("kkc3", 3,
-                lambda: (_mirrored(graphs.cartesian(
-                    graphs.kronecker(graphs.half_line(), graphs.half_line()),
-                    graphs.half_line()), lambda v: (v[1], v[0], v[2])), (0, 0, 0)),
-                "(Z+ ⊗ Z+) □ Z+"),
+    LatticeKind("chamber3", (0, 0, 0), reflection(lambda v: (-v[2], -v[1], -v[0])),
+                graphs.chamber3, "(Z+ ⊗ Z+) □ Z+"),
+    LatticeKind("kkc3", (0, 0, 0), reflection(lambda v: (v[1], v[0], v[2])),
+                lambda: graphs.cartesian(graphs.kronecker(graphs.half_line(),
+                                                          graphs.half_line()),
+                                         graphs.half_line()), "(Z+ ⊗ Z+) □ Z+"),
 )})
 
 
@@ -317,7 +287,8 @@ def build_lattice(kind: str, n: int | None = None, k: int | None = None,
                   l: int | None = None) -> tuple[Graph, Coords]:
     """The rooted graph behind a named kind: (graph, root coordinates)."""
     lk = _KINDS[kind]
-    return lk.build_fn(**_KINDS.params(kind, lk.requires, n=n, k=k, l=l))
+    g = lk.graph(**_KINDS.params(kind, lk.requires, n=n, k=k, l=l))
+    return replace(g, symmetry=lk.symmetry), lk.root
 
 
 class _OwnForm(_EvenLaw):

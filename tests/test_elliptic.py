@@ -431,6 +431,30 @@ class TestMellinDensityConvolution:
                                       x, tol=1e-8)
         assert abs(got - density("ww", x)) <= 1e-8
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_product_inside_the_support_raises(self, value):
+        # only y or x/y rounded onto or past the edge 2 may drop a product;
+        # these kernels gave 0.0 when every non-finite product was dropped
+        with pytest.raises(NumericalError,
+                           match=rf"at x=1\.0: the kernel product is {value!r} at y=1\.0,"):
+            mellin_density_convolve(lambda u: value, semicircle_density, 1.0)
+
+    def test_non_finite_product_at_the_edge_is_dropped(self):
+        # at this x some nodes next to y = 2 round onto it; this kernel is
+        # NaN from its edge on, and only those points are dropped
+        edge = []
+
+        def uniform(t):
+            if abs(t) >= 2.0:
+                edge.append(t)
+                return math.nan
+            return 0.25
+
+        x = 3.999999999999999
+        got = mellin_density_convolve(uniform, uniform, x, tol=1e-9)
+        assert len(edge) > 2  # the singular-edge guard asks both kernels at 2.0
+        assert abs(got - math.log(4.0 / x) / 8.0) <= 1e-9
+
     def test_uniform_factors(self):
         # two uniform laws on [-2, 2]: 2 * int (1/16) dy/y over [x/2, 2]
         def uniform(t):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from functools import cache
 
 import pytest
@@ -556,6 +557,24 @@ class TestOrbitBall:
             assert [sorted(row) for row in rows] == [
                 sorted(index[canon(vertices[j])] for j in adjacency[vertices.index(c)])
                 for c in reps]
+
+    @pytest.mark.parametrize("kind", ["chamber3", "halfplane", "bcc3"])
+    def test_each_vertex_is_canonicalised_at_most_once(self, kind):
+        # canon runs once on each distinct vertex met, the outermost layer's
+        # included, and never once per neighbor entry
+        g, o = walks.build_lattice(kind)
+        calls = []
+
+        def canon(v):
+            calls.append(v)
+            return g.symmetry.canon(v)
+
+        counted = replace(g, symmetry=g.symmetry._replace(canon=canon))
+        for radius in range(7):
+            calls.clear()
+            orbit_ball(counted, o, radius)
+            assert len(set(calls)) == len(calls)
+            assert len(calls) <= len(naive_ball(g, o, radius + 1)[0])
 
     def test_root_must_be_fixed(self):
         for kind, root in (("z2", (1, 0)), ("z2", (0, 1)), ("halfplane", (1, 0)),
