@@ -39,6 +39,22 @@ depth, so the parity classes split the representatives the same way.
 Each named kind's row states its root and its symmetry, if any: the
 signed coordinate permutations or a mirror through the root.
 
+A ball whose rows form a path (each names at most two distinct entries,
+never its own, and the rows close no cycle) takes full steps instead: the
+1-D kinds, lumped or not, and the ball of any path.  Along the path the
+step is the tridiagonal (Jacobi-matrix) walk recurrence of Flajolet,
+*Combinatorial aspects of continued fractions* (1980),
+
+    u_{k+1}[t] = a_t u_k[t-1] + c_t u_k[t+1],
+
+with a_t and c_t the times row t names each neighbour (2 at lumped z's
+root, 1 almost everywhere), so each of the m steps is one parity-strided
+slice addition, patched where a_t or c_t is not 1, and count[k] = u_k[o]
+needs no product, since o's orbit is o alone.  Step k writes only the
+entries within r = min(k, m-k) of o at k's parity, and that is exact: u_k
+vanishes at the other parity and beyond distance k, and a later count
+u_j[o], j <= m, reads u_k only within distance j - k <= m - k of o.
+
 A walk table is the moment sequence of the root's spectral law, so the
 product theorems are the laws' convolutions: ``spectral.MellinConv`` of
 two tables multiplies them into the Kronecker product's table, and
@@ -63,7 +79,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
 from itertools import chain
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 from . import graphs
@@ -146,6 +162,67 @@ def _diagonal_counts(classes: list[tuple[list[list[int]], list[int], list[int] |
     return out
 
 
+def _path_order(rows: list[list[int]]) -> list[int] | None:
+    # The indices along the path that the rows form, end to end, or None
+    # when they form none.  The walk out of index 0 stops at the first row
+    # that names its own index or three distinct ones, or when it comes
+    # back to 0 (a cycle).
+    sides: list[list[int]] = [[], []]
+    heads = set(rows[0])
+    if len(heads) > 2 or 0 in heads:
+        return None
+    for side, cur in zip(sides, heads):
+        prev = 0
+        while cur:
+            row = rows[cur]
+            ahead = set(row)
+            if len(ahead) > 2 or cur in ahead:
+                return None
+            side.append(cur)
+            ahead.discard(prev)
+            if not ahead:
+                break
+            prev, (cur,) = cur, ahead
+        else:  # back at 0
+            return None
+    return sides[0][::-1] + [0] + sides[1]
+
+
+def _path_counts(rows: list[list[int]], order: list[int], steps: int) -> list[int]:
+    # (A^k)_{oo} for k = 0..steps on a path, o at index 0, by the full
+    # steps u_{k+1}[t] = a_t u_k[t-1] + c_t u_k[t+1] along it.  Places
+    # 1..n hold order's entries and places 0 and n+1 stay 0.  u_k lives on
+    # the places at a distance of k's parity from the root's place p, and
+    # the counts still to come read u_k only within steps - k of p, so
+    # step k writes the places within r = min(k, steps - k) at k's parity:
+    # one slice addition, then a patch at each place whose row does not
+    # name each of its neighbours once.
+    n = len(order)
+    p = order.index(0) + 1
+    ends = [None, *order, None]
+    patches = [(t, row.count(ends[t - 1]), row.count(ends[t + 1]))
+               for t, row in enumerate(map(rows.__getitem__, order), 1)
+               if len(row) != (t > 1) + (t < n)]
+    u, v = [0] * (n + 2), [0] * (n + 2)
+    u[p] = 1
+    out = [1]
+    for k in range(1, steps + 1):
+        r = min(k, steps - k)
+        r -= (r ^ k) & 1
+        lo, hi = p - r, p + r
+        if lo < 1:
+            lo = 2 - (lo & 1)
+        if hi > n:
+            hi = n - ((hi - n) & 1)
+        v[lo:hi + 1:2] = map(add, u[lo - 1:hi:2], u[lo + 1:hi + 2:2])
+        for t, a, c in patches:
+            if lo <= t <= hi and not (t - lo) & 1:
+                v[t] = a * u[t - 1] + c * u[t + 1]
+        out.append(v[p])
+        u, v = v, u
+    return out
+
+
 def walk_count(g: Graph, o, m: int,
                budget: int = DEFAULT_VERTEX_BUDGET) -> int:
     """Number of closed walks of length m at vertex o, exactly: the last
@@ -180,7 +257,9 @@ class WalkTable:
 def walk_table(g: Graph, o, m_max: int,
                budget: int = DEFAULT_VERTEX_BUDGET) -> WalkTable:
     """Walk counts for all lengths 0..m_max from a single ball expansion,
-    lumped to orbit representatives when ``g.symmetry`` fixes o."""
+    lumped to orbit representatives when ``g.symmetry`` fixes o: by full
+    slice steps when its rows form a path, else by half steps (see the
+    module docstring)."""
     check_order(m_max, "m_max")
     sym = getattr(g, "symmetry", None)
     if sym is not None and sym.fixes(o):
@@ -188,6 +267,9 @@ def walk_table(g: Graph, o, m_max: int,
     else:
         b = ball(g, o, m_max // 2, budget)
         rows, depths, sizes = b.adjacency, b.depths, None
+    order = _path_order(rows)
+    if order is not None:
+        return WalkTable(tuple(_path_counts(rows, order, m_max)))
     classes, pos = _parity_classes(rows, depths)
     # the scatter loop needs, for each entry s, the class index of every r
     # whose row names s; on a ball's symmetric rows that is s's own row

@@ -310,17 +310,27 @@ def _graph(n: int, edges) -> graphs.FiniteGraph:
         [(i,) for i in range(n)], [((i,), (j,)) for i, j in edges])
 
 
+def _mirrored_cycle(n: int) -> graphs.ImplicitGraph:
+    # C_n with the mirror i -> -i, which fixes the root 0
+    g = _graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return dataclasses.replace(as_implicit(g),
+                               symmetry=graphs.reflection(lambda v: (-v[0] % n,)))
+
+
 _TRIANGLE = _graph(3, [(0, 1), (1, 2), (0, 2)])
 _K4 = _graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 _ISOLATED_ROOT = _graph(3, [(1, 2)])
 _FIVE_CYCLE = _graph(5, [(i, (i + 1) % 5) for i in range(5)])
+_SEVEN_CYCLE = _graph(7, [(i, (i + 1) % 7) for i in range(7)])
+_P1, _P2, _P5 = (_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 2, 5))
 _HYPOTHESIS = settings(max_examples=120, deadline=None, database=None,
                        derandomize=True)
 
 
 class TestHalfStepIdentity:
-    """walk_table counts by half steps on a radius-m//2 ball; compare with
-    m plain steps of u <- A u on the whole graph."""
+    """walk_table counts on a radius-m//2 ball, by half steps or, on a
+    path, by full slice steps; compare with m plain steps of u <- A u on
+    the whole graph."""
 
     @_HYPOTHESIS
     @given(g=simple_graphs(), pick=st.integers(0, 63), m_max=st.integers(0, 15))
@@ -334,6 +344,18 @@ class TestHalfStepIdentity:
     @example(g=_FIVE_CYCLE, pick=0, m_max=3)
     @example(g=_FIVE_CYCLE, pick=0, m_max=4)
     @example(g=_FIVE_CYCLE, pick=0, m_max=5)
+    # paths run the full-step path kernel, rooted at an end or in the
+    # middle, at lengths whose walks reach past the path's ends
+    @example(g=_P1, pick=0, m_max=15)
+    @example(g=_P2, pick=0, m_max=5)
+    @example(g=_P2, pick=1, m_max=15)
+    @example(g=_P5, pick=0, m_max=15)
+    @example(g=_P5, pick=2, m_max=15)
+    @example(g=_P5, pick=2, m_max=7)
+    # the radius-2 ball of C_7 is a path; the radius-3 ball is the cycle,
+    # and count[7] = 2
+    @example(g=_SEVEN_CYCLE, pick=0, m_max=5)
+    @example(g=_SEVEN_CYCLE, pick=0, m_max=7)
     def test_finite_graphs(self, g, pick, m_max):
         i = pick % len(g)
         expected = vector_walk_counts(g.adjacency, i, m_max)
@@ -358,6 +380,66 @@ class TestHalfStepIdentity:
         assert list(walk_table(g, root, m_max).counts) == expected
         lazy = product(as_implicit(g1), as_implicit(g2))
         assert list(walk_table(lazy, root, m_max).counts) == expected
+
+    @_HYPOTHESIS
+    @given(n=st.integers(3, 9), m_max=st.integers(0, 21))
+    # C_5's quotient ends in a row that names itself, so it takes the
+    # scatter kernel; C_6's is a path whose both ends name a neighbour twice
+    @example(n=5, m_max=4)
+    @example(n=5, m_max=9)
+    @example(n=6, m_max=13)
+    def test_cycle_mirror_quotients(self, n, m_max):
+        cycle = [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+        assert list(walk_table(_mirrored_cycle(n), (0,), m_max).counts) == \
+            vector_walk_counts(cycle, 0, m_max)
+
+
+class TestPathKernel:
+    """walk_table takes full slice steps when the ball's rows form a path,
+    and the half-step scatter kernel on every other ball."""
+
+    @pytest.mark.parametrize("g,root,m_max,path", [
+        (_P1, (0,), 6, True), (_P5, (0,), 9, True), (_P5, (2,), 9, True),
+        (_SEVEN_CYCLE, (0,), 5, True), (_SEVEN_CYCLE, (0,), 6, False),
+        (_mirrored_cycle(5), (0,), 4, False), (_mirrored_cycle(6), (0,), 8, True),
+        (_TRIANGLE, (0,), 4, False), (_ISOLATED_ROOT, (1,), 4, True),
+    ], ids=["P1", "P5-end", "P5-middle", "C7-r2", "C7-r3", "C5-mirror",
+            "C6-mirror", "triangle", "edge"])
+    def test_runs_exactly_on_paths(self, monkeypatch, g, root, m_max, path):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1])
+            return kernel(*args)
+
+        kernel = walks._path_counts
+        monkeypatch.setattr(walks, "_path_counts", spy)
+        walk_table(g, root, m_max)
+        assert calls == ([m_max] if path else [])
+
+    def test_no_2d_or_3d_kind_reaches_it(self, monkeypatch):
+        # past radius 1, where a lumped ball is a star of one or two
+        # representatives, with every factor path at 3 vertices or more
+        def fail(*args):
+            raise AssertionError("path kernel on a 2-D or 3-D ball")
+
+        monkeypatch.setattr(walks, "_path_counts", fail)
+        for kind in lattice_walk_kinds():
+            lk = lattice_kind(kind)
+            if lk.dimension == 1:
+                continue
+            for n in (3, 10):
+                params = {p: n for p in lk.requires}
+                g, o = build_lattice(kind, **params)
+                for m in (4, 5, CAP_3D if lk.dimension == 3 else CAP_12D):
+                    assert walk_table(g, o, m).counts[m] == \
+                        closed_form_walks(kind, m, **params)
+
+    @pytest.mark.parametrize("kind", ["z", "zplus", "zplus-at-1"])
+    def test_long_tables_equal_closed_forms(self, kind):
+        g, o = build_lattice(kind)
+        assert list(walk_table(g, o, 700).counts) == \
+            [closed_form_walks(kind, m) for m in range(701)]
 
 
 class TestLatticeRegistry:

@@ -1,4 +1,4 @@
-"""Back-fill the benchmark over past merged commits into one JSON file.
+"""Run the benchmark on past or paired commits into one JSON file.
 
 ``bench/`` and ``BENCHMARK.json`` are the same at every commit listed in
 ``COMMITS``, and ``bench/run.py`` imports the ``src/`` next to it, so a
@@ -6,18 +6,31 @@
 From the repository root:
 
     python3 tools/trajectory.py --workdir DIR --out BENCH_trajectory.json
+    python3 tools/trajectory.py --pairs PARENT CHANGE --workload W --count N --out BENCH_<label>.json
     python3 tools/trajectory.py --report BENCH_trajectory.json
 
-Each commit is extracted into DIR/<sha>.  Each round takes one seed of
-``SEEDS`` and runs ``bench/run.py --workload W --seed S --seconds 3
---trace 0`` on every workload, round-robin over the commits (the list is rotated by a
+Each commit is extracted into DIR/<sha> (a temporary directory when
+``--workdir`` is not given).
+
+The trajectory: each round takes one seed of ``SEEDS`` and runs
+``bench/run.py --workload W --seed S --seconds 3 --trace 0`` on every
+workload, round-robin over the commits (the list is rotated by a
 fraction of its length each round), so that drift of a shared host
 spreads over all of them.  Then the Tier-1 suite runs once in each copy,
-for its test count and wall time.  The output is rewritten after every
-run, so a cut run keeps what it measured; ``--report`` skips the commits
-and workloads that have no result yet.  ``--report`` prints, for each
-commit and workload, the median ``solve_s`` over the rounds and its ratio
-to the commit before, with the per-round ratios beside it.
+for its test count and wall time.  ``--report`` prints, for each commit
+and workload, the median ``solve_s`` over the rounds and its ratio to the
+commit before, with the per-round ratios beside it.
+
+A speed claim: ``--pairs`` runs ``bench/run.py --workload W --seed S
+--seconds T --trace 0`` on PARENT and CHANGE in N pairs per workload, at
+the benchmark's run length T, and swaps which side runs first in every
+pair.  For each workload and end-to-end metric of ``BENCHMARK.json`` it
+stores both medians, the parent's quartiles, the change's wins and
+losses over the pairs and the verdict of :func:`verdict`.  ``--report`` prints that table, recomputed from the
+stored runs, and exits 1 when a stored verdict differs from it.
+
+The output is rewritten after every run, so a cut run keeps what it
+measured; ``--report`` skips what has no result yet.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,10 +76,10 @@ def extract(workdir: Path, sha: str) -> Path:
     return dest
 
 
-def bench(copy: Path, workload: str, seed: int) -> dict:
+def bench(copy: Path, workload: str, seed: int, seconds: float = SECONDS) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=copy, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     machine = next((ln for ln in lines if ln.startswith("machine: ")), None)
@@ -88,8 +102,67 @@ def tier1(copy: Path) -> dict:
     return {"exit": proc.returncode, "wall_s": wall, "summary": summary, **counts}
 
 
-def report(path: Path) -> None:
+def verdict(parent: list[float], change: list[float], better: str) -> dict:
+    """The gain rule on one metric over paired runs, parent[i] and change[i]
+    from pair i: a gain when the change is better in at least nine tenths
+    of the pairs (ties count for neither side) and its median is better
+    than the parent's by more than the parent's interquartile range."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    before, after = statistics.median(parent), statistics.median(change)
+    gain = 10 * wins >= 9 * len(parent) and sign * (before - after) > q3 - q1
+    return {"pairs": len(parent), "wins": wins, "losses": losses,
+            "parent_median": before, "change_median": after,
+            "ratio": after / before if before else None,
+            "parent_q1": q1, "parent_q3": q3,
+            "verdict": "gain" if gain else "no gain"}
+
+
+def summarize(doc: dict) -> dict:
+    # workload -> metric -> verdict over the pairs where both sides ran
+    sides: dict[tuple[str, int], dict[str, dict]] = {}
+    for run in doc["runs"]:
+        if run["result"]:
+            sides.setdefault((run["workload"], run["pair"]), {})[run["side"]] = \
+                run["result"]["metrics"]
+    summary: dict[str, dict] = {}
+    for workload in doc["workloads"]:
+        both = [s for (w, _), s in sorted(sides.items()) if w == workload and len(s) == 2]
+        if len(both) < 2:
+            continue
+        summary[workload] = {
+            m["name"]: verdict([s["parent"][m["name"]]["value"] for s in both],
+                               [s["change"][m["name"]]["value"] for s in both],
+                               m["better"])
+            for m in doc["metrics"]}
+    return summary
+
+
+def report_pairs(doc: dict) -> int:
+    print(f"parent {doc['parent']['sha']}  {doc['parent']['subject'][:60]}")
+    print(f"change {doc['change']['sha']}  {doc['change']['subject'][:60]}")
+    print(f"{doc['command']}, {doc['count']} pairs per workload")
+    summary = summarize(doc)
+    for workload, metrics in summary.items():
+        print(f"\n{workload}: metric, parent median [q1, q3], change median, "
+              "ratio, wins-losses of pairs, verdict")
+        for name, v in metrics.items():
+            print(f"  {name:13s} {v['parent_median']:10.4f} [{v['parent_q1']:.4f}, "
+                  f"{v['parent_q3']:.4f}] {v['change_median']:10.4f}  "
+                  f"{v['ratio']:.3f}  {v['wins']}-{v['losses']} of {v['pairs']}  "
+                  f"{v['verdict']}")
+    if summary != doc.get("summary", {}):
+        print("\nerror: the stored summary differs from the one its runs give")
+        return 1
+    return 0
+
+
+def report(path: Path) -> int:
     doc = json.loads(path.read_text())
+    if "pairs" in doc:
+        return report_pairs(doc)
     solve, failed = {}, {}  # (sha, workload) -> {round: solve_s}, failed operations
     for run in doc["runs"]:
         if run["result"]:
@@ -117,20 +190,43 @@ def report(path: Path) -> None:
             if failed.get((sha, workload)):
                 line += f"  ({failed[sha, workload]} failed operations over the rounds)"
             print(line)
+    return 0
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--report", type=Path, help="print the table of a finished file")
-    ap.add_argument("--workdir", type=Path)
-    ap.add_argument("--out", type=Path)
-    args = ap.parse_args(argv)
-    if args.report:
-        report(args.report)
-        return 0
-    if not (args.workdir and args.out):
-        ap.error("--workdir and --out are required to measure")
+def pairs(args, workdir: Path) -> None:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = args.workload or WORKLOADS
+    doc = {"pairs": True,
+           "command": f"python3 bench/run.py --workload W --seed {args.seed} "
+                      f"--seconds {seconds:g} --trace 0",
+           "seconds": seconds, "seed": args.seed, "count": args.count,
+           "workloads": workloads,
+           "metrics": [{"name": m["name"], "better": m["better"]}
+                       for m in spec["end_to_end"]],
+           "machine": None, "runs": []}
+    for side, ref in zip(("parent", "change"), args.pairs):
+        sha = git("rev-parse", "--short", ref).decode().strip()
+        doc[side] = {"sha": sha, "subject": git("log", "-1", "--format=%s", sha)
+                     .decode().strip()}
+    copies = {side: extract(workdir, doc[side]["sha"]) for side in ("parent", "change")}
 
+    def save():
+        doc["summary"] = summarize(doc)
+        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    for workload in workloads:
+        for pair in range(args.count):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = bench(copies[side], workload, args.seed, seconds)
+                doc["machine"] = doc["machine"] or run["machine"]
+                doc["runs"].append({"workload": workload, "pair": pair, "side": side, **run})
+                save()
+                print(f"{workload} pair {pair} {side}: exit {run['exit']}", flush=True)
+
+
+def trajectory(args, workdir: Path) -> None:
     doc = {"command": "python3 bench/run.py --workload W --seed S "
                       f"--seconds {SECONDS:g} --trace 0",
            "seconds": SECONDS, "seeds": SEEDS,
@@ -142,7 +238,7 @@ def main(argv=None) -> int:
     def save():
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    copies = {sha: extract(args.workdir, sha) for sha in COMMITS}
+    copies = {sha: extract(workdir, sha) for sha in COMMITS}
     for rnd, seed in enumerate(SEEDS):
         shift = rnd * len(COMMITS) // len(SEEDS)
         for workload in WORKLOADS:
@@ -156,6 +252,28 @@ def main(argv=None) -> int:
         entry["tier1"] = tier1(copies[entry["sha"]])
         save()
         print(f"tier-1 {entry['sha']}: {entry['tier1']['summary']}", flush=True)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--report", type=Path, help="print the table of a finished file")
+    ap.add_argument("--pairs", nargs=2, metavar=("PARENT", "CHANGE"),
+                    help="measure a change against its parent in alternated pairs")
+    ap.add_argument("--workload", action="append", choices=WORKLOADS,
+                    help="a workload to pair (repeatable; default: all)")
+    ap.add_argument("--count", type=int, default=10, help="pairs per workload")
+    ap.add_argument("--seed", type=int, default=1, help="the seed of every paired run")
+    ap.add_argument("--workdir", type=Path)
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args(argv)
+    if args.report:
+        return report(args.report)
+    if not args.out:
+        ap.error("--out is required to measure")
+    if args.pairs and args.count < 2:
+        ap.error("--count must be at least 2 for the parent's quartiles")
+    with tempfile.TemporaryDirectory() as tmp:
+        (pairs if args.pairs else trajectory)(args, args.workdir or Path(tmp))
     return 0
 
 
