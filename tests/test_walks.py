@@ -407,12 +407,12 @@ class TestPathKernel:
             "C6-mirror", "triangle", "edge"])
     def test_runs_exactly_on_paths(self, monkeypatch, g, root, m_max, path):
         calls = []
+        kernel = walks._path_counts
 
         def spy(*args):
             calls.append(args[-1])
             return kernel(*args)
 
-        kernel = walks._path_counts
         monkeypatch.setattr(walks, "_path_counts", spy)
         walk_table(g, root, m_max)
         assert calls == ([m_max] if path else [])

@@ -115,7 +115,7 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
     gain = 10 * wins >= 9 * len(parent) and sign * (before - after) > q3 - q1
     return {"pairs": len(parent), "wins": wins, "losses": losses,
             "parent_median": before, "change_median": after,
-            "ratio": after / before if before else None,
+            "ratio": after / before,
             "parent_q1": q1, "parent_q3": q3,
             "verdict": "gain" if gain else "no gain"}
 
