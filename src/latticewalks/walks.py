@@ -190,13 +190,10 @@ def _path_order(rows: list[list[int]]) -> list[int] | None:
 
 def _path_counts(rows: list[list[int]], order: list[int], steps: int) -> list[int]:
     # (A^k)_{oo} for k = 0..steps on a path, o at index 0, by the full
-    # steps u_{k+1}[t] = a_t u_k[t-1] + c_t u_k[t+1] along it.  Places
-    # 1..n hold order's entries and places 0 and n+1 stay 0.  u_k lives on
-    # the places at a distance of k's parity from the root's place p, and
-    # the counts still to come read u_k only within steps - k of p, so
-    # step k writes the places within r = min(k, steps - k) at k's parity:
-    # one slice addition, then a patch at each place whose row does not
-    # name each of its neighbours once.
+    # steps of the module docstring, truncated as it says.  Places 1..n
+    # hold order's entries, o at place p, and places 0 and n+1 stay 0.
+    # Each step is one slice addition, then a patch at each place whose
+    # row names a neighbour more than once.
     n = len(order)
     p = order.index(0) + 1
     ends = [None, *order, None]

@@ -51,27 +51,61 @@ def test_higher_is_better_mirrors_the_rule():
         "no gain"
 
 
+def _run(workload, pair, side, value, exit=0, correct=True, failed=0):
+    return {"workload": workload, "pair": pair, "side": side, "machine": "machine: x",
+            "exit": exit, "result": {"correct": correct, "failed": failed,
+                                     "metrics": {"solve_s": {"value": value}}}}
+
+
+def _doc(runs, workloads=("walks-long",)):
+    return {"pairs": True, "command": "python3 bench/run.py ...", "count": 5,
+            "workloads": list(workloads),
+            "metrics": [{"name": "solve_s", "better": "lower"}], "runs": runs,
+            "parent": {"sha": "aaaaaaa", "subject": "parent"},
+            "change": {"sha": "bbbbbbb", "subject": "change"}}
+
+
 def test_report_recomputes_the_stored_verdicts(tmp_path, capsys):
-    runs = [{"workload": "walks-long", "pair": i, "side": side, "machine": "machine: x",
-             "exit": 0, "result": {"metrics": {"solve_s": {"value": value}}}}
+    runs = [_run("walks-long", i, side, value)
             for i, p in enumerate(PARENT[:4])
             for side, value in (("parent", p), ("change", 0.7 * p))]
     # a pair with a failed run and a workload with no runs are left out
     runs.append({"workload": "walks-long", "pair": 4, "side": "parent", "machine": None,
                  "exit": 1, "result": None})
-    doc = {"pairs": True, "command": "python3 bench/run.py ...", "count": 5,
-           "workloads": ["walks-long", "numeric"],
-           "metrics": [{"name": "solve_s", "better": "lower"}], "runs": runs,
-           "parent": {"sha": "aaaaaaa", "subject": "parent"},
-           "change": {"sha": "bbbbbbb", "subject": "change"}}
+    doc = _doc(runs, ["walks-long", "numeric"])
     doc["summary"] = trajectory.summarize(doc)
     assert list(doc["summary"]) == ["walks-long"]
-    assert doc["summary"]["walks-long"]["solve_s"]["pairs"] == 4
+    assert doc["summary"]["walks-long"]["metrics"]["solve_s"]["pairs"] == 4
     path = tmp_path / "BENCH_test.json"
     path.write_text(json.dumps(doc))
     assert trajectory.main(["--report", str(path)]) == 0
     assert "4-0 of 4  gain" in capsys.readouterr().out
 
-    doc["summary"]["walks-long"]["solve_s"]["verdict"] = "no gain"
+    doc["summary"]["walks-long"]["metrics"]["solve_s"]["verdict"] = "no gain"
     path.write_text(json.dumps(doc))
     assert trajectory.main(["--report", str(path)]) == 1
+
+
+def test_runs_that_fail_do_not_count_toward_a_gain():
+    clean = [_run("walks-long", i, side, value)
+             for i, p in enumerate(PARENT)
+             for side, value in (("parent", p), ("change", 0.7 * p))]
+    assert trajectory.summarize(_doc(clean))["walks-long"]["metrics"]["solve_s"][
+        "verdict"] == "gain"
+
+    # a change run that exits 1 or is not correct leaves its pair out
+    unclean = [dict(r) for r in clean]
+    unclean[1] = _run("walks-long", 0, "change", 0.7 * PARENT[0], exit=1, correct=False)
+    unclean[3] = _run("walks-long", 1, "change", 0.7 * PARENT[1], correct=False)
+    entry = trajectory.summarize(_doc(unclean))["walks-long"]
+    assert entry["metrics"]["solve_s"]["pairs"] == 8
+
+    # a change that fails more operations than the parent gains nothing
+    for failed, verdict in ((2, "gain"), (3, "no gain")):
+        runs = [dict(r) for r in clean]
+        runs[0] = _run("walks-long", 0, "parent", PARENT[0], failed=2)
+        runs[1] = _run("walks-long", 0, "change", 0.7 * PARENT[0], failed=failed)
+        entry = trajectory.summarize(_doc(runs))["walks-long"]
+        assert entry["failed"] == {"parent": 2, "change": failed}
+        assert entry["metrics"]["solve_s"]["wins"] == 10
+        assert entry["metrics"]["solve_s"]["verdict"] == verdict

@@ -21,13 +21,16 @@ for its test count and wall time.  ``--report`` prints, for each commit
 and workload, the median ``solve_s`` over the rounds and its ratio to the
 commit before, with the per-round ratios beside it.
 
-A speed claim: ``--pairs`` runs ``bench/run.py --workload W --seed S
---seconds T --trace 0`` on PARENT and CHANGE in N pairs per workload, at
+A speed claim: ``--pairs`` runs ``bench/run.py --workload W --seed
+PAIR_SEED --seconds T --trace 0`` on PARENT and CHANGE in N pairs per workload, at
 the benchmark's run length T, and swaps which side runs first in every
 pair.  For each workload and end-to-end metric of ``BENCHMARK.json`` it
 stores both medians, the parent's quartiles, the change's wins and
-losses over the pairs and the verdict of :func:`verdict`.  ``--report`` prints that table, recomputed from the
-stored runs, and exits 1 when a stored verdict differs from it.
+losses over the pairs where both runs exited 0 with correct results, and
+the verdict of :func:`verdict`; each side's failed operations are summed
+over all its runs, and no metric of a workload is a gain where the
+change failed more of them.  ``--report`` prints that table, recomputed
+from the stored runs, and exits 1 when a stored summary differs from it.
 
 The output is rewritten after every run, so a cut run keeps what it
 measured; ``--report`` skips what has no result yet.
@@ -59,6 +62,7 @@ COMMITS = [
 WORKLOADS = ["walks-3d", "walks-long", "numeric", "cli-session"]
 SEEDS = [3, 4, 5]  # one seed per round
 SECONDS = 3.0
+PAIR_SEED = 1  # the seed of every paired run
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
@@ -121,22 +125,31 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def summarize(doc: dict) -> dict:
-    # workload -> metric -> verdict over the pairs where both sides ran
+    # workload -> each side's failed operations over its runs, and each
+    # metric's verdict over the pairs where both sides ran cleanly
     sides: dict[tuple[str, int], dict[str, dict]] = {}
+    failed: dict[str, dict[str, int]] = {}
     for run in doc["runs"]:
-        if run["result"]:
-            sides.setdefault((run["workload"], run["pair"]), {})[run["side"]] = \
-                run["result"]["metrics"]
+        result = run["result"]
+        if result:
+            tally = failed.setdefault(run["workload"], {"parent": 0, "change": 0})
+            tally[run["side"]] += result["failed"]
+            if run["exit"] == 0 and result["correct"]:
+                sides.setdefault((run["workload"], run["pair"]), {})[run["side"]] = \
+                    result["metrics"]
     summary: dict[str, dict] = {}
     for workload in doc["workloads"]:
         both = [s for (w, _), s in sorted(sides.items()) if w == workload and len(s) == 2]
         if len(both) < 2:
             continue
-        summary[workload] = {
-            m["name"]: verdict([s["parent"][m["name"]]["value"] for s in both],
-                               [s["change"][m["name"]]["value"] for s in both],
-                               m["better"])
-            for m in doc["metrics"]}
+        metrics = {m["name"]: verdict([s["parent"][m["name"]]["value"] for s in both],
+                                      [s["change"][m["name"]]["value"] for s in both],
+                                      m["better"])
+                   for m in doc["metrics"]}
+        if failed[workload]["change"] > failed[workload]["parent"]:
+            for v in metrics.values():
+                v["verdict"] = "no gain"
+        summary[workload] = {"failed": failed[workload], "metrics": metrics}
     return summary
 
 
@@ -145,10 +158,11 @@ def report_pairs(doc: dict) -> int:
     print(f"change {doc['change']['sha']}  {doc['change']['subject'][:60]}")
     print(f"{doc['command']}, {doc['count']} pairs per workload")
     summary = summarize(doc)
-    for workload, metrics in summary.items():
-        print(f"\n{workload}: metric, parent median [q1, q3], change median, "
-              "ratio, wins-losses of pairs, verdict")
-        for name, v in metrics.items():
+    for workload, entry in summary.items():
+        print(f"\n{workload}: failed operations {entry['failed']['parent']} -> "
+              f"{entry['failed']['change']}; metric, parent median [q1, q3], "
+              "change median, ratio, wins-losses of pairs, verdict")
+        for name, v in entry["metrics"].items():
             print(f"  {name:13s} {v['parent_median']:10.4f} [{v['parent_q1']:.4f}, "
                   f"{v['parent_q3']:.4f}] {v['change_median']:10.4f}  "
                   f"{v['ratio']:.3f}  {v['wins']}-{v['losses']} of {v['pairs']}  "
@@ -198,9 +212,9 @@ def pairs(args, workdir: Path) -> None:
     seconds = spec["run_seconds"]
     workloads = args.workload or WORKLOADS
     doc = {"pairs": True,
-           "command": f"python3 bench/run.py --workload W --seed {args.seed} "
+           "command": f"python3 bench/run.py --workload W --seed {PAIR_SEED} "
                       f"--seconds {seconds:g} --trace 0",
-           "seconds": seconds, "seed": args.seed, "count": args.count,
+           "seconds": seconds, "seed": PAIR_SEED, "count": args.count,
            "workloads": workloads,
            "metrics": [{"name": m["name"], "better": m["better"]}
                        for m in spec["end_to_end"]],
@@ -219,7 +233,7 @@ def pairs(args, workdir: Path) -> None:
         for pair in range(args.count):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                run = bench(copies[side], workload, args.seed, seconds)
+                run = bench(copies[side], workload, PAIR_SEED, seconds)
                 doc["machine"] = doc["machine"] or run["machine"]
                 doc["runs"].append({"workload": workload, "pair": pair, "side": side, **run})
                 save()
@@ -262,7 +276,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="a workload to pair (repeatable; default: all)")
     ap.add_argument("--count", type=int, default=10, help="pairs per workload")
-    ap.add_argument("--seed", type=int, default=1, help="the seed of every paired run")
     ap.add_argument("--workdir", type=Path)
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
