@@ -43,7 +43,6 @@ from .graphs import (
     full_plane,
     half_line,
     half_plane,
-    induced_subgraph,
     integer_line,
     kronecker,
     lattice,
@@ -75,8 +74,6 @@ from .walks import (
     fold_map,
     lattice_kind,
     lattice_walk_kinds,
-    verify_binomial_identity,
-    walk_count,
     walk_table,
 )
 
@@ -118,7 +115,6 @@ __all__ = [
     "full_plane",
     "half_line",
     "half_plane",
-    "induced_subgraph",
     "integer_line",
     "kronecker",
     "lattice",
@@ -132,9 +128,7 @@ __all__ = [
     "quarter_plane",
     "semicircle_density",
     "strip",
-    "verify_binomial_identity",
     "verify_isomorphism",
-    "walk_count",
     "walk_table",
     "wedge",
 ]

@@ -4,15 +4,16 @@ Every vertex is a fixed-length tuple of ints.  Product graphs concatenate
 coordinate tuples, so base graphs, Kronecker/Cartesian products, and
 restricted lattices all share one hash-friendly vertex representation.
 
-Every named graph but the finite path is a step lattice (:func:`lattice`):
-the points of Z^d inside walls a . v >= b, with edges v ~ v + s for s in
-a set of steps closed under negation, such as the half plane, Z^2 with
-unit steps cut by x - y >= 0.  The Kronecker product of two step lattices
-pairs their steps (Z with Z gives (+-1, +-1)), the Cartesian product pads
-each factor's steps with zeros, and both keep every wall, so products of
-step lattices are step lattices.
+Every named graph, the finite path included, is a step lattice
+(:func:`lattice`): the points of Z^d inside walls a . v >= b, with edges
+v ~ v + s for s in a set of steps closed under negation, such as the half
+plane, Z^2 with unit steps cut by x - y >= 0.  The Kronecker product of
+two step lattices pairs their steps (Z with Z gives (+-1, +-1)), the
+Cartesian product pads each factor's steps with zeros, and both keep every
+wall, so products of step lattices are step lattices.
 
-Infinite graphs are neighbor-function views and are never materialized:
+Infinite graphs, and products of any other factors, finite ones included,
+are neighbor-function views and are never materialized:
 exact computation always goes through :func:`ball`, which cuts the finite
 induced subgraph of bounded graph distance around a root, or through
 :func:`orbit_ball`, its quotient by a symmetry that fixes the root.  Both
@@ -37,7 +38,7 @@ from math import factorial
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
-from .errors import KindTable, ResourceLimitError, check_path
+from .errors import KindTable, ResourceLimitError, check_order, check_path
 
 Coords = tuple[int, ...]
 
@@ -59,7 +60,8 @@ def _as_coords(v: Sequence[int]) -> Coords:
 class FiniteGraph:
     """Explicit graph: vertex tuple list plus sorted neighbor-index lists.
 
-    Construction validates the adjacency structure (symmetric, loop-free,
+    Only :func:`ball` and this validating constructor build one.
+    Construction checks the adjacency structure (symmetric, loop-free,
     duplicate-free).  ``root`` is an optional distinguished vertex index.
     Graphs produced by :func:`ball` additionally carry per-vertex BFS
     depths, the requested radius, and a truncation flag.
@@ -125,20 +127,6 @@ class FiniteGraph:
         g.truncated = truncated
         return g
 
-    @classmethod
-    def from_edges(cls, vertices, edges, root=None, name="") -> "FiniteGraph":
-        verts = [_as_coords(v) for v in vertices]
-        index = {v: i for i, v in enumerate(verts)}
-        adj: list[set[int]] = [set() for _ in verts]
-        for a, b in edges:
-            a, b = _as_coords(a), _as_coords(b)
-            if a not in index or b not in index:
-                raise ValueError(f"edge {(a, b)} has an end outside the vertex list")
-            i, j = index[a], index[b]
-            adj[i].add(j)
-            adj[j].add(i)
-        return cls(verts, [sorted(s) for s in adj], root=root, name=name)
-
     @property
     def dimension(self) -> int:
         return len(self.vertices[0])
@@ -162,23 +150,8 @@ class FiniteGraph:
     def degree(self, v) -> int:
         return len(self.adjacency[self.index_of(v)])
 
-    @property
-    def root_coords(self) -> Coords | None:
-        return None if self.root is None else self.vertices[self.root]
-
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adjacency) // 2
-
-    def edge_set(self) -> frozenset[tuple[Coords, Coords]]:
-        """Edges as coordinate pairs, each listed once with sorted endpoints."""
-        out = set()
-        for i, row in enumerate(self.adjacency):
-            vi = self.vertices[i]
-            for j in row:
-                if j > i:
-                    vj = self.vertices[j]
-                    out.add((vi, vj) if vi <= vj else (vj, vi))
-        return frozenset(out)
 
     def __repr__(self) -> str:
         label = self.name or "graph"
@@ -293,12 +266,9 @@ def _neighbor_fn(g: Graph) -> Callable[[Coords], Sequence[Coords]]:
 # base graphs
 
 
-def path_graph(n: int) -> FiniteGraph:
-    """Path on vertices (0,), ..., (n-1,), rooted at (0,)."""
-    check_path(n)
-    verts = [(i,) for i in range(n)]
-    adj = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
-    return FiniteGraph(verts, adj, root=0, name=f"P{n}")
+def path_graph(n: int) -> ImplicitGraph:
+    """The path on (0,), ..., (n-1,): the step lattice 0 <= x <= n-1."""
+    return lattice(f"lattice[P{check_path(n)}]", _unit_steps(1), [((1,), 0), ((-1,), 1 - n)])
 
 
 def integer_line() -> ImplicitGraph:
@@ -450,9 +420,9 @@ def chamber3() -> ImplicitGraph:
 def _product(g1: Graph, g2: Graph, mode: str) -> Graph:
     # A product of two step lattices is the step lattice of the paired
     # steps (Kronecker) or of each factor's steps padded with zeros
-    # (Cartesian), inside both factors' walls.  Any other pair composes the
-    # factors' neighbor functions, and two finite ones give the induced
-    # graph on all vertex pairs.
+    # (Cartesian), inside both factors' walls.  Any other pair, two finite
+    # graphs included, composes the factors' neighbor functions and
+    # membership tests.
     tag = "kron" if mode == "kron" else "cart"
     name = f"{tag}({g1.name or 'G1'},{g2.name or 'G2'})"
     d1 = g1.dimension
@@ -475,12 +445,6 @@ def _product(g1: Graph, g2: Graph, mode: str) -> Graph:
             out += [a + nb for nb in n2(b)]
             return out
 
-    if isinstance(g1, FiniteGraph) and isinstance(g2, FiniteGraph):
-        verts = sorted(a + b for a in g1.vertices for b in g2.vertices)
-        root = None
-        if g1.root is not None and g2.root is not None:
-            root = g1.root_coords + g2.root_coords
-        return _induced(verts, nbrs, root, name)
     return ImplicitGraph(d1 + g2.dimension, nbrs, name,
                          lambda v: v[:d1] in g1 and v[d1:] in g2)
 
@@ -522,8 +486,7 @@ def _expand(g: Graph, root, radius: int, budget: int, sym: Symmetry | None
     # returns them (sizes is None under the trivial group), and truncated
     # tells whether the outermost layer lost neighbors beyond the radius.
     r = _as_coords(root)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    check_order(radius, "radius")
     if budget < 1:
         raise ValueError("vertex budget must be positive")
     if len(r) != g.dimension:
@@ -630,39 +593,16 @@ def orbit_ball(g: ImplicitGraph, root, radius: int,
     return rows, depths, sizes
 
 
-def _induced(verts: list[Coords], nbrs: Callable[[Coords], Iterable[Coords]],
-             root: Coords | None, name: str) -> FiniteGraph:
-    # The graph on verts (sorted, distinct, well formed) whose edges are the
-    # pairs nbrs links inside verts; nbrs must be symmetric and loop-free
-    # and list each neighbor once.  root is dropped when it is not in verts.
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [sorted([index[w] for w in nbrs(v) if w in index]) for v in verts]
-    return FiniteGraph._trusted(verts, index, adj, index.get(root), name)
-
-
-def induced_subgraph(g: FiniteGraph, keep: Iterable[Sequence[int]],
-                     name: str = "") -> FiniteGraph:
-    """Induced subgraph on a subset of vertices, sorted by coordinates."""
-    verts = sorted({_as_coords(v) for v in keep})
-    if not verts:
-        raise ValueError("graph needs at least one vertex")
-    missing = [v for v in verts if v not in g]
-    if missing:
-        raise ValueError(f"vertices not in graph: {missing[:3]}")
-    return _induced(verts, _neighbor_fn(g), g.root_coords, name or f"sub({g.name})")
-
-
 def connected_components(g: FiniteGraph) -> list[FiniteGraph]:
-    """Connected components as induced subgraphs, ordered by smallest vertex:
-    the ball of radius len(g) around each vertex, in sorted order, that no
-    earlier component holds.  The root stays only in its own component."""
+    """Connected components, ordered by smallest vertex: the ball of radius
+    len(g) around each vertex, in sorted order, that no earlier component
+    holds, in the breadth-first order of :func:`ball` and rooted there."""
     seen: set[Coords] = set()
     comps = []
     for v in sorted(g.vertices):
         if v not in seen:
-            keep = ball(g, v, len(g), len(g)).vertices
-            seen.update(keep)
-            comps.append(induced_subgraph(g, keep, f"{g.name or 'graph'}[comp{len(comps)}]"))
+            comps.append(ball(g, v, len(g), len(g)))
+            seen.update(comps[-1].vertices)
     return comps
 
 
@@ -673,7 +613,7 @@ def degree_histogram(g: FiniteGraph, interior_radius: int) -> dict[int, int]:
     strictly smaller than the ball radius: vertices on the outermost layer
     may have neighbors outside the ball, so their degrees are unreliable.
     """
-    if g.depths is None or g.ball_radius is None:
+    if getattr(g, "depths", None) is None or g.ball_radius is None:
         raise ValueError("degree_histogram needs a graph produced by ball()")
     if not 0 <= interior_radius < g.ball_radius:
         raise ValueError("interior radius must satisfy 0 <= r_int < ball radius")

@@ -298,15 +298,13 @@ class Factor(NamedTuple):
     law: Callable[[int | None], _EvenLaw]
 
 
-#: The 1-D factors.  The path is the lattice 0 <= x <= p-1, so a fold
-#: check builds only the ball it reads; path_spectrum is looked up at call
-#: time.
+#: The 1-D factors.  The path is graphs.path_graph, the lattice
+#: 0 <= x <= p-1, so a fold check builds only the ball it reads; path_graph
+#: and path_spectrum are looked up at call time.
 FACTORS = KindTable("factor", {
     "Z": Factor(lambda p: graphs.integer_line(), lambda p: ArcSine()),
     "Z+": Factor(lambda p: graphs.half_line(), lambda p: Semicircle()),
-    "P": Factor(lambda p: graphs.lattice(f"lattice[P{p}]", ((1,), (-1,)),
-                                         [((1,), 0), ((-1,), 1 - p)]),
-                lambda p: path_spectrum(p)),
+    "P": Factor(lambda p: graphs.path_graph(p), lambda p: path_spectrum(p)),
 })
 
 

@@ -91,8 +91,7 @@ from .spectral import (FACTORS, _EvenLaw, catalan, central_binomial, path_closed
 
 __all__ = ["FOLD_KINDS", "LatticeKind", "WalkTable", "build_lattice", "catalan",
            "central_binomial", "closed_form_walks", "fold_map", "lattice_kind",
-           "lattice_walk_kinds", "path_closed_walks", "verify_binomial_identity",
-           "walk_count", "walk_table"]
+           "lattice_walk_kinds", "path_closed_walks", "walk_table"]
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +217,6 @@ def _path_counts(rows: list[list[int]], order: list[int], steps: int) -> list[in
         out.append(v[p])
         u, v = v, u
     return out
-
-
-def walk_count(g: Graph, o, m: int,
-               budget: int = DEFAULT_VERTEX_BUDGET) -> int:
-    """Number of closed walks of length m at vertex o, exactly: the last
-    entry of :func:`walk_table`."""
-    return walk_table(g, o, m, budget).counts[m]
 
 
 @dataclass(frozen=True)
@@ -425,19 +417,3 @@ def fold_map(kind: str, n: int | None = None, k: int | None = None,
                     [FACTORS[f].graph(params.get(p)) for f, p in product_terms(lk.product)[0]])
     name = f"{kind}{'x'.join(map(str, params.values()))}-to-kron"
     return IsoMap(_FOLD, (0, 0), source, root, target, (0, 0), name)
-
-
-# ---------------------------------------------------------------------------
-# identities
-
-
-def verify_binomial_identity(m: int) -> bool:
-    """sum_k binom(2m,2k) binom(2k,k) binom(2m-2k,m-k) == binom(2m,m)^2,
-
-    checked with exact integers.  Combinatorially: splitting the square
-    lattice count by the number of diagonal-pair steps of each type.  The
-    left side counts Z^2 as the Cartesian square of the line (``Z □ Z``),
-    the right side as its Kronecker square (``Z ⊗ Z``).
-    """
-    check_order(m, "order")
-    return product_law("Z □ Z").moment(2 * m) == product_law("Z ⊗ Z").moment(2 * m)

@@ -6,8 +6,8 @@ cross-checks the production pipeline rather than re-running it.
 `naive_ball` is a textbook queue BFS over the public ``neighbors`` method,
 and `vector_walk_counts` iterates the full adjacency one step at a time;
 `path_walk_counts` does the same for the tridiagonal path adjacency.
-`as_implicit` hides a finite graph behind its public methods, so products
-of it take the lazy path.  `reference_iso_report` checks an affine map
+`as_implicit` hides a finite graph behind its public methods, so a ball
+or a product of it reads only those.  `reference_iso_report` checks an affine map
 the way the coordinate edge-set algorithm does, on `naive_ball`s.
 `SIGNED_KINDS`, `MIRRORS` and `LUMPED` name the lattice kinds whose graphs
 carry a symmetry, with each mirror written out here rather than taken
@@ -19,7 +19,12 @@ sum, so the library's cached exact moments are checked, not echoed;
 composing their public ``neighbors`` and membership, and
 `REFERENCE_LATTICES` writes every named lattice and fold target out as
 its steps and the predicate of its domain; `predicate_lattice` turns such
-a pair into a graph.
+a pair into a graph.  `from_edges` builds a finite graph from an edge list
+through the validating ``FiniteGraph(vertices, adjacency)`` constructor,
+`product_by_definition` builds a finite product straight from the
+definition of the two products, `edge_set` lists the edges of any graph
+among given vertices, and `components` finds the connected components of
+any graph on given vertices, one ball around each smallest unseen vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from contextlib import contextmanager
 from math import comb
 
 from latticewalks import spectral
-from latticewalks.graphs import FiniteGraph, ImplicitGraph
+from latticewalks.graphs import FiniteGraph, ImplicitGraph, ball
 
 
 def dp_closed_walks(g, root, m: int) -> int:
@@ -185,6 +190,56 @@ REFERENCE_LATTICES = {
 }
 
 
+def from_edges(vertices, edges, root=None, name: str = "") -> FiniteGraph:
+    """The graph on ``vertices`` whose edges are the coordinate pairs of
+    ``edges``, through the validating constructor."""
+    index = {tuple(v): i for i, v in enumerate(vertices)}
+    adjacency: list[set[int]] = [set() for _ in vertices]
+    for a, b in edges:
+        adjacency[index[tuple(a)]].add(index[tuple(b)])
+        adjacency[index[tuple(b)]].add(index[tuple(a)])
+    return FiniteGraph(vertices, adjacency, root=root, name=name)
+
+
+def product_by_definition(g1: FiniteGraph, g2: FiniteGraph, kron: bool) -> FiniteGraph:
+    """The product straight from its definition, on all vertex pairs in
+    sorted order: Kronecker pairs are adjacent in both factors, Cartesian
+    pairs are equal in one coordinate and adjacent in the other."""
+    verts = [(a, b) for a in g1.vertices for b in g2.vertices]
+    edges = []
+    for a1, a2 in verts:
+        for b1, b2 in verts:
+            adj1, adj2 = b1 in g1.neighbors(a1), b2 in g2.neighbors(a2)
+            if kron:
+                linked = adj1 and adj2
+            else:
+                linked = (a1 == b1 and adj2) or (a2 == b2 and adj1)
+            if linked:
+                edges.append((a1 + a2, b1 + b2))
+    return from_edges(sorted(a + b for a, b in verts), edges)
+
+
+def edge_set(g, vertices=None) -> set:
+    """The edges of g between ``vertices`` (all of a finite g's by
+    default), each a pair of coordinate tuples in sorted order."""
+    vertices = g.vertices if vertices is None else vertices
+    inside = set(vertices)
+    return {tuple(sorted((v, w))) for v in vertices for w in g.neighbors(v) if w in inside}
+
+
+def components(g, vertices) -> list[FiniteGraph]:
+    """The connected components of a graph whose vertices are exactly
+    ``vertices``: a ball around each vertex, in sorted order, that no
+    earlier ball holds, with a radius that reaches every vertex."""
+    seen: set = set()
+    out = []
+    for v in sorted(vertices):
+        if v not in seen:
+            out.append(ball(g, v, len(vertices)))
+            seen.update(out[-1].vertices)
+    return out
+
+
 def random_graph(rng: random.Random, n_min: int = 2, n_max: int = 8) -> FiniteGraph:
     """Erdos-Renyi graph on vertices (0,), ..., (n-1,); may be disconnected."""
     n = rng.randint(n_min, n_max)
@@ -192,7 +247,7 @@ def random_graph(rng: random.Random, n_min: int = 2, n_max: int = 8) -> FiniteGr
     vertices = [(i,) for i in range(n)]
     edges = [((i,), (j,)) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
-    return FiniteGraph.from_edges(vertices, edges, root=(0,))
+    return from_edges(vertices, edges, root=(0,))
 
 
 def random_connected_graph(rng: random.Random, n_min: int = 2,
@@ -205,8 +260,7 @@ def random_connected_graph(rng: random.Random, n_min: int = 2,
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             edges.add(((min(i, j),), (max(i, j),)))
-    return FiniteGraph.from_edges([(i,) for i in range(n)], sorted(edges),
-                                  root=(0,))
+    return from_edges([(i,) for i in range(n)], sorted(edges), root=(0,))
 
 
 def reference_iso_report(iso, radius: int) -> tuple:

@@ -15,6 +15,7 @@ from math import comb
 from scipy.special import ellipe, ellipk
 
 from helpers import (
+    components,
     dp_closed_walks,
     int_matrix_power_diag,
     path_adjacency,
@@ -91,10 +92,11 @@ def test_1_exact_walk_tables():
 
 def test_2_binomial_identity():
     """Diagonal-vs-axis step decomposition of the squared central binomial."""
+    cartesian, kronecker = spectral.product_law("Z □ Z"), spectral.product_law("Z ⊗ Z")
     for m in range(31):
         lhs = sum(comb(2 * m, 2 * k) * comb(2 * k, k) * comb(2 * m - 2 * k, m - k)
                   for k in range(m + 1))
-        ok = lhs == comb(2 * m, m) ** 2 and walks.verify_binomial_identity(m)
+        ok = lhs == comb(2 * m, m) ** 2 == cartesian.moment(2 * m) == kronecker.moment(2 * m)
         if not ok:
             report("2/7 binomial-identity", False, f"m={m}")
     report("2/7 binomial-identity", True, "m <= 30")
@@ -123,17 +125,17 @@ def test_4_coincidence_without_isomorphism():
     for m in range(13):
         want = 0 if m % 2 else sum(comb(m, 2 * j) * cat(j) ** 2 * cat(m // 2 - j)
                                    for j in range(m // 2 + 1))
-        ca, cb = walks.walk_count(g_a, o_a, m), walks.walk_count(g_b, o_b, m)
+        ca, cb = walks.walk_table(g_a, o_a, m)[m], walks.walk_table(g_b, o_b, m)[m]
         if not (ca == cb == want):
             report("4/7 coincidence", False, f"triple product m={m}")
-    assert walks.walk_count(g_a, o_a, 4) == 12  # pinned small value
+    assert walks.walk_table(g_a, o_a, 4)[4] == 12  # pinned small value
 
     corner, oc = walks.build_lattice("zxzplus")
     rays = graphs.kronecker(graphs.half_line(), graphs.half_line())
     for m in range(17):
         want = 0 if m % 2 else cat(m // 2) * cat(m // 2 + 1)
-        ca = walks.walk_count(corner, oc, m)
-        cb = walks.walk_count(rays, (0, 1), m)
+        ca = walks.walk_table(corner, oc, m)[m]
+        cb = walks.walk_table(rays, (0, 1), m)[m]
         if not (ca == cb == want):
             report("4/7 coincidence", False, f"corner pair m={m}")
 
@@ -247,7 +249,8 @@ def test_7_product_theorems_random_graphs():
     for _ in range(60):
         c1 = random_connected_graph(rng)
         c2 = random_connected_graph(rng)
-        comps = graphs.connected_components(graphs.kronecker(c1, c2))
+        comps = components(graphs.kronecker(c1, c2),
+                           [a + b for a in c1.vertices for b in c2.vertices])
         connected_checked += 1
         if len(comps) > 2:
             report("7/7 product-theorems", False,

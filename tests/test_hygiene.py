@@ -2,9 +2,10 @@
 runs in CI: no module under ``src/`` or ``tests/`` imports a name it never
 uses, no private module-level name under ``src/`` goes unread, no field of
 a record class under ``src/`` goes unread, no cache under ``src/`` is
-unbounded, and the README lists exactly the flags the command-line parser takes and the
-lattice kinds ``walks`` takes, with their products and folds, and its ``python``
-examples run."""
+unbounded, the modules ``src/latticewalks/*.py`` hold at most 2,600 lines
+together (as ``wc -l`` counts them), and the README lists exactly the
+flags the command-line parser takes and the lattice kinds ``walks`` takes,
+with their products and folds, and its ``python`` examples run."""
 
 import argparse
 import ast
@@ -245,6 +246,17 @@ def readme_flags(readme: str) -> set[str]:
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     paragraph = section.split("\nFlags:", 1)[1].split("\n\n", 1)[0]
     return set(re.findall(r"--[a-z][a-z-]*", paragraph))
+
+
+#: The most lines the modules of ``src/latticewalks`` may hold together.
+SRC_LINE_BUDGET = 2600
+
+
+def test_src_within_line_budget():
+    counts = {p.name: p.read_text().count("\n")
+              for p in sorted(ROOT.glob("src/latticewalks/*.py"))}
+    assert sum(counts.values()) <= SRC_LINE_BUDGET, \
+        f"{sum(counts.values())} lines > {SRC_LINE_BUDGET}: {counts}"
 
 
 def parser_flags(parser: argparse.ArgumentParser) -> set[str]:

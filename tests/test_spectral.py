@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     MOMENT_CACHES,
     cold_caches,
+    from_edges,
     int_matrix_power_diag,
     path_adjacency,
     reference_closed_form,
@@ -46,8 +47,6 @@ from latticewalks.walks import (
     lattice_kind,
     lattice_walk_kinds,
     path_closed_walks,
-    verify_binomial_identity,
-    walk_count,
     walk_table,
     WalkTable,
 )
@@ -271,7 +270,7 @@ class TestConvolutions:
     def test_a_walk_table_keeps_every_order(self):
         # the triangle's closed walks: odd counts are not 0, and a table
         # knows its odd moments only up to its length
-        triangle = walk_table(graphs.FiniteGraph.from_edges(
+        triangle = walk_table(from_edges(
             [(0,), (1,), (2,)], [((0,), (1,)), ((1,), (2,)), ((0,), (2,))]), (0,), 9)
         assert triangle.counts[3] == 2
         for left, right in ((triangle, Semicircle()), (Semicircle(), triangle)):
@@ -625,12 +624,10 @@ _NON_INTEGER_ORDERS = {
     "walk_table-2.5": lambda: walk_table(_LINE, (0,), 2.5),
     "walk_table-2.0": lambda: walk_table(_LINE, (0,), 2.0),
     "table-2.0": lambda: walk_table(_LINE, (0,), 4)[2.0],
-    "walk_count-2.5": lambda: walk_count(_LINE, (0,), 2.5),
     "closed_form_walks-2.5": lambda: closed_form_walks("strip", 2.5, n=4),
     "closed_form_walks-own-3.0": lambda: closed_form_walks("zxzplus", 3.0),
     "closed_form_walks-nan": lambda: closed_form_walks("z2", math.nan),
     "path_closed_walks-2.5": lambda: path_closed_walks(4, 2.5),
-    "verify_binomial_identity-2.0": lambda: verify_binomial_identity(2.0),
 }
 
 #: every lattice kind, with parameters where it requires them
@@ -639,11 +636,10 @@ _KINDS = [(kind, {p: 3 for p in lattice_kind(kind).requires}) for kind in lattic
 
 class TestOrderContract:
     """On any order, the laws' ``moment``, ``path_spectrum``,
-    ``walk_table``, ``walk_count``, ``closed_form_walks``,
-    ``path_closed_walks`` and ``verify_binomial_identity`` raise ValueError,
-    NumericalError or ResourceLimitError, or return an exact finite value:
-    an int from an exact law, a finite float from a law with float
-    moments."""
+    ``walk_table`` and its entries, ``closed_form_walks`` and
+    ``path_closed_walks`` raise ValueError, NumericalError or
+    ResourceLimitError, or return an exact finite value: an int from an
+    exact law, a finite float from a law with float moments."""
 
     @pytest.mark.parametrize("call", _NON_INTEGER_ORDERS.values(), ids=_NON_INTEGER_ORDERS)
     def test_non_integer_orders_rejected(self, call):
@@ -659,15 +655,11 @@ class TestOrderContract:
             walk_table(_LINE, (0,), -1)
         with pytest.raises(ValueError, match=r"^walk length -1 outside table range 0\.\.4$"):
             walk_table(_LINE, (0,), 4)[-1]
-        with pytest.raises(ValueError, match="^m_max must be nonnegative$"):
-            walk_count(_LINE, (0,), -1)
         for kind, params in _KINDS:
             with pytest.raises(ValueError, match="^walk length must be nonnegative$"):
                 closed_form_walks(kind, -2, **params)
         with pytest.raises(ValueError, match="^walk length must be nonnegative$"):
             path_closed_walks(4, -2)
-        with pytest.raises(ValueError, match="^order must be nonnegative$"):
-            verify_binomial_identity(-1)
 
     def test_float_moments_that_overflow_raise(self):
         with pytest.raises(NumericalError, match="overflows a float"):
@@ -705,12 +697,14 @@ class TestOrderContract:
     @settings(max_examples=60, deadline=None)
     @given(m=_ORDERS.filter(lambda m: not isinstance(m, int) or m <= 300))
     def test_verify_binomial_identity(self, m):
-        assert _outcome(lambda: verify_binomial_identity(m)) in (None, True)
+        # Z^2 as the Cartesian and as the Kronecker square of the line
+        assert _outcome(lambda: product_law("Z □ Z").moment(2 * m)
+                        == product_law("Z ⊗ Z").moment(2 * m)) in (None, True)
 
     @settings(max_examples=60, deadline=None)
     @given(m=_ORDERS)
     def test_walk_count(self, m):
-        value = _outcome(lambda: walk_count(*build_lattice("strip", n=3), m, budget=300))
+        value = _outcome(lambda: walk_table(*build_lattice("strip", n=3), m, budget=300)[m])
         assert value is None or (type(value) is int and value == closed_form_walks(
             "strip", m, n=3))
 

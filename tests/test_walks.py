@@ -16,11 +16,14 @@ from helpers import (
     SIGNED_KINDS,
     as_implicit,
     cold_caches,
+    components,
     dp_closed_walks,
+    from_edges,
     int_matrix_power_diag,
     kind_id,
     path_adjacency,
     path_walk_counts,
+    product_by_definition,
     random_connected_graph,
     random_graph,
     reference_closed_form,
@@ -29,7 +32,7 @@ from helpers import (
 from latticewalks import graphs, walks
 from latticewalks.cli import CAP_3D, CAP_12D
 from latticewalks.errors import ResourceLimitError
-from latticewalks.spectral import ClassicalConv, MellinConv
+from latticewalks.spectral import ClassicalConv, MellinConv, product_law
 from latticewalks.walks import (
     FOLD_KINDS,
     build_lattice,
@@ -40,8 +43,6 @@ from latticewalks.walks import (
     lattice_kind,
     lattice_walk_kinds,
     path_closed_walks,
-    verify_binomial_identity,
-    walk_count,
     walk_table,
 )
 
@@ -97,24 +98,24 @@ class TestWalkCount:
     def test_matches_dp_oracle_on_lattices(self, kind, mmax):
         g, o = build_lattice(kind)
         for m in range(mmax + 1):
-            assert walk_count(g, o, m) == dp_closed_walks(g, o, m)
+            assert walk_table(g, o, m)[m] == dp_closed_walks(g, o, m)
 
     def test_matches_dp_oracle_on_random_graphs(self):
         rng = random.Random(20240817)
         for _ in range(25):
             g = random_graph(rng)
             for m in (0, 1, 2, 5, 8):
-                assert walk_count(g, (0,), m) == dp_closed_walks(g, (0,), m)
+                assert walk_table(g, (0,), m)[m] == dp_closed_walks(g, (0,), m)
 
     def test_budget_error_propagates(self):
         g, o = build_lattice("z2")
         with pytest.raises(ResourceLimitError):
-            walk_count(g, o, 12, budget=4)
+            walk_table(g, o, 12, budget=4)
 
     def test_rejects_negative_length(self):
         g, o = build_lattice("z")
         with pytest.raises(ValueError):
-            walk_count(g, o, -1)
+            walk_table(g, o, -1)
 
 
 class TestWalkTable:
@@ -141,7 +142,7 @@ class TestProductTheorems:
             combined = MellinConv(t1, t2)
             for m in range(9):
                 assert combined.moment(m) == t1[m] * t2[m]
-                assert walk_count(prod, (0, 0), m) == combined.moment(m)
+                assert walk_table(prod, (0, 0), m)[m] == combined.moment(m)
 
     def test_cartesian_convolution_on_random_pairs(self):
         rng = random.Random(65536)
@@ -153,15 +154,15 @@ class TestProductTheorems:
             for m in range(9):
                 expected = sum(comb(m, j) * t1[j] * t2[m - j] for j in range(m + 1))
                 assert ClassicalConv(t1, t2).moment(m) == expected
-                assert walk_count(prod, (0, 0), m) == expected
+                assert walk_table(prod, (0, 0), m)[m] == expected
 
     def test_kronecker_component_count_of_connected_pairs(self):
         rng = random.Random(777)
         for _ in range(20):
             g1 = random_connected_graph(rng, 2, 6)
             g2 = random_connected_graph(rng, 2, 6)
-            comps = graphs.connected_components(graphs.kronecker(g1, g2))
-            assert len(comps) <= 2
+            pairs = [a + b for a in g1.vertices for b in g2.vertices]
+            assert len(components(graphs.kronecker(g1, g2), pairs)) <= 2
 
     def test_single_vertex_factor_is_convolution_identity(self):
         g, o = build_lattice("zplus")
@@ -189,7 +190,7 @@ class TestWalkCountProperties:
                 small = graphs.ball(g, o, m // 2)
                 wide = graphs.ball(g, o, m)
                 assert dp_closed_walks(small, o, m) == dp_closed_walks(wide, o, m)
-                assert walk_count(g, o, m) == dp_closed_walks(wide, o, m)
+                assert walk_table(g, o, m)[m] == dp_closed_walks(wide, o, m)
 
     def test_even_counts_never_decrease(self):
         rng = random.Random(2718281)
@@ -302,12 +303,11 @@ def simple_graphs(draw, max_n: int = 6) -> graphs.FiniteGraph:
     n = draw(st.integers(1, max_n))
     pairs = [((i,), (j,)) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return graphs.FiniteGraph.from_edges([(i,) for i in range(n)], edges)
+    return from_edges([(i,) for i in range(n)], edges)
 
 
 def _graph(n: int, edges) -> graphs.FiniteGraph:
-    return graphs.FiniteGraph.from_edges(
-        [(i,) for i in range(n)], [((i,), (j,)) for i, j in edges])
+    return from_edges([(i,) for i in range(n)], [((i,), (j,)) for i, j in edges])
 
 
 def _mirrored_cycle(n: int) -> graphs.ImplicitGraph:
@@ -362,7 +362,7 @@ class TestHalfStepIdentity:
         root = g.vertices[i]
         assert list(walk_table(g, root, m_max).counts) == expected
         assert list(walk_table(as_implicit(g), root, m_max).counts) == expected
-        assert walk_count(g, root, m_max) == expected[m_max]
+        assert walk_table(g, root, m_max)[m_max] == expected[m_max]
 
     @_HYPOTHESIS
     @given(g1=simple_graphs(5), g2=simple_graphs(5), kron=st.booleans(),
@@ -373,11 +373,11 @@ class TestHalfStepIdentity:
     @example(g1=_ISOLATED_ROOT, g2=_TRIANGLE, kron=True, pick=0, m_max=15)
     def test_products(self, g1, g2, kron, pick, m_max):
         product = graphs.kronecker if kron else graphs.cartesian
-        g = product(g1, g2)
-        i = pick % len(g)
-        expected = vector_walk_counts(g.adjacency, i, m_max)
-        root = g.vertices[i]
-        assert list(walk_table(g, root, m_max).counts) == expected
+        whole = product_by_definition(g1, g2, kron)
+        i = pick % len(whole)
+        expected = vector_walk_counts(whole.adjacency, i, m_max)
+        root = whole.vertices[i]
+        assert list(walk_table(product(g1, g2), root, m_max).counts) == expected
         lazy = product(as_implicit(g1), as_implicit(g2))
         assert list(walk_table(lazy, root, m_max).counts) == expected
 
@@ -592,9 +592,11 @@ class TestFolds:
 
 class TestIdentityAndCoincidence:
     def test_binomial_identity_range(self):
-        assert all(verify_binomial_identity(m) for m in range(31))
+        # Z^2 counted as the Cartesian and as the Kronecker square of the line
+        cartesian, kronecker = product_law("Z □ Z"), product_law("Z ⊗ Z")
+        assert all(cartesian.moment(2 * m) == kronecker.moment(2 * m) for m in range(31))
         with pytest.raises(ValueError, match="order must be nonnegative"):
-            verify_binomial_identity(-1)
+            cartesian.moment(-2)
 
     def test_binomial_identity_value(self):
         lhs = sum(comb(20, 2 * k) * comb(2 * k, k) * comb(20 - 2 * k, 10 - k)
@@ -618,8 +620,8 @@ class TestIdentityAndCoincidence:
     def test_diagonal_plane_component_counts(self):
         # counting on the product graph itself, not the folded lattice
         g = graphs.kronecker(graphs.integer_line(), graphs.integer_line())
-        assert walk_count(g, (0, 0), 4) == 36
-        assert walk_count(g, (0, 0), 6) == 400
+        assert walk_table(g, (0, 0), 4)[4] == 36
+        assert walk_table(g, (0, 0), 6)[6] == 400
 
     def test_degree_two_interior_witness(self):
         # the triple product has a unique interior degree-2 vertex; the
