@@ -36,21 +36,14 @@ from .graphs import (
     IsoReport,
     ball,
     cartesian,
-    chamber3,
     connected_components,
     degree_histogram,
-    diamond,
-    full_plane,
     half_line,
-    half_plane,
     integer_line,
     kronecker,
     lattice,
     path_graph,
-    quarter_plane,
-    strip,
     verify_isomorphism,
-    wedge,
 )
 from .spectral import (
     ArcSine,
@@ -103,18 +96,14 @@ __all__ = [
     "cartesian",
     "catalan",
     "central_binomial",
-    "chamber3",
     "closed_form_walks",
     "connected_components",
     "degree_histogram",
     "density",
     "density_moment",
-    "diamond",
     "elliptic_KE",
     "fold_map",
-    "full_plane",
     "half_line",
-    "half_plane",
     "integer_line",
     "kronecker",
     "lattice",
@@ -125,10 +114,7 @@ __all__ = [
     "path_closed_walks",
     "path_graph",
     "path_spectrum",
-    "quarter_plane",
     "semicircle_density",
-    "strip",
     "verify_isomorphism",
     "walk_table",
-    "wedge",
 ]

@@ -10,10 +10,14 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to converge or missed its tolerance."""
 
 
-def check_path(n: int) -> int:
-    """n, checked to be the vertex count of a path."""
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
+def check_path(n: int, least: int = 1,
+               message: str = "path needs at least one vertex") -> int:
+    """n, checked to be the vertex count of a path: an int, and at least
+    ``least``, else a ValueError with ``message``."""
+    if not isinstance(n, int):
+        raise ValueError(f"path size must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(message)
     return n
 
 

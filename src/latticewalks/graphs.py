@@ -4,10 +4,11 @@ Every vertex is a fixed-length tuple of ints.  Product graphs concatenate
 coordinate tuples, so base graphs, Kronecker/Cartesian products, and
 restricted lattices all share one hash-friendly vertex representation.
 
-Every named graph, the finite path included, is a step lattice
-(:func:`lattice`): the points of Z^d inside walls a . v >= b, with edges
-v ~ v + s for s in a set of steps closed under negation, such as the half
-plane, Z^2 with unit steps cut by x - y >= 0.  The Kronecker product of
+Every named graph, the finite path and the restricted lattices of
+:mod:`latticewalks.walks` included, is a step lattice (:func:`lattice`):
+the points of Z^d inside walls a . v >= b, with edges v ~ v + s for s in
+a set of steps closed under negation, such as the half plane, Z^2 with
+unit steps cut by x - y >= 0.  The Kronecker product of
 two step lattices pairs their steps (Z with Z gives (+-1, +-1)), the
 Cartesian product pads each factor's steps with zeros, and both keep every
 wall, so products of step lattices are step lattices.
@@ -268,17 +269,17 @@ def _neighbor_fn(g: Graph) -> Callable[[Coords], Sequence[Coords]]:
 
 def path_graph(n: int) -> ImplicitGraph:
     """The path on (0,), ..., (n-1,): the step lattice 0 <= x <= n-1."""
-    return lattice(f"lattice[P{check_path(n)}]", _unit_steps(1), [((1,), 0), ((-1,), 1 - n)])
+    return lattice(f"lattice[P{check_path(n)}]", unit_steps(1), [((1,), 0), ((-1,), 1 - n)])
 
 
 def integer_line() -> ImplicitGraph:
     """The two-sided integer line with nearest-neighbor edges."""
-    return lattice("Z", _unit_steps(1), ())
+    return lattice("Z", unit_steps(1), ())
 
 
 def half_line() -> ImplicitGraph:
     """Nonnegative integers 0 -- 1 -- 2 -- ... with nearest-neighbor edges."""
-    return lattice("Z+", _unit_steps(1), [((1,), 0)])
+    return lattice("Z+", unit_steps(1), [((1,), 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +289,8 @@ def half_line() -> ImplicitGraph:
 _LATTICE_CODE_CACHE = 64
 
 
-def _unit_steps(d: int) -> tuple[Coords, ...]:
-    # +-1 in one coordinate: the nearest-neighbor steps of Z^d
+def unit_steps(d: int) -> tuple[Coords, ...]:
+    """+-1 in one coordinate: the nearest-neighbor steps of Z^d."""
     return tuple(tuple(sign * (i == j) for j in range(d))
                  for i in range(d) for sign in (1, -1))
 
@@ -364,53 +365,6 @@ def lattice(name: str, steps: Iterable[Coords],
                          "of that length")
     nbrs, inside = _lattice_code(steps, tuple(a for a, _ in walls))(*(b for _, b in walls))
     return ImplicitGraph(d, nbrs, name, inside, steps=steps, walls=walls)
-
-
-# ---------------------------------------------------------------------------
-# lattice domains
-
-
-def _domain(name: str, dimension: int, walls) -> ImplicitGraph:
-    # the nearest-neighbor lattice[name] inside the walls
-    return lattice(f"lattice[{name}]", _unit_steps(dimension), walls)
-
-
-def full_plane() -> ImplicitGraph:
-    return _domain("Z^2", 2, ())
-
-
-def half_plane() -> ImplicitGraph:
-    """Lattice points with x >= y."""
-    return _domain("x>=y", 2, [((1, -1), 0)])
-
-
-def strip(n: int) -> ImplicitGraph:
-    """Diagonal strip x >= y >= x-(n-1), i.e. x-y confined to 0..n-1."""
-    if n < 2:
-        raise ValueError("strip width must be at least 2")
-    return _domain(f"x>=y>=x-{n - 1}", 2, [((1, -1), 0), ((-1, 1), 1 - n)])
-
-
-def wedge() -> ImplicitGraph:
-    """Wedge x >= y >= -x (an eighth of the plane, closed under reflection)."""
-    return _domain("x>=y>=-x", 2, [((1, -1), 0), ((1, 1), 0)])
-
-
-def diamond(k: int, l: int) -> ImplicitGraph:
-    """Finite diamond 0 <= x+y <= k-1, 0 <= x-y <= l-1."""
-    if k < 2 or l < 2:
-        raise ValueError("diamond side lengths must be at least 2")
-    return _domain(f"0<=x+y<={k - 1},0<=x-y<={l - 1}", 2,
-                   [((1, 1), 0), ((-1, -1), 1 - k), ((1, -1), 0), ((-1, 1), 1 - l)])
-
-
-def quarter_plane() -> ImplicitGraph:
-    return _domain("x>=0,y>=0", 2, [((1, 0), 0), ((0, 1), 0)])
-
-
-def chamber3() -> ImplicitGraph:
-    """Ordered chamber x >= y >= z in Z^3."""
-    return _domain("x>=y>=z", 3, [((1, -1, 0), 0), ((0, 1, -1), 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ from operator import add, mul
 from typing import Callable, Sequence
 
 from . import graphs
-from .errors import KindTable, check_order
+from .errors import KindTable, check_order, check_path
 from .graphs import (DEFAULT_VERTEX_BUDGET, SIGNED_PERMUTATIONS, Coords, Graph,
                      IsoMap, Symmetry, ball, reflection)
 from .spectral import (FACTORS, _EvenLaw, catalan, central_binomial, path_closed_walks,
@@ -286,7 +286,9 @@ class LatticeKind:
     product, ``own_form(h)`` = count[2h].  ``symmetry``, when given, is a
     group of automorphisms of the graph that fixes ``root``, which
     :func:`walk_table` lumps by.  It requires the parameters its product
-    reads, and ``graph`` checks their sizes."""
+    reads, and ``graph`` checks their sizes.  ``fold``, when given, names
+    the fold of a 2-D Kronecker kind onto its factors (see
+    :func:`fold_map`) and the ball radius it is checked at."""
 
     key: str
     root: Coords
@@ -294,6 +296,7 @@ class LatticeKind:
     graph: Callable[..., Graph]
     product: str
     own_form: Callable[[int], int] | None = None
+    fold: tuple[str, int] | None = None
     requires: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
@@ -310,25 +313,48 @@ _ANTIDIAGONAL = reflection(lambda v: (-v[1], -v[0]))
 _DIAGONAL = reflection(lambda v: (v[1], v[0]))
 _AXIS = reflection(lambda v: (v[0], -v[1]))
 
+
+def _domain(name: str, d: int, *walls: tuple[Coords, int]) -> Graph:
+    # Z^d with unit steps inside the walls, named lattice[name]
+    return graphs.lattice(f"lattice[{name}]", graphs.unit_steps(d), walls)
+
+
+_STRIP = "strip width must be at least 2"
+_DIAMOND = "diamond side lengths must be at least 2"
+
 # Product builders look graphs' constructors up at call time, so a wrapped
-# graphs.kronecker or graphs.cartesian sees every product they build.
-# README's kind table states each kind, its product and its closed form in
-# words.
+# graphs.kronecker or graphs.cartesian sees every product they build.  A
+# domain row states its walls; strip and diamond check their sizes as they
+# name them.  README's kind table states each kind, its product, its fold
+# and its closed form in words.
 _KINDS = KindTable("lattice", {lk.key: lk for lk in (
     LatticeKind("z", (0,), SIGNED_PERMUTATIONS, graphs.integer_line, "Z"),
     LatticeKind("zplus", (0,), None, graphs.half_line, "Z+"),
     LatticeKind("zplus-at-1", (1,), None, graphs.half_line, "", lambda h: catalan(h + 1)),
-    LatticeKind("z2", (0, 0), SIGNED_PERMUTATIONS, graphs.full_plane, "Z ⊗ Z"),
-    LatticeKind("halfplane", (0, 0), _ANTIDIAGONAL, graphs.half_plane, "Z ⊗ Z+"),
-    LatticeKind("wedge", (0, 0), _AXIS, graphs.wedge, "Z+ ⊗ Z+"),
-    LatticeKind("quarterplane", (0, 0), _DIAGONAL, graphs.quarter_plane, "Z+ □ Z+"),
+    LatticeKind("z2", (0, 0), SIGNED_PERMUTATIONS, lambda: _domain("Z^2", 2), "Z ⊗ Z",
+                fold=("plane", 8)),
+    LatticeKind("halfplane", (0, 0), _ANTIDIAGONAL,
+                lambda: _domain("x>=y", 2, ((1, -1), 0)), "Z ⊗ Z+", fold=("halfplane", 6)),
+    LatticeKind("wedge", (0, 0), _AXIS,
+                lambda: _domain("x>=y>=-x", 2, ((1, -1), 0), ((1, 1), 0)), "Z+ ⊗ Z+",
+                fold=("wedge", 6)),
+    LatticeKind("quarterplane", (0, 0), _DIAGONAL,
+                lambda: _domain("x>=0,y>=0", 2, ((1, 0), 0), ((0, 1), 0)), "Z+ □ Z+"),
     # the quarter plane again, built as a Cartesian product of two
     # half-lines; its closed form is the product form of the same count
     LatticeKind("zxzplus", (0, 0), _DIAGONAL,
                 lambda: graphs.cartesian(graphs.half_line(), graphs.half_line()), "",
                 lambda h: catalan(h) * catalan(h + 1)),
-    LatticeKind("strip", (0, 0), _ANTIDIAGONAL, graphs.strip, "Z ⊗ P_n"),
-    LatticeKind("diamond", (0, 0), None, graphs.diamond, "P_k ⊗ P_l"),
+    LatticeKind("strip", (0, 0), _ANTIDIAGONAL,
+                lambda n: _domain(f"x>=y>=x-{check_path(n, 2, _STRIP) - 1}", 2,
+                                  ((1, -1), 0), ((-1, 1), 1 - n)),
+                "Z ⊗ P_n", fold=("strip", 6)),
+    LatticeKind("diamond", (0, 0), None,
+                lambda k, l: _domain(f"0<=x+y<={check_path(k, 2, _DIAMOND) - 1},"
+                                     f"0<=x-y<={check_path(l, 2, _DIAMOND) - 1}", 2,
+                                     ((1, 1), 0), ((-1, -1), 1 - k),
+                                     ((1, -1), 0), ((-1, 1), 1 - l)),
+                "P_k ⊗ P_l", fold=("diamond", 6)),
     LatticeKind("bcc3", (0, 0, 0), SIGNED_PERMUTATIONS,
                 lambda: reduce(graphs.kronecker, [graphs.integer_line()] * 3),
                 "Z ⊗ Z ⊗ Z"),
@@ -338,7 +364,8 @@ _KINDS = KindTable("lattice", {lk.key: lk for lk in (
     # the chamber and kkc3 count as the Cartesian product of the wedge (the
     # Kronecker square of the half line, folded) with the half line
     LatticeKind("chamber3", (0, 0, 0), reflection(lambda v: (-v[2], -v[1], -v[0])),
-                graphs.chamber3, "(Z+ ⊗ Z+) □ Z+"),
+                lambda: _domain("x>=y>=z", 3, ((1, -1, 0), 0), ((0, 1, -1), 0)),
+                "(Z+ ⊗ Z+) □ Z+"),
     LatticeKind("kkc3", (0, 0, 0), reflection(lambda v: (v[1], v[0], v[2])),
                 lambda: graphs.cartesian(graphs.kronecker(graphs.half_line(),
                                                           graphs.half_line()),
@@ -397,9 +424,9 @@ def closed_form_walks(kind: str, m: int, n: int | None = None,
 _FOLD = ((1, 1), (1, -1))  # (x, y) |-> (x + y, x - y)
 
 #: The named folds: fold -> (the 2-D Kronecker lattice kind it folds, the
-#: ball radius it is checked at).  Each fold but plane is named by its kind.
-FOLD_KINDS = KindTable("fold", {"plane": ("z2", 8), **{
-    kind: (kind, 6) for kind in ("strip", "halfplane", "wedge", "diamond")}})
+#: ball radius it is checked at), in the order of the rows that state them.
+FOLD_KINDS = KindTable("fold", {lk.fold[0]: (lk.key, lk.fold[1])
+                                for lk in _KINDS.values() if lk.fold})
 
 
 def fold_map(kind: str, n: int | None = None, k: int | None = None,

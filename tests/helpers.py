@@ -7,8 +7,10 @@ cross-checks the production pipeline rather than re-running it.
 and `vector_walk_counts` iterates the full adjacency one step at a time;
 `path_walk_counts` does the same for the tridiagonal path adjacency.
 `as_implicit` hides a finite graph behind its public methods, so a ball
-or a product of it reads only those.  `reference_iso_report` checks an affine map
-the way the coordinate edge-set algorithm does, on `naive_ball`s.
+or a product of it reads only those, and `domain` is a named lattice
+kind's graph from ``build_lattice`` without its symmetry.
+`reference_iso_report` checks an affine map the way the coordinate
+edge-set algorithm does, on `naive_ball`s.
 `SIGNED_KINDS`, `MIRRORS` and `LUMPED` name the lattice kinds whose graphs
 carry a symmetry, with each mirror written out here rather than taken
 from the builders.  `REFERENCE_FORMS` restates every kind's closed form
@@ -32,9 +34,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from contextlib import contextmanager
+from dataclasses import replace
 from math import comb
 
-from latticewalks import spectral
+from latticewalks import spectral, walks
 from latticewalks.graphs import FiniteGraph, ImplicitGraph, ball
 
 
@@ -133,6 +136,13 @@ def path_adjacency(n: int) -> list[list[int]]:
 def as_implicit(g: FiniteGraph) -> ImplicitGraph:
     """The same graph as a neighbor-function view."""
     return ImplicitGraph(g.dimension, g.neighbors, "implicit", g.__contains__)
+
+
+def domain(kind: str, **params) -> ImplicitGraph:
+    """The graph of a named lattice kind, such as ``lattice[x>=y]`` for
+    halfplane, with no symmetry: a plain step lattice."""
+    g, _ = walks.build_lattice(kind, **params)
+    return replace(g, symmetry=None)
 
 
 def composed_product(g1, g2, kron: bool) -> ImplicitGraph:

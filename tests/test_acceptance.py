@@ -108,6 +108,7 @@ def test_3_isomorphism_suite():
              (walks.fold_map("strip", 3), 6),
              (walks.fold_map("strip", 4), 6),
              (walks.fold_map("halfplane"), 6),
+             (walks.fold_map("wedge"), 6),
              (walks.fold_map("diamond", k=4, l=4), 6)]
     for iso, radius in cases:
         rep = graphs.verify_isomorphism(iso, radius)

@@ -298,7 +298,7 @@ class TestIsoCommand:
 
 _KNOWN = {"lattice": ", ".join(walks.lattice_walk_kinds()),
           "moment": "arcsine, semicircle, aa, wa, ww, classical-aa, classical-ww, path",
-          "fold": "plane, strip, halfplane, wedge, diamond",
+          "fold": "plane, halfplane, wedge, strip, diamond",
           "density": "aa, wa, ww",
           "product": "kron, cartesian"}
 

@@ -15,6 +15,7 @@ from helpers import (
     as_implicit,
     components,
     composed_product,
+    domain,
     edge_set,
     from_edges,
     kind_id,
@@ -32,22 +33,15 @@ from latticewalks.graphs import (
     IsoMap,
     ball,
     cartesian,
-    chamber3,
     connected_components,
     degree_histogram,
-    diamond,
-    full_plane,
     half_line,
-    half_plane,
     integer_line,
     orbit_ball,
     kronecker,
     lattice,
     path_graph,
-    quarter_plane,
-    strip,
     verify_isomorphism,
-    wedge,
 )
 from latticewalks.spectral import FACTORS
 from latticewalks.walks import FOLD_KINDS, fold_map
@@ -159,57 +153,58 @@ class TestBuiltinGraphs:
 class TestDomains:
     # membership probes double as the definition record for each region
     def test_half_plane(self):
-        d = half_plane()
+        d = domain("halfplane")
         assert (0, 0) in d and (3, -1) in d
         assert (1, 2) not in d
 
     def test_wedge(self):
-        d = wedge()
+        d = domain("wedge")
         assert (2, 1) in d and (2, -2) in d
         assert (2, 3) not in d and (2, -3) not in d
 
     def test_strip_width(self):
-        d = strip(3)
+        d = domain("strip", n=3)
         assert (0, 0) in d and (2, 0) in d
         assert (0, 1) not in d and (3, 0) not in d
 
     def test_strip_needs_width_two(self):
-        with pytest.raises(ValueError):
-            strip(1)
+        with pytest.raises(ValueError, match="^strip width must be at least 2$"):
+            domain("strip", n=1)
 
     def test_diamond_bounds(self):
-        d = diamond(3, 4)
+        d = domain("diamond", k=3, l=4)
         assert (0, 0) in d and (2, 0) in d
         assert (2, 1) not in d  # x+y = 3 is outside 0..2
         assert (-1, 0) not in d
 
     @pytest.mark.parametrize("k,l", [(1, 4), (4, 1)])
     def test_diamond_needs_sides_of_two(self, k, l):
-        with pytest.raises(ValueError, match="diamond side lengths must be at least 2"):
-            diamond(k, l)
+        with pytest.raises(ValueError, match="^diamond side lengths must be at least 2$"):
+            domain("diamond", k=k, l=l)
 
     def test_quarter_plane(self):
-        d = quarter_plane()
+        d = domain("quarterplane")
         assert (0, 0) in d and (-1, 0) not in d
         # a bare int or a point of another dimension is no vertex
         assert 0 not in d and (0,) not in d and (0, 0, 0) not in d
 
     def test_chamber_ordering(self):
-        d = chamber3()
+        d = domain("chamber3")
         assert (2, 1, 0) in d and (1, 1, 1) in d
         assert (0, 1, 0) not in d
 
     # each id is the domain inside the graph's name lattice[...]
-    @pytest.mark.parametrize("domain", [
-        full_plane(), half_plane(), strip(2), wedge(), diamond(2, 2),
-        quarter_plane(), chamber3()], ids=lambda d: d.name[len("lattice["):-1])
-    def test_named_domains_contain_their_origin(self, domain):
+    @pytest.mark.parametrize("g", [
+        domain("z2"), domain("halfplane"), domain("strip", n=2), domain("wedge"),
+        domain("diamond", k=2, l=2), domain("quarterplane"), domain("chamber3")],
+        ids=lambda g: g.name[len("lattice["):-1])
+    def test_named_domains_contain_their_origin(self, g):
         # every named domain is rooted at the origin, down to its smallest
         # valid parameters
-        assert (0,) * domain.dimension in domain
+        assert (0,) * g.dimension in g
 
-    @pytest.mark.parametrize("g,v", [(half_plane(), (0, 5)), (half_line(), (-3,)),
-                                     (strip(3), (5, 0)), (integer_line(), (0, 0))])
+    @pytest.mark.parametrize("g,v", [(domain("halfplane"), (0, 5)), (half_line(), (-3,)),
+                                     (domain("strip", n=3), (5, 0)), (integer_line(), (0, 0))])
     def test_a_point_outside_has_no_neighbors(self, g, v):
         # as in a finite graph; the neighbor function would list the steps
         # that cross no wall
@@ -217,7 +212,7 @@ class TestDomains:
             g.neighbors(v)
 
     def test_half_plane_neighbors(self):
-        g = half_plane()
+        g = domain("halfplane")
         assert g.neighbors((0, 0)) == ((0, -1), (1, 0))
         assert g.neighbors((2, 0)) == ((1, 0), (2, -1), (2, 1), (3, 0))
 
@@ -267,12 +262,13 @@ class TestStepLattices:
                 assert sorted(g.neighbor_fn(v)) == sorted(brute)
 
     def test_sizes_share_one_code_object(self):
-        assert strip(3).neighbor_fn.__code__ is strip(10 ** 8).neighbor_fn.__code__
+        strips = [domain("strip", n=n) for n in (3, 10 ** 8)]
+        assert strips[0].neighbor_fn.__code__ is strips[1].neighbor_fn.__code__
         paths = [FACTORS["P"].graph(p) for p in (2, 10 ** 8)]
         assert paths[0].neighbor_fn.__code__ is paths[1].neighbor_fn.__code__
         assert paths[1].neighbors((10 ** 8 - 1,)) == ((10 ** 8 - 2,),)
         # the generated code is not a line of this package's source
-        assert strip(3).neighbor_fn.__code__.co_filename.startswith("<lattice steps=")
+        assert strips[0].neighbor_fn.__code__.co_filename.startswith("<lattice steps=")
 
     @pytest.mark.parametrize("steps,walls", [
         ([], []), ([(1,)], []), ([(1,), (-1,), (1,)], []), ([(0,), (1,), (-1,)], []),
@@ -283,8 +279,10 @@ class TestStepLattices:
             lattice("bad", steps, walls)
 
     _FACTOR_PAIRS = [(integer_line(), half_line()), (half_line(), half_line()),
-                     (half_plane(), integer_line()), (strip(3), half_line()),
-                     (FACTORS["P"].graph(3), wedge()), (chamber3(), integer_line()),
+                     (domain("halfplane"), integer_line()),
+                     (domain("strip", n=3), half_line()),
+                     (FACTORS["P"].graph(3), domain("wedge")),
+                     (domain("chamber3"), integer_line()),
                      (kronecker(half_line(), half_line()), half_line())]
 
     @pytest.mark.parametrize("product", [kronecker, cartesian])
@@ -375,7 +373,7 @@ class TestProducts:
         assert set(g.neighbors((0, 0))) == {(0, 1), (1, 0)}
 
     def test_mixed_product_dimension(self):
-        g = kronecker(full_plane(), integer_line())
+        g = kronecker(domain("z2"), integer_line())
         assert g.dimension == 3
 
 
@@ -414,7 +412,7 @@ class TestBall:
         assert b.depths == [0, 1, 1, 2, 2, 3, 3]
 
     def test_ball_respects_domain(self):
-        b = ball(wedge(), (0, 0), 2)
+        b = ball(domain("wedge"), (0, 0), 2)
         assert (1, 1) in b and (1, -1) in b
         assert (0, 1) not in b
 
@@ -422,7 +420,7 @@ class TestBall:
         # layers of the plane hold 1, 4, 8, ... vertices: the budget of 5
         # admits layers 0 and 1 and is exceeded by layer 2
         with pytest.raises(ResourceLimitError) as info:
-            ball(full_plane(), (0, 0), 10, budget=5)
+            ball(domain("z2"), (0, 0), 10, budget=5)
         msg = str(info.value)
         assert "vertex budget 5" in msg
         assert "layer 2 would add 8 vertices" in msg
@@ -585,7 +583,7 @@ class TestOrbitBall:
             with pytest.raises(ValueError, match="not fixed"):
                 orbit_ball(g, root, 3)
         with pytest.raises(ValueError, match="not fixed"):
-            orbit_ball(full_plane(), (0, 0), 3)
+            orbit_ball(domain("z2"), (0, 0), 3)
 
 
 # (kind, root, radius, budget, start of the message)
@@ -697,7 +695,7 @@ class TestComponentsAndSubgraphs:
                 _assert_component(c, h, len(h))
 
     def test_degree_histogram_interior_only(self):
-        b = ball(full_plane(), (0, 0), 4)
+        b = ball(domain("z2"), (0, 0), 4)
         hist = degree_histogram(b, 2)
         assert hist == {4: 13}  # interior of the diagonal plane is 4-regular
 
@@ -782,7 +780,7 @@ class TestIsomorphisms:
             ["plane-to-kron", "halfplane-to-kron", "wedge-to-kron"]
 
     @pytest.mark.parametrize("kind,params,message", [
-        ("nope", {}, "unknown fold kind 'nope'; known: plane, strip, halfplane, wedge, diamond"),
+        ("nope", {}, "unknown fold kind 'nope'; known: plane, halfplane, wedge, strip, diamond"),
         ("strip", {}, "fold kind 'strip' requires parameter n"),
         ("plane", {"n": 3}, "fold kind 'plane' does not take parameter n"),
     ])
@@ -922,7 +920,7 @@ class TestProductAlgebra:
                 assert mids and v not in cart_g.neighbors(u)
 
     def test_ball_monotone_in_radius(self):
-        g = wedge()
+        g = domain("wedge")
         inner = ball(g, (0, 0), 3)
         outer = ball(g, (0, 0), 4)
         assert set(inner.vertices) <= set(outer.vertices)

@@ -148,10 +148,12 @@ class TestMomentColumns:
         with cold_caches():
             assert (central_binomial(3), catalan(3), path_closed_walks(4, 6)) == (20, 5, 5)
         for call in (lambda: central_binomial(3.0), lambda: catalan(3.0),
-                     lambda: central_binomial(4.0), lambda: path_closed_walks(4.0, 6)):
+                     lambda: central_binomial(4.0)):
             with pytest.raises(TypeError):
                 call()
-        # a float length is an order error before the count is computed
+        # a float size or length is a ValueError before the count is computed
+        with pytest.raises(ValueError, match=r"^path size must be an integer, got 4\.0$"):
+            path_closed_walks(4.0, 6)
         with pytest.raises(ValueError, match="^walk length must be an integer, got 6.0$"):
             path_closed_walks(4, 6.0)
 
@@ -644,6 +646,15 @@ class TestOrderContract:
     @pytest.mark.parametrize("call", _NON_INTEGER_ORDERS.values(), ids=_NON_INTEGER_ORDERS)
     def test_non_integer_orders_rejected(self, call):
         with pytest.raises(ValueError, match="integer|outside table range"):
+            call()
+
+    # a path size is an int too, however the path is reached
+    @pytest.mark.parametrize("call", [
+        lambda: graphs.path_graph(2.5), lambda: graphs.PRODUCT_KINDS["kron"](2.5, 3),
+        lambda: build_lattice("diamond", k=2.5, l=3), lambda: path_closed_walks(2.5, 4)],
+        ids=["path_graph", "components", "diamond", "path_closed_walks"])
+    def test_non_integer_path_sizes_rejected(self, call):
+        with pytest.raises(ValueError, match=r"^path size must be an integer, got 2\.5$"):
             call()
 
     def test_negative_orders_keep_their_messages(self):

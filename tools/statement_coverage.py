@@ -4,22 +4,18 @@ Runs pytest in this process with a line tracer on every thread
 (``sys.settrace`` and ``threading.settrace``), traced only in frames of
 src/latticewalks/, then checks each statement there that the compiler
 gives code (docstrings and ``global`` have none) against the lines that
-ran.  A statement no test runs fails the check unless
-tools/uncovered.json, a JSON list, has an entry for it: its "file" (the
-module's file name), "function" (the enclosing qualified name, or
-"<module>"), "source" (its stripped first line) and a "reason".  An
-entry that names no unrun statement fails the check too.  From the
+ran.  Any statement that no test runs fails the check.  From the
 repository root:
 
     python tools/statement_coverage.py [pytest arguments]
 
-Exits with pytest's code if a test fails, else 1 on a mismatch, else 0.
+Exits with pytest's code if a test fails, else 1 if a statement is unrun,
+else 0.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import os
 import sys
 import threading
@@ -27,7 +23,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "latticewalks"
-ALLOWLIST = Path(__file__).with_name("uncovered.json")
 ran: set[tuple[str, int]] = set()
 
 
@@ -74,17 +69,14 @@ def main(argv: list[str]) -> int:
         threading.settrace(None)
     if code:
         return code
-    unrun = {(p.name, function or "<module>", text): line
+    unrun = [(p.name, line, function or "<module>", text)
              for p in sorted(SRC.glob("*.py"))
              for line, function, text in statements(p)
-             if (str(p), line) not in ran}
-    allowed = {(e["file"], e["function"], e["source"]) for e in json.loads(ALLOWLIST.read_text())}
-    for key in sorted(unrun.keys() - allowed, key=lambda key: (key[0], unrun[key])):
-        print(f"no test runs {key[0]}:{unrun[key]} in {key[1]}: {key[2]}")
-    for key in sorted(allowed - unrun.keys()):
-        print(f"allowlisted but run or gone: {key[0]} in {key[1]}: {key[2]}")
-    print(f"{len(unrun)} statements unrun, {len(allowed)} allowlisted")
-    return int(unrun.keys() != allowed)
+             if (str(p), line) not in ran]
+    for name, line, function, text in unrun:
+        print(f"no test runs {name}:{line} in {function}: {text}")
+    print(f"{len(unrun)} statements unrun")
+    return int(bool(unrun))
 
 
 if __name__ == "__main__":
